@@ -21,7 +21,6 @@ from .core_sim import (
     unitarity_defect,
 )
 from .gaussian_kernel import (
-    AlphaTable,
     KernelParams,
     alpha_coeffs,
     kernel_value,
@@ -36,7 +35,6 @@ from .spectral_models import (
     exact_reflection,
     grover_unitary,
     hamiltonian_unitary,
-    power_apply,
     synth_unitary,
 )
 from .state_prep import (
@@ -60,7 +58,6 @@ from .lcu_reflector import (
     build_select,
     oaa_expansion_check,
     reflection_error,
-    verify_reflection,
 )
 from .pea_reflector import (
     PeaParams,
@@ -71,6 +68,6 @@ from .pea_reflector import (
     choose_pea_params,
     pea_block,
 )
-from .accounting import ResourceLedger, compare_scaling
+from .accounting import compare_scaling
 
 __version__ = "0.1.0"

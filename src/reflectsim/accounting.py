@@ -1,6 +1,6 @@
-"""Resource ledgers and the ancilla/query/gate scaling comparison.
+"""Closed-form gate models and the ancilla/query/gate scaling comparison.
 
-The ledger type is the footprint used throughout the simulator. The
+Ledgers are the ``ResourceFootprint`` values of built operators. The
 comparison engine evaluates the closed-form parameter formulas of both
 reflection routes on an (eps, delta) grid; query counts in the table use
 the per-application conventions of the complexity analysis (L per select
@@ -12,14 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from .core_sim import ResourceFootprint
-from .gaussian_kernel import select_params
-from .lcu_reflector import DEFAULT_KERNEL_FRACTION, mcx_two_qubit_cost
+from .lcu_reflector import DEFAULT_KERNEL_FRACTION, lcu_budget, mcx_two_qubit_cost
 from .pea_reflector import DEFAULT_PEA_QFT_EPS, choose_pea_params
 from .state_prep import QftSpec, qft_two_qubit_count
-
-# the ledger is the same value type as the per-operator footprint
-ResourceLedger = ResourceFootprint
 
 DEFAULT_EPS_GRID = (1e-2, 1e-4, 1e-8)
 DEFAULT_DELTA_GRID = (0.5, 0.1, 1e-2)
@@ -121,10 +116,7 @@ def compare_scaling(eps_grid=DEFAULT_EPS_GRID, delta_grid=DEFAULT_DELTA_GRID,
     rows = []
     for delta in delta_grid:
         for eps in eps_sorted:
-            kp = select_params(eps * kernel_fraction, delta, c)
-            lcu_spec = QftSpec.for_budget(
-                kp.m, eps * (1 - kernel_fraction) / 3)
-            lcu = lcu_gate_model(kp, lcu_spec)
+            lcu = lcu_gate_model(*lcu_budget(eps, delta, c, kernel_fraction))
             pp = choose_pea_params(eps, delta)
             pea_spec = QftSpec.for_budget(pp.n_prime, DEFAULT_PEA_QFT_EPS)
             pea = pea_gate_model(pp, pea_spec)

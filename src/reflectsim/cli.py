@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import accounting, suite
-from .core_sim import apply, embed_system
 from .gaussian_kernel import (
     alpha_coeffs,
     kernel_sup_on_gap,
@@ -25,10 +24,10 @@ from .gaussian_kernel import (
     psi_amplitudes,
     select_params,
 )
-from .lcu_reflector import build_reflector, reflection_error
+from .lcu_reflector import build_reflector, grover_step, reflection_error
 from .pea_reflector import build_pea_reflector
-from .spectral_models import exact_reflection, grover_unitary, synth_unitary
-from .state_prep import QftSpec, bhat_state, build_B
+from .spectral_models import grover_unitary, synth_unitary
+from .state_prep import QftSpec, bhat_state, build_B, prep_qft_spec
 
 USAGE_ERROR = 1
 ASSERTION_ERROR = 2
@@ -119,33 +118,25 @@ def _jsonable(value):
     return value
 
 
-def _params_dict(params) -> dict:
-    return {
-        "epsilon": params.epsilon, "delta": params.delta, "c": params.c,
-        "dz": params.dz, "L": params.L, "Lstar": params.Lstar, "m": params.m,
-    }
-
-
 def kernel_report(eps: float, gap: float, c: float, points: int) -> dict:
     params = select_params(eps, gap, c)
-    table = alpha_coeffs(params)
+    alphas = alpha_coeffs(params)
     zero_defect = abs(kernel_value(0.0, params) - 1.0)
     sup = kernel_sup_on_gap(params, points=points)
     return {
         "command": "kernel",
-        "params": _params_dict(params),
-        "alpha_sum": table.total(),
+        "params": dataclasses.asdict(params),
+        "alpha_sum": float(np.sum(alphas)),
         "kernel_zero_defect": zero_defect,
         "kernel_gap_sup": sup,
-        "alpha_table": {"lmin": -params.L, "values": table.alphas.tolist()},
+        "alpha_table": {"lmin": -params.L, "values": alphas.tolist()},
         "passed": bool(zero_defect <= eps and sup <= eps),
     }
 
 
 def prep_report(eps: float, gap: float, c: float, exact_qft: bool) -> dict:
     params = select_params(eps, gap, c)
-    spec = QftSpec.exact_for(params.m) if exact_qft else \
-        QftSpec.for_budget(params.m, eps / 6)
+    spec = QftSpec.exact_for(params.m) if exact_qft else prep_qft_spec(params)
     b = build_B(params, spec)
     psi = psi_amplitudes(params)
     trunc = bhat_state(params, spec)
@@ -153,7 +144,7 @@ def prep_report(eps: float, gap: float, c: float, exact_qft: bool) -> dict:
     bound = eps if exact_qft else 2 * eps
     return {
         "command": "prep",
-        "params": _params_dict(params),
+        "params": dataclasses.asdict(params),
         "qft": {"cutoff_b": spec.cutoff_b, "exact": spec.exact},
         "chain_error": chain_err,
         "chain_bound": bound,
@@ -165,49 +156,41 @@ def prep_report(eps: float, gap: float, c: float, exact_qft: bool) -> dict:
     }
 
 
+def _ledger(refl) -> dict:
+    """The reflector's ledger; LCU reflectors add the max-power query
+    count of their five select applications."""
+    ledger = refl.ledger.as_dict()
+    if hasattr(refl, "select"):
+        ledger["queries_max_power_convention"] = 5 * refl.select.queries_max_power
+    return ledger
+
+
 def reflect_report(method: str, dim: int, gap: float, eps: float, seed: int,
                    trials: int | None, c: float, kernel_fraction: float,
                    exact_qft: bool) -> dict:
     unitary = synth_unitary(dim, gap, seed)
+    if trials is None:
+        trials = 10 if method == "lcu" else 3
     if method == "lcu":
-        trials = 10 if trials is None else trials
         refl = build_reflector(unitary, eps, c=c,
                                kernel_fraction=kernel_fraction,
                                exact_qft=exact_qft)
-        err = reflection_error(refl.a, refl.n_ancilla, unitary, trials, seed + 1)
-        ledger = refl.ledger.as_dict()
-        ledger["queries_max_power_convention"] = 5 * refl.select.queries_max_power
-        report = {
-            "command": "reflect",
-            "method": "lcu",
-            "dimension": dim, "gap": gap, "epsilon": eps, "seed": seed,
-            "trials": trials,
-            "params": _params_dict(refl.params),
-            "s": refl.s,
-            "n_ancilla": refl.n_ancilla,
-            "max_error": err,
-            "error_bound": 10 * eps,
-            "ledger": ledger,
-            "passed": bool(err <= 10 * eps),
-        }
     else:
-        trials = 3 if trials is None else trials
         refl = build_pea_reflector(unitary, eps, exact_qft=exact_qft)
-        err = reflection_error(refl.a, refl.n_ancilla, unitary, trials, seed + 1)
-        report = {
-            "command": "reflect",
-            "method": "pea",
-            "dimension": dim, "gap": gap, "epsilon": eps, "seed": seed,
-            "trials": trials,
-            "params": {"n_prime": refl.params.n_prime, "q": refl.params.q,
-                       "epsilon": eps, "delta": gap},
-            "n_ancilla": refl.n_ancilla,
-            "max_error": err,
-            "error_bound": 10 * eps,
-            "ledger": refl.ledger.as_dict(),
-            "passed": bool(err <= 10 * eps),
-        }
-    return report
+    err = reflection_error(refl, unitary, trials, seed + 1)
+    return {
+        "command": "reflect",
+        "method": method,
+        "dimension": dim, "gap": gap, "epsilon": eps, "seed": seed,
+        "trials": trials,
+        "params": dataclasses.asdict(refl.params),
+        **({"s": refl.s} if method == "lcu" else {}),
+        "n_ancilla": refl.n_ancilla,
+        "max_error": err,
+        "error_bound": 10 * eps,
+        "ledger": _ledger(refl),
+        "passed": bool(err <= 10 * eps),
+    }
 
 
 def compare_report(eps_grid, delta_grid, c: float) -> dict:
@@ -226,21 +209,11 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     marked = int(rng.integers(dim))
     inst = grover_unitary(dim, marked)
-    refl_matrix = exact_reflection(inst.unitary)
-    s_defect = abs(inst.s_state @ (refl_matrix @ inst.s_state))
+    s_defect, nu, envelope, refl = grover_step(inst, eps)
     exact_hit = abs(
         (2 * np.outer(inst.psi_tilde, inst.psi_tilde.conj())
          - np.eye(dim)) @ inst.s_state
     )[inst.marked]
-
-    refl = build_reflector(inst.unitary, eps)
-    layout = refl.layout()
-    out = apply(refl.a, embed_system(inst.s_state, layout))
-    amp = out.amplitudes[layout.index(0, inst.marked)]
-    nu = 1 - abs(amp) ** 2
-    envelope = 4 * (1 / math.sqrt(dim) + 10 * eps) ** 2
-    ledger = refl.ledger.as_dict()
-    ledger["queries_max_power_convention"] = 5 * refl.select.queries_max_power
     return {
         "command": "grover",
         "dimension": dim, "epsilon": eps, "seed": seed, "marked": marked,
@@ -249,7 +222,7 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
         "nu_envelope": envelope,
         "s_reflection_defect": float(s_defect),
         "exact_target_fidelity": float(exact_hit ** 2),
-        "ledger": ledger,
+        "ledger": _ledger(refl),
         "passed": bool(nu <= envelope and s_defect <= 1e-10),
     }
 

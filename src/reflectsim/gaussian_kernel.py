@@ -58,26 +58,6 @@ class KernelParams:
             raise ValueError("(L*dz)^2 violates the 4 log(1/eps) condition")
 
 
-@dataclass(frozen=True)
-class AlphaTable:
-    """Gaussian LCU coefficients alpha_l for l = -L .. L-1 (index l + L)."""
-
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
-
-    @property
-    def L(self) -> int:
-        return self.alphas.shape[0] // 2
-
-    def alpha(self, l: int) -> float:
-        return float(self.alphas[l + self.L])
-
-    def total(self) -> float:
-        return float(np.sum(self.alphas))
-
-
 def select_params(epsilon: float, delta: float, c: float = DEFAULT_C) -> KernelParams:
     """Choose (dz, L, L*) for the requested precision and gap.
 
@@ -89,8 +69,8 @@ def select_params(epsilon: float, delta: float, c: float = DEFAULT_C) -> KernelP
     """
     if not 0 < epsilon <= 0.2:
         raise ValueError("epsilon must lie in (0, 1/5]")
-    if not 0 < delta < math.pi:
-        raise ValueError("delta must lie in (0, pi)")
+    if not 0 < delta <= math.pi:
+        raise ValueError("delta must lie in (0, pi]")
     if c <= 1:
         raise ValueError("c must exceed 1")
 
@@ -117,11 +97,30 @@ def select_params(epsilon: float, delta: float, c: float = DEFAULT_C) -> KernelP
                         Lstar=lstar, m=m)
 
 
-def alpha_coeffs(params: KernelParams) -> AlphaTable:
-    """alpha_l = (dz/sqrt(2 pi)) exp(-(l dz)^2 / 2) for -L <= l <= L-1."""
+def alpha_coeffs(params: KernelParams) -> np.ndarray:
+    """alpha_l = (dz/sqrt(2 pi)) exp(-(l dz)^2 / 2) for -L <= l <= L-1,
+    entry l + L."""
     ls = np.arange(-params.L, params.L)
-    vals = (params.dz / math.sqrt(2 * math.pi)) * np.exp(-((ls * params.dz) ** 2) / 2)
-    return AlphaTable(vals)
+    return (params.dz / math.sqrt(2 * math.pi)) * np.exp(-((ls * params.dz) ** 2) / 2)
+
+
+def trig_poly(coeffs: np.ndarray, lam):
+    """sum_l coeffs[l + L] e^{i l lam} over l = -L .. L-1, by direct summation.
+
+    Accepts a scalar or an array of angles.
+    """
+    half = coeffs.shape[0] // 2
+    ls = np.arange(-half, half)
+    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+    out = np.empty(lam_arr.shape[0], dtype=np.complex128)
+    # chunked so large-L parameter sets do not allocate a huge outer product
+    step = max(1, (1 << 22) // (2 * half))
+    for i in range(0, lam_arr.shape[0], step):
+        chunk = lam_arr[i:i + step]
+        out[i:i + step] = np.exp(1j * np.outer(chunk, ls)) @ coeffs
+    if np.isscalar(lam) or np.asarray(lam).ndim == 0:
+        return complex(out[0])
+    return out
 
 
 def kernel_value(lam, params: KernelParams):
@@ -130,18 +129,7 @@ def kernel_value(lam, params: KernelParams):
     Accepts a scalar or an array of angles; this is the scalar oracle every
     operator-level check compares against.
     """
-    ls = np.arange(-params.L, params.L)
-    weights = (params.dz / math.sqrt(2 * math.pi)) * np.exp(-((ls * params.dz) ** 2) / 2)
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    out = np.empty(lam_arr.shape[0], dtype=np.complex128)
-    # chunked so large-L parameter sets do not allocate a huge outer product
-    step = max(1, (1 << 22) // (2 * params.L))
-    for i in range(0, lam_arr.shape[0], step):
-        chunk = lam_arr[i:i + step]
-        out[i:i + step] = np.exp(1j * np.outer(chunk, ls)) @ weights
-    if np.isscalar(lam) or np.asarray(lam).ndim == 0:
-        return complex(out[0])
-    return out
+    return trig_poly(alpha_coeffs(params), lam)
 
 
 def kernel_sup_on_gap(params: KernelParams, points: int = 1000,

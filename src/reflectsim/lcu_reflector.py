@@ -9,6 +9,8 @@ approximate reflection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
+import os
 
 import numpy as np
 
@@ -25,7 +27,12 @@ from .core_sim import (
     random_state,
 )
 from .gaussian_kernel import KernelParams, select_params
-from .spectral_models import EigenUnitary, exact_reflection, power_op
+from .spectral_models import (
+    EigenUnitary,
+    GroverInstance,
+    exact_reflection,
+    power_op,
+)
 from .state_prep import BOperator, QftSpec, build_B
 
 DEFAULT_KERNEL_FRACTION = 0.5
@@ -142,9 +149,6 @@ class ReflectorA:
     def layout(self) -> RegisterLayout:
         return RegisterLayout(self.n_ancilla, self.system_qubits)
 
-    def verify(self, unitary: EigenUnitary, trials: int, seed: int) -> float:
-        return verify_reflection(self, unitary, trials, seed)
-
 
 def build_A(w: CircuitOp, r: CircuitOp, n_ancilla: int) -> CircuitOp:
     """A = W R W' R W R W' R W; five W/W' uses, four R uses."""
@@ -159,23 +163,30 @@ def build_A(w: CircuitOp, r: CircuitOp, n_ancilla: int) -> CircuitOp:
     ])
 
 
+def lcu_budget(eps: float, gap: float, c: float = 40.0,
+               kernel_fraction: float = DEFAULT_KERNEL_FRACTION,
+               exact_qft: bool = False) -> tuple[KernelParams, QftSpec]:
+    """Split the error budget eps of the LCU route.
+
+    kernel_fraction of eps goes to the Gaussian kernel chain and the rest
+    to QFT truncation, a third of it per QFT factor of the centered
+    transform.
+    """
+    if not 0 < kernel_fraction < 1:
+        raise ValueError("kernel_fraction must lie strictly between 0 and 1")
+    params = select_params(eps * kernel_fraction, gap, c)
+    if exact_qft:
+        return params, QftSpec.exact_for(params.m)
+    return params, QftSpec.for_budget(params.m, eps * (1 - kernel_fraction) / 3)
+
+
 def build_reflector(unitary: EigenUnitary, eps: float, *,
                     c: float = 40.0,
                     kernel_fraction: float = DEFAULT_KERNEL_FRACTION,
                     exact_qft: bool = False) -> ReflectorA:
-    """One-stop pipeline from a gapped unitary to the reflector A.
-
-    The total error budget eps is split kernel_fraction to the Gaussian
-    kernel chain and the rest to QFT truncation (a third of it per QFT
-    factor of the centered transform).
-    """
-    if not 0 < kernel_fraction < 1:
-        raise ValueError("kernel_fraction must lie strictly between 0 and 1")
-    params = select_params(eps * kernel_fraction, unitary.gap, c)
-    if exact_qft:
-        spec = QftSpec.exact_for(params.m)
-    else:
-        spec = QftSpec.for_budget(params.m, eps * (1 - kernel_fraction) / 3)
+    """One-stop pipeline from a gapped unitary to the reflector A, with
+    the error budget split by ``lcu_budget``."""
+    params, spec = lcu_budget(eps, unitary.gap, c, kernel_fraction, exact_qft)
     b = build_B(params, spec)
     sel = build_select(params, unitary)
     w = build_W(b, sel)
@@ -192,15 +203,48 @@ def build_reflector(unitary: EigenUnitary, eps: float, *,
 # block extraction and verification
 
 
+# apply keeps the input, a moved copy and each step's output alive: a
+# reflect pea --dim 8 verification peaked at 7.3x its 128 MiB state
+WORKING_COPIES = 7.3
+
+
+def working_set_bytes(total_qubits: int, columns: int) -> float:
+    """Estimated peak memory of simulating ``columns`` states of
+    ``total_qubits`` qubits at once."""
+    return 16 * (1 << total_qubits) * columns * WORKING_COPIES
+
+
+def require_memory(total_qubits: int, columns: int) -> None:
+    """Raise ValueError, with the GiB needed, when simulating ``columns``
+    states of ``total_qubits`` qubits would not fit in physical memory."""
+    need = working_set_bytes(total_qubits, columns)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"simulating {columns} state(s) of {total_qubits} qubits needs "
+            f"about {need / 2 ** 30:.1f} GiB, more than the "
+            f"{have / 2 ** 30:.1f} GiB of physical memory")
+
+
+def apply_lifted(op: CircuitOp, n_ancilla: int,
+                 columns: np.ndarray) -> np.ndarray:
+    """op |0_anc>|xi> for each system column xi, as full-register columns,
+    after ``require_memory``."""
+    d = 1 << (op.num_qubits - n_ancilla)
+    if columns.ndim != 2 or columns.shape[0] != d:
+        raise ValueError("system columns do not match the operator's system register")
+    require_memory(op.num_qubits, columns.shape[1])
+    lifted = np.zeros((1 << op.num_qubits, columns.shape[1]), dtype=np.complex128)
+    lifted[:d] = columns
+    return apply_batch(op, lifted, op.num_qubits)
+
+
 def ancilla_zero_block(op: CircuitOp, layout: RegisterLayout) -> np.ndarray:
     """<0_anc| op |0_anc> as a system-dimension matrix."""
     if op.num_qubits != layout.total_qubits:
         raise ValueError("operator width does not match layout")
     d = layout.system_dim
-    cols = np.zeros((1 << layout.total_qubits, d), dtype=np.complex128)
-    cols[:d, :] = np.eye(d)
-    out = apply_batch(op, cols, layout.total_qubits)
-    return out[:d, :]
+    return apply_lifted(op, layout.ancilla_qubits, np.eye(d))[:d, :]
 
 
 def oaa_expansion_check(w: CircuitOp, r: CircuitOp, layout: RegisterLayout,
@@ -234,43 +278,48 @@ def oaa_expansion_check(w: CircuitOp, r: CircuitOp, layout: RegisterLayout,
     }
 
 
-def reflection_error(a_op: CircuitOp, num_ancilla: int,
-                     unitary: EigenUnitary, trials: int, seed: int,
+def reflection_error(reflector, unitary: EigenUnitary, trials: int, seed: int,
                      states: list[np.ndarray] | None = None) -> float:
     """max over trial states of || A |0>|xi> - |0> R_psi0 |xi> ||.
 
-    The oracle R_psi0 is the exact rank-one reflection from the unitary's
+    Works for any reflector exposing ``.a`` and ``.n_ancilla``. The oracle
+    R_psi0 is the exact rank-one reflection from the unitary's
     eigendecomposition. Haar trial states are drawn from the seed unless
     explicit system vectors are supplied.
     """
     if trials < 1 and not states:
         raise ValueError("need at least one trial")
-    sys_q = unitary.system_qubits
-    layout = RegisterLayout(num_ancilla, sys_q)
     refl = exact_reflection(unitary)
     rng = np.random.default_rng(seed)
     if states is None:
-        states = [random_state(sys_q, rng).amplitudes for _ in range(trials)]
-    d = layout.system_dim
-    total_dim = 1 << layout.total_qubits
+        states = [random_state(unitary.system_qubits, rng).amplitudes
+                  for _ in range(trials)]
+    d = unitary.dimension
     # chunk the batch so big registers never hold more than ~2^23 amplitudes
-    chunk = max(1, (1 << 23) // total_dim)
+    chunk = max(1, (1 << 23) >> (reflector.n_ancilla + unitary.system_qubits))
     worst = 0.0
     for start in range(0, len(states), chunk):
         part = states[start:start + chunk]
-        cols = np.zeros((total_dim, len(part)), dtype=np.complex128)
+        out = apply_lifted(reflector.a, reflector.n_ancilla,
+                           np.stack(part, axis=1))
         for i, xi in enumerate(part):
-            cols[:d, i] = xi
-        out = apply_batch(a_op, cols, layout.total_qubits)
-        for i, xi in enumerate(part):
-            target = np.zeros(total_dim, dtype=np.complex128)
-            target[:d] = refl @ xi
-            worst = max(worst, float(np.linalg.norm(out[:, i] - target)))
+            # the target |0> R xi has no amplitude past the first d entries
+            miss = np.linalg.norm(out[:d, i] - refl @ xi)
+            leak = np.linalg.norm(out[d:, i])
+            worst = max(worst, math.sqrt(miss ** 2 + leak ** 2))
     return worst
 
 
-def verify_reflection(reflector, unitary: EigenUnitary, trials: int,
-                      seed: int) -> float:
-    """Shared harness: works for any object exposing .a and .n_ancilla."""
-    return reflection_error(reflector.a, reflector.n_ancilla, unitary,
-                            trials, seed)
+def grover_step(inst: GroverInstance, eps: float):
+    """One LCU reflection about the search target, started from |s>.
+
+    Returns (s_defect, nu, envelope, reflector): the exact reflection's
+    |<s|R|s>|, the failure probability nu = 1 - |<0, marked|A|0, s>|^2,
+    its envelope 4 (1/sqrt(D) + 10 eps)^2, and the reflector used.
+    """
+    s_defect = abs(inst.s_state @ (exact_reflection(inst.unitary) @ inst.s_state))
+    refl = build_reflector(inst.unitary, eps)
+    out = apply_lifted(refl.a, refl.n_ancilla, inst.s_state[:, None])
+    nu = 1 - abs(out[inst.marked, 0]) ** 2
+    envelope = 4 * (1 / math.sqrt(inst.dimension) + 10 * eps) ** 2
+    return s_defect, nu, envelope, refl

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
+import numpy as np
+
 from .core_sim import (
     CircuitOp,
     ControlledOp,
@@ -17,13 +19,10 @@ from .core_sim import (
     ResourceFootprint,
     SequenceOp,
     adjoint,
-    apply,
     densify,
-    embed_system,
     hadamard,
-    project_ancilla_zero,
 )
-from .lcu_reflector import ancilla_reflection
+from .lcu_reflector import ancilla_reflection, apply_lifted, require_memory
 from .spectral_models import EigenUnitary, power_op
 from .state_prep import QftSpec, qft
 
@@ -140,6 +139,9 @@ def build_pea_reflector(unitary: EigenUnitary, eps: float, *,
                         qft_eps: float = DEFAULT_PEA_QFT_EPS,
                         exact_qft: bool = False) -> PeaReflector:
     params = choose_pea_params(eps, unitary.gap)
+    # R alone is a 2^(q n') diagonal: refuse what could not be simulated
+    # before building it
+    require_memory(params.total_ancilla + unitary.system_qubits, 1)
     if exact_qft:
         spec = QftSpec.exact_for(params.n_prime)
     else:
@@ -156,11 +158,8 @@ def block_leakage(unitary: EigenUnitary, n_prime: int, qft_spec: QftSpec,
                   eigen_index: int) -> float:
     """|p| = squared ancilla-|0> amplitude of one block on an eigenvector."""
     block = pea_block(unitary, n_prime, qft_spec)
-    layout = RegisterLayout(n_prime, unitary.system_qubits)
-    state = embed_system(unitary.eigenbasis[:, eigen_index], layout)
-    out = apply(block, state)
-    _, weight = project_ancilla_zero(out, layout)
-    return weight
+    out = apply_lifted(block, n_prime, unitary.eigenbasis[:, [eigen_index]])
+    return float(np.sum(np.abs(out[:unitary.dimension, 0]) ** 2))
 
 
 def leakage_amplitude_bound(n_prime: int, delta: float) -> float:

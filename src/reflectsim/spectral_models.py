@@ -13,13 +13,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .core_sim import (
-    CircuitOp,
-    DenseOp,
-    ResourceFootprint,
-    StateVector,
-    apply,
-)
+from .core_sim import CircuitOp, DenseOp, ResourceFootprint
 
 _BASIS_ATOL = 1e-10
 
@@ -243,13 +237,6 @@ def power_op(unitary: EigenUnitary, k: int) -> CircuitOp:
         unitary.power_matrix(k),
         ResourceFootprint(queries_u=abs(k) * unitary.step_cost),
     )
-
-
-def power_apply(unitary: EigenUnitary, k: int, state: StateVector) -> StateVector:
-    """Apply U^k to a whole-register state of matching dimension."""
-    if state.dim != unitary.dimension:
-        raise ValueError("state dimension does not match unitary")
-    return apply(power_op(unitary, k), state)
 
 
 def exact_reflection(unitary: EigenUnitary) -> np.ndarray:

@@ -184,6 +184,14 @@ class QftSpec:
         return cls(m=m, cutoff_b=b, exact=b > m, eps_qft=eps_qft)
 
 
+def prep_qft_spec(params: KernelParams) -> QftSpec:
+    """Truncation budget of a stand-alone preparation chain at the kernel's
+    eps: half of eps to the QFT side, a third of that per factor of the
+    centered transform."""
+    eps = params.epsilon
+    return QftSpec.for_budget(params.m, eps / 6)
+
+
 def qft(spec: QftSpec) -> CircuitOp:
     """Textbook circuit: H plus kept controlled phases, then reversal swaps.
 

@@ -17,7 +17,6 @@ from .core_sim import (
     RegisterLayout,
     StateVector,
     apply,
-    embed_system,
     op_matrix,
     unitarity_defect,
 )
@@ -27,11 +26,13 @@ from .gaussian_kernel import (
     kernel_value,
     poisson_check,
     select_params,
+    trig_poly,
 )
 from .lcu_reflector import (
     ancilla_reflection,
     build_reflector,
     build_select,
+    grover_step,
     oaa_expansion_check,
     reflection_error,
 )
@@ -40,11 +41,7 @@ from .pea_reflector import (
     build_pea_reflector,
     choose_pea_params,
 )
-from .spectral_models import (
-    exact_reflection,
-    grover_unitary,
-    synth_unitary,
-)
+from .spectral_models import grover_unitary, synth_unitary
 from .state_prep import (
     OAA_ANGLE,
     QftSpec,
@@ -54,6 +51,7 @@ from .state_prep import (
     centered_qft,
     centering_circuit,
     centering_offset,
+    prep_qft_spec,
     qft,
     rotation_tree_prep,
 )
@@ -67,6 +65,9 @@ _INSTANCE_DIM = 8
 _INSTANCE_GAP = 0.5
 _INSTANCE_SEED = 7
 _TRIAL_SEED = 11
+
+# sample points for sups over the whole circle
+_CIRCLE = np.linspace(0.0, 2 * math.pi, 1000, endpoint=False)
 
 
 @dataclass(frozen=True)
@@ -85,25 +86,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.3e}"
     return str(v)
-
-
-def _budget_spec(params, eps: float) -> QftSpec:
-    """Default truncation budget: half of eps to the QFT side, a third of
-    that per centered-transform factor."""
-    return QftSpec.for_budget(params.m, eps / 6)
-
-
-def _trig_poly_sup(coeffs: np.ndarray, L: int, points: int = 1000) -> float:
-    """sup over [0, 2 pi) of |sum_l coeffs[l + L] e^{i l lam}|."""
-    grid = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
-    ls = np.arange(-L, L)
-    sup = 0.0
-    step = max(1, (1 << 22) // (2 * L))
-    for i in range(0, grid.shape[0], step):
-        chunk = grid[i:i + step]
-        vals = np.abs(np.exp(1j * np.outer(chunk, ls)) @ coeffs)
-        sup = max(sup, float(vals.max()))
-    return sup
 
 
 def check_kernel_bounds() -> CheckResult:
@@ -154,7 +136,7 @@ def check_state_prep_chain() -> CheckResult:
             fc = centered_qft(QftSpec.exact_for(params.m))
             out = apply(fc, StateVector(params.m, phi_vec)).amplitudes
             err_exact = float(np.linalg.norm(psi - out))
-            trunc = bhat_state(params, _budget_spec(params, eps))
+            trunc = bhat_state(params, prep_qft_spec(params))
             err_trunc = float(np.linalg.norm(psi - trunc))
             worst_exact = max(worst_exact, err_exact / eps)
             worst_trunc = max(worst_trunc, err_trunc / eps)
@@ -177,10 +159,9 @@ def check_scalar_lcu() -> CheckResult:
     for eps in EPS_GRID:
         for delta in DELTA_GRID:
             params = select_params(eps, delta, KERNEL_C)
-            alphas = alpha_coeffs(params).alphas
-            betas = 2 * np.abs(bhat_state(params, _budget_spec(params, eps))) ** 2
-            diff = alphas - betas / 2
-            sup = _trig_poly_sup(diff.astype(np.complex128), params.L)
+            betas = 2 * np.abs(bhat_state(params, prep_qft_spec(params))) ** 2
+            diff = alpha_coeffs(params) - betas / 2
+            sup = float(np.abs(trig_poly(diff, _CIRCLE)).max())
             worst = max(worst, sup / eps)
             ok = ok and sup <= 10 * eps
     seconds = time.perf_counter() - t0
@@ -200,9 +181,9 @@ def check_lcu_reflection() -> CheckResult:
     t0 = time.perf_counter()
     unitary = _instance()
     refl2 = build_reflector(unitary, 1e-2, c=KERNEL_C)
-    err2 = reflection_error(refl2.a, refl2.n_ancilla, unitary, 20, _TRIAL_SEED)
+    err2 = reflection_error(refl2, unitary, 20, _TRIAL_SEED)
     refl3 = build_reflector(unitary, 1e-3, c=KERNEL_C)
-    err3 = reflection_error(refl3.a, refl3.n_ancilla, unitary, 20, _TRIAL_SEED)
+    err3 = reflection_error(refl3, unitary, 20, _TRIAL_SEED)
     seconds = time.perf_counter() - t0
     ok = err2 <= 10 * 1e-2 and err3 <= 10 * 1e-3 and err3 < err2
     ok = ok and seconds < 120.0
@@ -250,12 +231,10 @@ def check_pea_baseline() -> CheckResult:
     for j in range(1, unitary.dimension):
         worst_p = max(worst_p, block_leakage(unitary, params.n_prime, spec, j))
     refl = build_pea_reflector(unitary, eps)
-    err = reflection_error(refl.a, refl.n_ancilla, unitary, 5, _TRIAL_SEED)
+    err = reflection_error(refl, unitary, 5, _TRIAL_SEED)
+    # R psi0 = psi0, so the reflection error on psi0 is how far A moves it
     exact = build_pea_reflector(unitary, eps, exact_qft=True)
-    layout = exact.layout()
-    fixed = embed_system(unitary.psi0(), layout)
-    moved = apply(exact.a, fixed)
-    fix_err = float(np.linalg.norm(moved.amplitudes - fixed.amplitudes))
+    fix_err = reflection_error(exact, unitary, 0, 0, states=[unitary.psi0()])
     seconds = time.perf_counter() - t0
     ok = worst_p <= 1 / 16 and err <= 10 * eps and fix_err <= 1e-10
     return CheckResult("pea_baseline", ok, {
@@ -297,17 +276,7 @@ def check_grover_benchmark() -> CheckResult:
     t0 = time.perf_counter()
     eps = 0.02
     dim = 64
-    inst = grover_unitary(dim, marked=3)
-    s_reflect = abs(
-        inst.s_state @ (exact_reflection(inst.unitary) @ inst.s_state)
-    )
-    refl = build_reflector(inst.unitary, eps, c=KERNEL_C)
-    layout = refl.layout()
-    start = embed_system(inst.s_state, layout)
-    out = apply(refl.a, start)
-    t_idx = layout.index(0, inst.marked)
-    nu = 1 - abs(out.amplitudes[t_idx]) ** 2
-    envelope = 4 * (1 / math.sqrt(dim) + 10 * eps) ** 2
+    s_reflect, nu, envelope, _ = grover_step(grover_unitary(dim, marked=3), eps)
     gaps = {d: grover_unitary(d, marked=1).gap for d in (16, 64, 256)}
     scaled = [gaps[d] * math.sqrt(d) for d in (16, 64, 256)]
     scaling_ok = max(scaled) <= 2 * min(scaled)

@@ -3,7 +3,6 @@ import pytest
 
 from reflectsim.accounting import (
     CSV_COLUMNS,
-    ResourceLedger,
     compare_scaling,
     lcu_gate_model,
     pea_gate_model,
@@ -18,11 +17,13 @@ from reflectsim.state_prep import QftSpec
 
 class TestLedgerType:
     def test_ledger_is_footprint(self):
-        assert ResourceLedger is ResourceFootprint
+        refl = build_reflector(synth_unitary(2, 1.5, seed=3), 0.2)
+        assert isinstance(refl.ledger, ResourceFootprint)
+        assert refl.ledger == refl.a.footprint
 
     def test_merge_counters(self):
-        a = ResourceLedger(queries_u=3, two_qubit_gates=1)
-        b = ResourceLedger(queries_u=4, ancilla_qubits=2)
+        a = ResourceFootprint(queries_u=3, two_qubit_gates=1)
+        b = ResourceFootprint(queries_u=4, ancilla_qubits=2)
         m = a.merge(b)
         assert m.queries_u == 7 and m.ancilla_qubits == 2
 

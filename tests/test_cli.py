@@ -2,11 +2,14 @@
 import csv
 import io
 import json
+import math
+import os
 
 import pytest
 
 import reflectsim.suite as suite_mod
 from reflectsim.cli import run
+from reflectsim.lcu_reflector import working_set_bytes
 from reflectsim.suite import CheckResult
 
 
@@ -71,6 +74,25 @@ class TestReflectCommand:
         report = json.loads(out)
         assert report["method"] == "pea"
         assert report["max_error"] <= report["error_bound"]
+
+    def test_lcu_gap_pi(self, capsys):
+        code, out = _capture(capsys, [
+            "reflect", "lcu", "--dim", "4", "--gap", repr(math.pi),
+            "--eps", "1e-1"])
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    def test_oversized_run_refused(self, capsys):
+        # pea at D = 8, eps = 1e-3 needs 2^33 amplitudes per column
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if working_set_bytes(33, 1) <= physical:
+            pytest.skip("this machine could hold the 2^33-amplitude state")
+        code = run(["reflect", "pea", "--dim", "8", "--gap", "0.5",
+                    "--eps", "1e-3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "GiB" in captured.err
 
     def test_schema_field_compatible(self, capsys):
         _, out_l = _capture(capsys, [

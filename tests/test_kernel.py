@@ -37,7 +37,7 @@ class TestSelectParams:
         with pytest.raises(ValueError):
             select_params(0.0, 0.5)
         with pytest.raises(ValueError):
-            select_params(1e-2, math.pi)
+            select_params(1e-2, math.pi + 1e-9)
         with pytest.raises(ValueError):
             select_params(1e-2, 0.5, c=1.0)
 
@@ -47,6 +47,11 @@ class TestSelectParams:
         p = select_params(eps, delta)
         assert p.L == 1 << (p.m - 1)
         assert 1 <= p.Lstar <= p.L
+
+    def test_gap_pi_accepted(self):
+        # the same (0, pi] domain as synth_unitary and choose_pea_params
+        p = select_params(1e-2, math.pi)
+        assert p.delta == math.pi
 
     def test_eps_shrink_at_most_doubles_L(self):
         for delta in (0.9, 0.3, 0.08):
@@ -79,25 +84,25 @@ class TestSelectParams:
 class TestAlphaCoeffs:
     def test_alpha_zero(self):
         p = select_params(1e-2, 0.5)
-        table = alpha_coeffs(p)
-        assert table.alpha(0) == pytest.approx(p.dz / math.sqrt(2 * math.pi),
-                                               rel=1e-15)
+        alphas = alpha_coeffs(p)
+        assert alphas[p.L] == pytest.approx(p.dz / math.sqrt(2 * math.pi),
+                                            rel=1e-15)
 
     def test_even_symmetry(self):
         p = select_params(1e-2, 0.5)
-        table = alpha_coeffs(p)
+        alphas = alpha_coeffs(p)
         for l in (1, 2, 17, p.L - 1):
-            assert table.alpha(l) == table.alpha(-l)
+            assert alphas[p.L + l] == alphas[p.L - l]
 
     @pytest.mark.parametrize("eps,delta", GRID)
     def test_sum_near_one(self, eps, delta):
         p = select_params(eps, delta)
-        total = alpha_coeffs(p).total()
+        total = float(np.sum(alpha_coeffs(p)))
         assert 1 - eps <= total <= 1 + eps
 
     def test_positive_strictly_decreasing(self):
         p = select_params(1e-1, 0.5)
-        vals = alpha_coeffs(p).alphas
+        vals = alpha_coeffs(p)
         assert vals.min() > 0
         right = vals[p.L:]  # l = 0 .. L-1
         assert np.all(np.diff(right) < 0)
@@ -185,7 +190,7 @@ class TestPhiPsi:
     def test_psi_entries_are_sqrt_alpha(self):
         p = select_params(1e-2, 0.5)
         psi = psi_amplitudes(p)
-        alphas = alpha_coeffs(p).alphas
+        alphas = alpha_coeffs(p)
         assert np.abs(psi.real ** 2 - alphas).max() < 1e-15
 
     @pytest.mark.parametrize("eps,delta", GRID)

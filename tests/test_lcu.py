@@ -22,11 +22,12 @@ from reflectsim.lcu_reflector import (
     build_select,
     build_W,
     mcx_two_qubit_cost,
+    apply_lifted,
     oaa_expansion_check,
     reflection_error,
-    verify_reflection,
+    working_set_bytes,
 )
-from reflectsim.spectral_models import exact_reflection, synth_unitary
+from reflectsim.spectral_models import EigenUnitary, exact_reflection, synth_unitary
 from reflectsim.state_prep import OAA_ANGLE, QftSpec, build_B
 
 
@@ -160,7 +161,7 @@ class TestW:
         params, unitary, b, sel, w, *_ = small
         layout = RegisterLayout(b.n, unitary.system_qubits)
         block = ancilla_zero_block(w, layout)
-        alphas = alpha_coeffs(params).alphas
+        alphas = alpha_coeffs(params)
         acc = -np.eye(unitary.dimension, dtype=complex)
         for i in range(2 * params.L):
             acc = acc + 2 * alphas[i] * unitary.power_matrix(i - params.L)
@@ -252,13 +253,13 @@ class TestOaaExpansion:
 class TestVerifyReflection:
     def test_small_instance_bounds(self, medium):
         unitary, refl = medium
-        err = verify_reflection(refl, unitary, trials=5, seed=11)
+        err = reflection_error(refl, unitary, trials=5, seed=11)
         assert err <= 10 * 1e-2
 
     def test_eigenvector_trials(self, medium):
         unitary, refl = medium
         err = reflection_error(
-            refl.a, refl.n_ancilla, unitary, 0, 0,
+            refl, unitary, 0, 0,
             states=[unitary.psi0(), unitary.eigenbasis[:, 3]])
         assert err <= 10 * 1e-2
 
@@ -267,20 +268,53 @@ class TestVerifyReflection:
         errs = []
         for eps in (1e-1, 1e-2, 1e-3):
             refl = build_reflector(unitary, eps)
-            errs.append(reflection_error(refl.a, refl.n_ancilla, unitary,
-                                         5, 11))
+            errs.append(reflection_error(refl, unitary, 5, 11))
         assert errs[0] >= errs[1] >= errs[2]
 
     def test_exact_qft_variant(self):
         unitary = synth_unitary(4, 0.8, seed=5)
         refl = build_reflector(unitary, 1e-2, exact_qft=True)
-        err = verify_reflection(refl, unitary, trials=4, seed=2)
+        err = reflection_error(refl, unitary, trials=4, seed=2)
         assert err <= 10 * 1e-2
 
     def test_needs_trials(self, medium):
         unitary, refl = medium
         with pytest.raises(ValueError):
-            reflection_error(refl.a, refl.n_ancilla, unitary, 0, 0)
+            reflection_error(refl, unitary, 0, 0)
+
+
+class TestGapEdge:
+    """Eigenphases exactly at +-gap, where the kernel is largest: errors
+    there measure the construction rather than roundoff."""
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_edge_eigenvectors_within_bound(self, eps):
+        base = synth_unitary(8, 0.5, seed=7)
+        phases = base.eigenphases.copy()
+        phases[1], phases[2] = 0.5, 2 * math.pi - 0.5
+        unitary = EigenUnitary(8, phases, base.eigenbasis, 0.5)
+        refl = build_reflector(unitary, eps)
+        states = [unitary.eigenbasis[:, j] for j in (0, 1, 2)]
+        assert reflection_error(refl, unitary, 0, 0, states=states) <= 10 * eps
+
+
+class TestMemoryPreflight:
+    def test_estimate_scales_with_state(self):
+        one = working_set_bytes(20, 1)
+        assert one == pytest.approx(7.3 * 16 * 2 ** 20)
+        assert working_set_bytes(21, 1) == 2 * one
+        assert working_set_bytes(20, 3) == 3 * one
+
+    def test_refuses_before_allocating(self, monkeypatch, medium):
+        unitary, refl = medium
+        monkeypatch.setattr("os.sysconf", lambda name: 1024)
+        with pytest.raises(ValueError, match="GiB"):
+            apply_lifted(refl.a, refl.n_ancilla, np.eye(unitary.dimension))
+
+    def test_rejects_wrong_system_width(self, medium):
+        unitary, refl = medium
+        with pytest.raises(ValueError):
+            apply_lifted(refl.a, refl.n_ancilla, np.eye(unitary.dimension // 2))
 
 
 class TestReflectorLedger:
@@ -308,7 +342,7 @@ class TestHamiltonianFrontEnd:
         unitary = hamiltonian_unitary(h, -0.5)
         assert unitary.gap == pytest.approx(0.4)
         refl = build_reflector(unitary, 1e-2)
-        err = verify_reflection(refl, unitary, trials=5, seed=4)
+        err = reflection_error(refl, unitary, trials=5, seed=4)
         assert err <= 10 * 1e-2
 
     def test_step_cost_scales_select_charge(self):

@@ -184,7 +184,7 @@ class TestAPea:
 
     def test_shared_verification_harness(self, setup):
         u, eps, refl = setup
-        err = reflection_error(refl.a, refl.n_ancilla, u, 4, 11)
+        err = reflection_error(refl, u, 4, 11)
         assert err <= 10 * eps
 
     def test_query_ledger(self, setup):

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from reflectsim.core_sim import StateVector
+from reflectsim.core_sim import StateVector, apply, apply_batch
 from reflectsim.spectral_models import (
     EigenUnitary,
     exact_reflection,
     grover_unitary,
     hamiltonian_unitary,
-    power_apply,
     power_op,
     synth_unitary,
 )
@@ -71,14 +70,14 @@ class TestPowers:
         u = synth_unitary(8, 0.5, seed=4)
         state = StateVector(3, u.eigenbasis @
                             (np.ones(8) / math.sqrt(8)))
-        back = power_apply(u, 3, power_apply(u, -3, state))
+        back = apply(power_op(u, 3), apply(power_op(u, -3), state))
         assert np.abs(back.amplitudes - state.amplitudes).max() < 1e-12
 
     def test_additivity(self):
         u = synth_unitary(8, 0.5, seed=5)
         state = StateVector.computational(3, 5)
-        one = power_apply(u, 7, state)
-        two = power_apply(u, 3, power_apply(u, 4, state))
+        one = apply(power_op(u, 7), state)
+        two = apply(power_op(u, 3), apply(power_op(u, 4), state))
         assert np.abs(one.amplitudes - two.amplitudes).max() < 1e-11
 
     def test_query_charges(self):
@@ -94,8 +93,9 @@ class TestPowers:
 
     def test_dimension_mismatch(self):
         u = synth_unitary(4, 0.5, seed=2)
+        state = StateVector.computational(3)
         with pytest.raises(ValueError):
-            power_apply(u, 1, StateVector.computational(3))
+            apply_batch(power_op(u, 1), state.amplitudes[:, None], u.system_qubits)
 
 
 class TestGrover:

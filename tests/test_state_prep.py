@@ -26,6 +26,7 @@ from reflectsim.state_prep import (
     centering_circuit,
     centering_offset,
     header_beta,
+    prep_qft_spec,
     qft,
     qft_two_qubit_count,
     rotation_tree_prep,
@@ -203,26 +204,26 @@ class TestBHat:
         vec = np.zeros(2 * params.L, dtype=complex)
         vec[params.L - params.Lstar: params.L + params.Lstar] = phi
         want = centered_dft(2 * params.L) @ vec
-        got = bhat_state(params, QftSpec.for_budget(params.m, 1e-2 / 6))
+        got = bhat_state(params, prep_qft_spec(params))
         assert np.linalg.norm(got - want) <= 10 * 1e-2
 
     @pytest.mark.parametrize("eps,delta", [(1e-1, 0.5), (1e-2, 0.1), (1e-3, 0.02)])
     def test_close_to_target_gaussian(self, eps, delta):
         params = select_params(eps, delta)
-        got = bhat_state(params, QftSpec.for_budget(params.m, eps / 6))
+        got = bhat_state(params, prep_qft_spec(params))
         assert np.linalg.norm(psi_amplitudes(params) - got) <= 10 * eps
 
     def test_beta_normalization_exact(self):
         params = select_params(1e-2, 0.5)
         betas = 2 * np.abs(bhat_state(
-            params, QftSpec.for_budget(params.m, 1e-2 / 6))) ** 2
+            params, prep_qft_spec(params))) ** 2
         assert abs(betas.sum() - 2.0) < 1e-12
 
 
 @pytest.fixture(scope="module")
 def built():
     params = select_params(1e-2, 0.5)
-    spec = QftSpec.for_budget(params.m, 1e-2 / 6)
+    spec = prep_qft_spec(params)
     return params, build_B(params, spec)
 
 
