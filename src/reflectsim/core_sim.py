@@ -252,6 +252,21 @@ class PermutationOp(CircuitOp):
         return out
 
 
+class ZeroReflectionOp(CircuitOp):
+    """2|0><0| - 1: keeps the all-zero amplitude and negates the rest."""
+
+    def __init__(self, num_qubits: int, footprint: ResourceFootprint = ZERO_COST):
+        if num_qubits < 1:
+            raise ValueError("num_qubits must be >= 1")
+        self.num_qubits = num_qubits
+        self.footprint = footprint
+
+    def _transform(self, block):
+        out = -block
+        out[0] = block[0]
+        return out
+
+
 class ControlledOp(CircuitOp):
     """Apply ``sub`` on the low qubits when the leading control qubits match
     ``pattern`` (a basis index over the control register, big-endian)."""
@@ -429,6 +444,8 @@ def adjoint(op: CircuitOp) -> CircuitOp:
         inv = np.empty_like(op.perm)
         inv[op.perm] = np.arange(op.perm.shape[0])
         return PermutationOp(inv, op.footprint)
+    if isinstance(op, ZeroReflectionOp):
+        return op
     if isinstance(op, ControlledOp):
         return ControlledOp(adjoint(op.sub), op.num_controls, op.pattern, op.footprint)
     if isinstance(op, SequenceOp):

@@ -4,7 +4,8 @@ The ancilla register is n = m + 2 qubits: a two-qubit header followed by m
 data qubits. select applies U^(l - L) when the header is |00> (l the data
 value), and the header-conditioned signs via Z on the second header qubit.
 A = W R W' R W R W' R W amplifies the ancilla-|0> block of W into the
-approximate reflection.
+approximate reflection. Every operator acts on the system register in U's
+eigenbasis (see ``spectral_models``), where select is one diagonal.
 """
 from __future__ import annotations
 
@@ -16,23 +17,17 @@ import numpy as np
 
 from .core_sim import (
     CircuitOp,
-    ControlledOp,
     DiagonalOp,
     RegisterLayout,
     ResourceFootprint,
     SequenceOp,
+    ZeroReflectionOp,
     adjoint,
     apply_batch,
-    pauli_z,
     random_state,
 )
 from .gaussian_kernel import KernelParams, select_params
-from .spectral_models import (
-    EigenUnitary,
-    GroverInstance,
-    exact_reflection,
-    power_op,
-)
+from .spectral_models import EigenUnitary, GroverInstance, exact_reflection
 from .state_prep import BOperator, QftSpec, build_B
 
 DEFAULT_KERNEL_FRACTION = 0.5
@@ -70,36 +65,28 @@ class SelectU:
 
 
 def build_select(params: KernelParams, unitary: EigenUnitary) -> SelectU:
-    """Assemble select(U-bar) on (m + 2) ancilla plus system qubits.
+    """select(U-bar) on (m + 2) ancilla plus system qubits, as one diagonal
+    in U's eigenbasis.
 
-    Follows the two-step description: Z on the second header qubit handles
-    the -1/+1/-1 branches for headers |01>, |10>, |11>; conditioned on
-    header |00>, U^-L and then controlled U^(2^i) legs per data bit.
+    Header |00> with data l gives exp(i lambda_j (l - L)) on eigenvector j;
+    headers |01>, |10>, |11> give the signs -1/+1/-1 of Z on the second
+    header qubit. The footprint is that of the gate cascade: the Z, then,
+    conditioned on header |00>, U^-L and a controlled U^(2^i) leg per data
+    bit, 3L - 1 queries in all.
     """
     m, L = params.m, params.L
-    sys_q = unitary.system_qubits
-    n = m + 2
-    total = n + sys_q
-    sys_targets = tuple(range(n, total))
-
-    steps = [(pauli_z(), (1,))]
-    steps.append((
-        ControlledOp(power_op(unitary, -L), num_controls=2, pattern=0),
-        (0, 1) + sys_targets,
-    ))
-    for j in range(m):
-        power = 1 << (m - 1 - j)
-        steps.append((
-            ControlledOp(power_op(unitary, power), num_controls=3, pattern=1),
-            (0, 1, 2 + j) + sys_targets,
-        ))
-    op = SequenceOp(total, steps)
-    return SelectU(n=n, L=L, unitary=unitary, op=op,
+    diag = np.empty((4, 2 * L, unitary.dimension), dtype=np.complex128)
+    diag[0] = np.exp(1j * np.outer(np.arange(-L, L), unitary.eigenphases))
+    diag[1], diag[2], diag[3] = -1, 1, -1
+    cost = ResourceFootprint(queries_u=(3 * L - 1) * unitary.step_cost,
+                             one_qubit_gates=1)
+    return SelectU(n=m + 2, L=L, unitary=unitary,
+                   op=DiagonalOp(diag.reshape(-1), cost),
                    queries_max_power=L * unitary.step_cost)
 
 
 def ancilla_reflection(n: int) -> CircuitOp:
-    """R = 2|0><0| - 1 on n qubits, as an exact diagonal.
+    """R = 2|0><0| - 1 on n qubits, applied without a 2^n diagonal.
 
     Gate cost follows the standard X-conjugated circuit: 2n X, 2 H, and
     a multiply-controlled X decomposed linearly with one helper qubit
@@ -107,15 +94,13 @@ def ancilla_reflection(n: int) -> CircuitOp:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    diag = -np.ones(1 << n)
-    diag[0] = 1.0
     cost = ResourceFootprint(
         two_qubit_gates=mcx_two_qubit_cost(n - 1) if n > 1 else 0,
         one_qubit_gates=2 * n + 2,
         ancilla_qubits=1 if n > 2 else 0,
         modeled=frozenset({"mcx_linear"}),
     )
-    return DiagonalOp(diag, cost)
+    return ZeroReflectionOp(n, cost)
 
 
 def build_W(b: BOperator, sel: SelectU) -> CircuitOp:
@@ -240,7 +225,7 @@ def apply_lifted(op: CircuitOp, n_ancilla: int,
 
 
 def ancilla_zero_block(op: CircuitOp, layout: RegisterLayout) -> np.ndarray:
-    """<0_anc| op |0_anc> as a system-dimension matrix."""
+    """<0_anc| op |0_anc> as a system-dimension matrix in U's eigenbasis."""
     if op.num_qubits != layout.total_qubits:
         raise ValueError("operator width does not match layout")
     d = layout.system_dim
@@ -282,29 +267,31 @@ def reflection_error(reflector, unitary: EigenUnitary, trials: int, seed: int,
                      states: list[np.ndarray] | None = None) -> float:
     """max over trial states of || A |0>|xi> - |0> R_psi0 |xi> ||.
 
-    Works for any reflector exposing ``.a`` and ``.n_ancilla``. The oracle
-    R_psi0 is the exact rank-one reflection from the unitary's
-    eigendecomposition. Haar trial states are drawn from the seed unless
+    Works for any reflector exposing ``.a`` and ``.n_ancilla``. The states
+    are system vectors in the computational basis; they are simulated in
+    U's eigenbasis, where R_psi0 is the sign vector (1, -1, ..., -1) and the
+    norm is the same. Haar trial states are drawn from the seed unless
     explicit system vectors are supplied.
     """
     if trials < 1 and not states:
         raise ValueError("need at least one trial")
-    refl = exact_reflection(unitary)
     rng = np.random.default_rng(seed)
     if states is None:
         states = [random_state(unitary.system_qubits, rng).amplitudes
                   for _ in range(trials)]
     d = unitary.dimension
+    coords = unitary.to_eigenbasis(np.stack(states, axis=1))
+    sign = -np.ones(d)
+    sign[0] = 1.0
     # chunk the batch so big registers never hold more than ~2^23 amplitudes
     chunk = max(1, (1 << 23) >> (reflector.n_ancilla + unitary.system_qubits))
     worst = 0.0
-    for start in range(0, len(states), chunk):
-        part = states[start:start + chunk]
-        out = apply_lifted(reflector.a, reflector.n_ancilla,
-                           np.stack(part, axis=1))
-        for i, xi in enumerate(part):
+    for start in range(0, coords.shape[1], chunk):
+        part = coords[:, start:start + chunk]
+        out = apply_lifted(reflector.a, reflector.n_ancilla, part)
+        for i in range(part.shape[1]):
             # the target |0> R xi has no amplitude past the first d entries
-            miss = np.linalg.norm(out[:d, i] - refl @ xi)
+            miss = np.linalg.norm(out[:d, i] - sign * part[:, i])
             leak = np.linalg.norm(out[d:, i])
             worst = max(worst, math.sqrt(miss ** 2 + leak ** 2))
     return worst
@@ -319,7 +306,10 @@ def grover_step(inst: GroverInstance, eps: float):
     """
     s_defect = abs(inst.s_state @ (exact_reflection(inst.unitary) @ inst.s_state))
     refl = build_reflector(inst.unitary, eps)
-    out = apply_lifted(refl.a, refl.n_ancilla, inst.s_state[:, None])
-    nu = 1 - abs(out[inst.marked, 0]) ** 2
+    out = apply_lifted(refl.a, refl.n_ancilla,
+                       inst.unitary.to_eigenbasis(inst.s_state[:, None]))
+    # back to the computational basis for the marked amplitude
+    hit = inst.unitary.eigenbasis[inst.marked] @ out[:inst.dimension, 0]
+    nu = 1 - abs(hit) ** 2
     envelope = 4 * (1 / math.sqrt(inst.dimension) + 10 * eps) ** 2
     return s_defect, nu, envelope, refl

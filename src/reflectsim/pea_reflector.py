@@ -2,8 +2,9 @@
 (optionally truncated) QFTs, the multiply-controlled ancilla reflection and
 A = W' R W.
 
-Blocks are applied sequentially to a shared system register; on an
-eigenvector the all-zero ancilla amplitude factorizes over the blocks.
+Blocks are applied sequentially to a shared system register, in U's
+eigenbasis; on an eigenvector the all-zero ancilla amplitude factorizes
+over the blocks.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .core_sim import (
     CircuitOp,
-    ControlledOp,
+    DiagonalOp,
     RegisterLayout,
     ResourceFootprint,
     SequenceOp,
@@ -22,8 +23,8 @@ from .core_sim import (
     densify,
     hadamard,
 )
-from .lcu_reflector import ancilla_reflection, apply_lifted, require_memory
-from .spectral_models import EigenUnitary, power_op
+from .lcu_reflector import ancilla_reflection, apply_lifted
+from .spectral_models import EigenUnitary
 from .state_prep import QftSpec, qft
 
 # "constant precision" per-QFT truncation; correctness is insensitive to it
@@ -65,33 +66,30 @@ def choose_pea_params(epsilon: float, delta: float) -> PeaParams:
 
 def pea_block(unitary: EigenUnitary, n_prime: int,
               qft_spec: QftSpec) -> CircuitOp:
-    """One phase-estimation register: Hadamards, controlled U^(2^j) legs
-    charging 2^j queries each (total 2^n' - 1), then the inverse QFT.
+    """One phase-estimation register: Hadamards, the controlled U^(2^j)
+    ladder, then the inverse QFT.
 
-    The ancilla-local layers (the Hadamard wall and the inverse QFT) are
-    collapsed to dense matrices when narrow enough; this changes nothing
+    In U's eigenbasis the ladder is one diagonal, exp(i a lambda_j) on
+    ancilla value a and eigenvector j, charging the 2^n' - 1 queries of its
+    legs. The ancilla-local layers (the Hadamard wall and the inverse QFT)
+    are collapsed to dense matrices when narrow enough; this changes nothing
     semantically and keeps wide multi-register simulations affordable.
     """
     if qft_spec.m != n_prime:
         raise ValueError("QFT width must equal n_prime")
-    sys_q = unitary.system_qubits
-    total = n_prime + sys_q
+    total = n_prime + unitary.system_qubits
     anc = tuple(range(n_prime))
-    sys_targets = tuple(range(n_prime, total))
     h_wall = SequenceOp(n_prime, [(hadamard(), (q,)) for q in range(n_prime)])
     iqft = adjoint(qft(qft_spec))
     if n_prime <= 10:
         h_wall = densify(h_wall)
         iqft = densify(iqft)
-    steps = [(h_wall, anc)]
-    for qubit in range(n_prime):
-        power = 1 << (n_prime - 1 - qubit)
-        steps.append((
-            ControlledOp(power_op(unitary, power), num_controls=1, pattern=1),
-            (qubit,) + sys_targets,
-        ))
-    steps.append((iqft, anc))
-    return SequenceOp(total, steps)
+    ladder = DiagonalOp(
+        np.exp(1j * np.outer(np.arange(1 << n_prime), unitary.eigenphases))
+        .reshape(-1),
+        ResourceFootprint(queries_u=((1 << n_prime) - 1) * unitary.step_cost))
+    return SequenceOp(total, [(h_wall, anc), (ladder, tuple(range(total))),
+                              (iqft, anc)])
 
 
 def build_W_pea(unitary: EigenUnitary, params: PeaParams,
@@ -139,9 +137,6 @@ def build_pea_reflector(unitary: EigenUnitary, eps: float, *,
                         qft_eps: float = DEFAULT_PEA_QFT_EPS,
                         exact_qft: bool = False) -> PeaReflector:
     params = choose_pea_params(eps, unitary.gap)
-    # R alone is a 2^(q n') diagonal: refuse what could not be simulated
-    # before building it
-    require_memory(params.total_ancilla + unitary.system_qubits, 1)
     if exact_qft:
         spec = QftSpec.exact_for(params.n_prime)
     else:
@@ -158,7 +153,9 @@ def block_leakage(unitary: EigenUnitary, n_prime: int, qft_spec: QftSpec,
                   eigen_index: int) -> float:
     """|p| = squared ancilla-|0> amplitude of one block on an eigenvector."""
     block = pea_block(unitary, n_prime, qft_spec)
-    out = apply_lifted(block, n_prime, unitary.eigenbasis[:, [eigen_index]])
+    e_j = np.zeros((unitary.dimension, 1))
+    e_j[eigen_index] = 1.0
+    out = apply_lifted(block, n_prime, e_j)
     return float(np.sum(np.abs(out[:unitary.dimension, 0]) ** 2))
 
 

@@ -2,7 +2,9 @@
 
 Synthetic Haar instances, the Grover lower-bound family, and the
 Hamiltonian front-end U = exp(i(H - lambda0)). Every instance is stored by
-eigendecomposition so integer powers are exact.
+eigendecomposition. The reflectors act on the system register in U's
+eigenbasis, where every controlled power of U is diagonal; system vectors
+enter and leave through ``EigenUnitary.to_eigenbasis`` and ``eigenbasis``.
 """
 from __future__ import annotations
 
@@ -12,8 +14,6 @@ import math
 
 import numpy as np
 import scipy.linalg
-
-from .core_sim import CircuitOp, DenseOp, ResourceFootprint
 
 _BASIS_ATOL = 1e-10
 
@@ -75,9 +75,15 @@ class EigenUnitary:
         return self.power_matrix(1)
 
     def power_matrix(self, k: int) -> np.ndarray:
-        """U^k via the eigendecomposition (exact for any signed integer k)."""
+        """U^k in the computational basis (exact for any signed integer k);
+        a reference for tests, never built by the reflectors."""
         phase = np.exp(1j * k * self.eigenphases)
         return (self.eigenbasis * phase) @ self.eigenbasis.conj().T
+
+    def to_eigenbasis(self, columns: np.ndarray) -> np.ndarray:
+        """V^H columns: computational-basis system columns in U's
+        eigenbasis, without forming V^H."""
+        return (columns.T.conj() @ self.eigenbasis).conj().T
 
     def to_json_dict(self) -> dict:
         basis = self.eigenbasis
@@ -231,15 +237,8 @@ def hamiltonian_unitary(hamiltonian: np.ndarray, lambda0: float) -> EigenUnitary
                         eigenbasis=basis, gap=gap)
 
 
-def power_op(unitary: EigenUnitary, k: int) -> CircuitOp:
-    """U^k as a dense operator charging |k| * step_cost queries."""
-    return DenseOp(
-        unitary.power_matrix(k),
-        ResourceFootprint(queries_u=abs(k) * unitary.step_cost),
-    )
-
-
 def exact_reflection(unitary: EigenUnitary) -> np.ndarray:
-    """2|psi0><psi0| - 1, the ground-truth reflection used by verification."""
+    """2|psi0><psi0| - 1 as a dense computational-basis matrix; in U's
+    eigenbasis it is the sign vector (1, -1, ..., -1)."""
     psi = unitary.psi0()
     return 2 * np.outer(psi, psi.conj()) - np.eye(unitary.dimension)

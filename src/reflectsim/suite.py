@@ -72,13 +72,18 @@ _CIRCLE = np.linspace(0.0, 2 * math.pi, 1000, endpoint=False)
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A check's verdict and measured numbers. Wall-clock ``seconds`` stay
+    out of ``details`` so reports built from them are deterministic."""
+
     name: str
     passed: bool
     details: dict
+    seconds: float = 0.0
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        keys = ", ".join(f"{k}={_fmt(v)}" for k, v in self.details.items())
+        items = {**self.details, "seconds": self.seconds}
+        keys = ", ".join(f"{k}={_fmt(v)}" for k, v in items.items())
         return f"{status} {self.name}: {keys}"
 
 
@@ -108,8 +113,7 @@ def check_kernel_bounds() -> CheckResult:
     return CheckResult("kernel_bounds", ok, {
         "max_zero_defect_over_eps": worst_zero,
         "max_gap_sup_over_eps": worst_sup,
-        "seconds": seconds,
-    })
+    }, seconds)
 
 
 def _centered_phi_vector(params) -> np.ndarray:
@@ -146,8 +150,7 @@ def check_state_prep_chain() -> CheckResult:
     return CheckResult("state_prep_chain", ok, {
         "max_exact_err_over_eps": worst_exact,
         "max_trunc_err_over_eps": worst_trunc,
-        "seconds": seconds,
-    })
+    }, seconds)
 
 
 def check_scalar_lcu() -> CheckResult:
@@ -167,8 +170,7 @@ def check_scalar_lcu() -> CheckResult:
     seconds = time.perf_counter() - t0
     return CheckResult("scalar_lcu_consistency", ok, {
         "max_sup_over_eps": worst,
-        "seconds": seconds,
-    })
+    }, seconds)
 
 
 def _instance():
@@ -190,8 +192,7 @@ def check_lcu_reflection() -> CheckResult:
     return CheckResult("lcu_reflection", ok, {
         "max_err_eps2": err2,
         "max_err_eps3": err3,
-        "seconds": seconds,
-    })
+    }, seconds)
 
 
 def check_oaa_algebra() -> CheckResult:
@@ -215,8 +216,7 @@ def check_oaa_algebra() -> CheckResult:
         "expansion_maxnorm": stats["expansion_maxnorm"],
         "s_defect": s_defect,
         "chebyshev_defect": cheb,
-        "seconds": seconds,
-    })
+    }, seconds)
 
 
 def check_pea_baseline() -> CheckResult:
@@ -243,8 +243,7 @@ def check_pea_baseline() -> CheckResult:
         "psi0_fix_err": fix_err,
         "n_prime": params.n_prime,
         "q": params.q,
-        "seconds": seconds,
-    })
+    }, seconds)
 
 
 def check_ancilla_scaling() -> CheckResult:
@@ -266,8 +265,7 @@ def check_ancilla_scaling() -> CheckResult:
         "n_lcu": tuple(n_lcu),
         "n_pea": tuple(r.n_pea for r in rows),
         "q": tuple(qs),
-        "seconds": seconds,
-    })
+    }, seconds)
 
 
 def check_grover_benchmark() -> CheckResult:
@@ -292,8 +290,7 @@ def check_grover_benchmark() -> CheckResult:
         "nu_envelope": envelope,
         "s_reflection_defect": s_reflect,
         "gap_times_sqrtD": tuple(scaled),
-        "seconds": seconds,
-    })
+    }, seconds)
 
 
 def _structural_op_zoo():
@@ -382,8 +379,7 @@ def check_structural() -> CheckResult:
         "centering_exact": perm_ok,
         "centered_qft_defect": fc_defect,
         "poisson_defect": poisson_defect,
-        "seconds": seconds,
-    })
+    }, seconds)
 
 
 ALL_CHECKS = (

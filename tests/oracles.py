@@ -70,8 +70,29 @@ def spectral_norm_implicit(matvec, rmatvec, dim: int, iters: int = 80,
     return sigma
 
 
+def unit_vector(dim: int, j: int) -> np.ndarray:
+    """e_j: eigenvector j of U in U's own eigenbasis."""
+    return np.eye(dim, dtype=np.complex128)[j]
+
+
+def in_eigenbasis(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """V^H mat V: a computational-basis system matrix in the coordinates of
+    the orthonormal columns of ``basis``."""
+    return basis.conj().T @ mat @ basis
+
+
 def kron_chain(*mats: np.ndarray) -> np.ndarray:
     out = np.array([[1.0]], dtype=np.complex128)
     for m in mats:
         out = np.kron(out, m)
     return out
+
+
+def pea_zero_amplitude(lam: float, n_prime: int) -> complex:
+    """<0|block|0> of one phase-estimation register on eigenphase lam:
+    2^-n' sum_a e^{i a lam}, summed term by term. The inverse QFT meets
+    |0> through F|0>, the uniform state, which truncation leaves exact."""
+    total = 0.0 + 0.0j
+    for a in range(1 << n_prime):
+        total += complex(math.cos(a * lam), math.sin(a * lam))
+    return total / (1 << n_prime)

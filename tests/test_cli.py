@@ -160,6 +160,11 @@ class TestContract:
         _, first = _capture(capsys, argv)
         _, second = _capture(capsys, argv)
         assert first == second
+        # check timings stay out of the suite report
+        argv = ["verify-suite", "--only", "kernel_bounds,ancilla_scaling"]
+        _, first = _capture(capsys, argv)
+        _, second = _capture(capsys, argv)
+        assert first == second
 
     def test_suite_subset(self, capsys):
         code, out = _capture(capsys, ["verify-suite", "--only",

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import in_eigenbasis, unit_vector
 from reflectsim.core_sim import (
     DenseOp,
     RegisterLayout,
@@ -63,7 +64,7 @@ class TestSelect:
             header, data = anc >> m, anc & ((1 << m) - 1)
             sign = -1.0 if header in (1, 3) else 1.0
             power = data - L if header == 0 else 0
-            expect = sign * unitary.power_matrix(power)
+            expect = sign * in_eigenbasis(unitary.eigenbasis, unitary.power_matrix(power))
             assert np.abs(block - expect).max() < 1e-10
             # and nothing off the block diagonal
             off = mat[anc * d:(anc + 1) * d].copy()
@@ -104,10 +105,11 @@ class TestSelect:
         layout = RegisterLayout(6, 1)
         xi = np.array([0.28 + 0.4j, 0.87], dtype=complex)
         xi /= np.linalg.norm(xi)
+        vh = unitary.eigenbasis.conj().T
         for l in range(16):
-            state = embed_system(xi, layout, ancilla_index=l)  # header |00>
+            state = embed_system(vh @ xi, layout, ancilla_index=l)  # header |00>
             out = apply(sel.op, state)
-            want = embed_system(unitary.power_matrix(l - 8) @ xi, layout,
+            want = embed_system(vh @ (unitary.power_matrix(l - 8) @ xi), layout,
                                 ancilla_index=l)
             assert np.abs(out.amplitudes - want.amplitudes).max() < 1e-12
         for header, sign in ((0b01, -1), (0b10, 1), (0b11, -1)):
@@ -155,7 +157,7 @@ class TestW:
         acc = -np.eye(unitary.dimension, dtype=complex)
         for i in range(2 * params.L):
             acc = acc + b.beta_magnitudes[i] * unitary.power_matrix(i - params.L)
-        assert np.abs(block - acc / b.s).max() < 1e-10
+        assert np.abs(block - in_eigenbasis(unitary.eigenbasis, acc) / b.s).max() < 1e-10
 
     def test_zero_block_near_kernel_weighted_sum(self, small):
         params, unitary, b, sel, w, *_ = small
@@ -165,12 +167,13 @@ class TestW:
         acc = -np.eye(unitary.dimension, dtype=complex)
         for i in range(2 * params.L):
             acc = acc + 2 * alphas[i] * unitary.power_matrix(i - params.L)
-        assert np.linalg.norm(block - acc / b.s, 2) <= 10 * params.epsilon
+        want = in_eigenbasis(unitary.eigenbasis, acc) / b.s
+        assert np.linalg.norm(block - want, 2) <= 10 * params.epsilon
 
     def test_zero_weight_on_target(self, small):
         params, unitary, b, sel, w, *_ = small
         layout = RegisterLayout(b.n, unitary.system_qubits)
-        state = embed_system(unitary.psi0(), layout)
+        state = embed_system(unit_vector(unitary.dimension, 0), layout)
         out = apply(w, state)
         _, weight = project_ancilla_zero(out, layout)
         assert math.sqrt(weight) == pytest.approx(1 / b.s, abs=10 * params.epsilon)
@@ -191,16 +194,20 @@ class TestA:
         *_, a = small
         assert unitarity_defect(a) <= 1e-10
 
-    def test_eigenvector_actions(self, small):
+    def test_eigenvector_actions(self, small, medium):
+        # A fixes eigenvector 0 and negates the gapped ones, which are e_j in
+        # U's eigenbasis; D = 2 alone cannot tell e_j from the wrong basis
         params, unitary, b, sel, w, r, a = small
-        layout = RegisterLayout(b.n, unitary.system_qubits)
-        eps = params.epsilon
-        fixed = embed_system(unitary.psi0(), layout)
-        out = apply(a, fixed)
-        assert np.linalg.norm(out.amplitudes - fixed.amplitudes) <= 10 * eps
-        gapped = embed_system(unitary.eigenbasis[:, 1], layout)
-        out = apply(a, gapped)
-        assert np.linalg.norm(out.amplitudes + gapped.amplitudes) <= 10 * eps
+        unitary8, refl = medium
+        for u, op, n_anc, eps in ((unitary, a, b.n, params.epsilon),
+                                  (unitary8, refl.a, refl.n_ancilla, 1e-2)):
+            layout = RegisterLayout(n_anc, u.system_qubits)
+            for j in range(u.dimension):
+                state = embed_system(unit_vector(u.dimension, j), layout)
+                out = apply(op, state)
+                sign = 1 if j == 0 else -1
+                assert np.linalg.norm(
+                    out.amplitudes - sign * state.amplitudes) <= 10 * eps
 
     def test_two_round_oaa_exact_for_synthetic_block(self):
         # W = [[aV, bV], [bV, -aV]] with a = sin(pi/10): A|0>|xi> = |0>V|xi>
@@ -234,7 +241,7 @@ class TestOaaExpansion:
         unitary, refl = medium
         layout = RegisterLayout(refl.n_ancilla, refl.system_qubits)
         block = ancilla_zero_block(refl.a, layout)
-        want = exact_reflection(unitary)
+        want = in_eigenbasis(unitary.eigenbasis, exact_reflection(unitary))
         assert np.linalg.norm(block - want, 2) <= 10 * 1e-2
 
     def test_pap_close_to_ap(self, small):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import unit_vector
 from reflectsim.core_sim import (
     RegisterLayout,
     apply,
@@ -125,7 +126,7 @@ class TestWPea:
         w = build_W_pea(u, params, spec)
         layout = RegisterLayout(n_prime * q, 3)
         j = 2
-        state = embed_system(u.eigenbasis[:, j], layout)
+        state = embed_system(unit_vector(8, j), layout)
         out = apply(w, state)
         _, weight = project_ancilla_zero(out, layout)
         single = block_leakage(u, n_prime, spec, j)
@@ -138,7 +139,7 @@ class TestWPea:
         spec = QftSpec.exact_for(params.n_prime)
         w = build_W_pea(u, params, spec)
         layout = RegisterLayout(params.total_ancilla, 3)
-        state = embed_system(u.psi0(), layout)
+        state = embed_system(unit_vector(8, 0), layout)
         out = apply(w, state)
         assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
 
@@ -157,7 +158,7 @@ class TestAPea:
         u, eps, _ = setup
         refl = build_pea_reflector(u, eps, exact_qft=True)
         layout = refl.layout()
-        state = embed_system(u.psi0(), layout)
+        state = embed_system(unit_vector(8, 0), layout)
         out = apply(refl.a, state)
         assert np.linalg.norm(out.amplitudes - state.amplitudes) <= 1e-10
 
@@ -165,7 +166,7 @@ class TestAPea:
         # dropped controlled phases act on |0> controls: exact invariance
         u, eps, refl = setup
         layout = refl.layout()
-        state = embed_system(u.psi0(), layout)
+        state = embed_system(unit_vector(8, 0), layout)
         out = apply(refl.a, state)
         assert np.linalg.norm(out.amplitudes - state.amplitudes) <= 1e-10
 
@@ -175,7 +176,7 @@ class TestAPea:
         j = 4
         spec = refl.qft_spec
         p_single = block_leakage(u, refl.params.n_prime, spec, j)
-        state = embed_system(u.eigenbasis[:, j], layout)
+        state = embed_system(unit_vector(8, j), layout)
         out = apply(refl.a, state)
         val = complex(np.vdot(state.amplitudes, out.amplitudes))
         p_total = p_single ** refl.params.q

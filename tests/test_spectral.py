@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from reflectsim.core_sim import StateVector, apply, apply_batch
+from reflectsim.core_sim import DiagonalOp, StateVector, apply_batch
+from reflectsim.gaussian_kernel import select_params
+from reflectsim.lcu_reflector import build_select
+from reflectsim.pea_reflector import pea_block
 from reflectsim.spectral_models import (
     EigenUnitary,
     exact_reflection,
     grover_unitary,
     hamiltonian_unitary,
-    power_op,
     synth_unitary,
 )
+from reflectsim.state_prep import QftSpec
 
 
 class TestSynthUnitary:
@@ -52,12 +55,26 @@ class TestSynthUnitary:
             assert np.abs(u.matrix() @ psi - psi).max() < 1e-10
 
 
+def _ladder(unitary, n_prime):
+    """The controlled-power ladder of a PEA block."""
+    block = pea_block(unitary, n_prime, QftSpec.exact_for(n_prime))
+    return block.steps[1][0]
+
+
 class TestPowers:
+    """power_matrix is the computational-basis reference; the reflectors
+    apply powers as eigenbasis diagonals that charge the cascade's queries."""
+
     def test_zero_power_identity_and_free(self):
         u = synth_unitary(4, 0.5, seed=2)
-        op = power_op(u, 0)
-        assert np.abs(op.matrix - np.eye(4)).max() < 1e-12
-        assert op.footprint.queries_u == 0
+        assert np.abs(u.power_matrix(0) - np.eye(4)).max() < 1e-12
+        # data l = L selects U^0: exactly the identity, and select still
+        # charges only its 3L - 1 cascade queries
+        params = select_params(0.2, 1.5)
+        sel = build_select(params, u)
+        L, d = params.L, u.dimension
+        assert np.array_equal(sel.op.diagonal[L * d:(L + 1) * d], np.ones(d))
+        assert sel.footprint.queries_u == 3 * L - 1
 
     def test_eigen_relation(self):
         u = synth_unitary(4, 0.5, seed=2)
@@ -68,34 +85,51 @@ class TestPowers:
 
     def test_inverse_composition(self):
         u = synth_unitary(8, 0.5, seed=4)
-        state = StateVector(3, u.eigenbasis @
-                            (np.ones(8) / math.sqrt(8)))
-        back = apply(power_op(u, 3), apply(power_op(u, -3), state))
-        assert np.abs(back.amplitudes - state.amplitudes).max() < 1e-12
+        state = u.eigenbasis @ (np.ones(8) / math.sqrt(8))
+        back = u.power_matrix(3) @ (u.power_matrix(-3) @ state)
+        assert np.abs(back - state).max() < 1e-12
 
     def test_additivity(self):
         u = synth_unitary(8, 0.5, seed=5)
-        state = StateVector.computational(3, 5)
-        one = apply(power_op(u, 7), state)
-        two = apply(power_op(u, 3), apply(power_op(u, 4), state))
-        assert np.abs(one.amplitudes - two.amplitudes).max() < 1e-11
+        state = StateVector.computational(3, 5).amplitudes
+        one = u.power_matrix(7) @ state
+        two = u.power_matrix(3) @ (u.power_matrix(4) @ state)
+        assert np.abs(one - two).max() < 1e-11
+
+    def test_to_eigenbasis(self):
+        u = synth_unitary(8, 0.5, seed=6)
+        cols = u.to_eigenbasis(u.eigenbasis[:, [0, 5]])
+        assert np.abs(cols - np.eye(8)[:, [0, 5]]).max() < 1e-12
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        assert np.abs(u.to_eigenbasis(x) - u.eigenbasis.conj().T @ x).max() < 1e-12
 
     def test_query_charges(self):
         u = synth_unitary(4, 0.5, seed=2)
-        assert power_op(u, -5).footprint.queries_u == 5
-        assert power_op(u, 8).footprint.queries_u == 8
+        # select: U^-L plus the legs 2^(m-1), ..., 1
+        for eps, gap in ((0.2, 1.5), (0.2, 2.5), (1e-2, 0.5)):
+            params = select_params(eps, gap)
+            assert build_select(params, u).footprint.queries_u == \
+                params.L + (2 * params.L - 1)
+        # PEA ladder: legs 2^(n'-1), ..., 1
+        assert _ladder(u, 3).footprint.queries_u == 7
+        assert _ladder(u, 5).footprint.queries_u == 31
 
     def test_step_cost_multiplies(self):
         u = synth_unitary(4, 0.5, seed=2)
         costly = EigenUnitary(u.dimension, u.eigenphases, u.eigenbasis,
                               u.gap, step_cost=3)
-        assert power_op(costly, 4).footprint.queries_u == 12
+        params = select_params(0.2, 1.5)
+        assert build_select(params, costly).footprint.queries_u == \
+            3 * (3 * params.L - 1)
+        assert _ladder(costly, 3).footprint.queries_u == 21
 
     def test_dimension_mismatch(self):
         u = synth_unitary(4, 0.5, seed=2)
         state = StateVector.computational(3)
+        u_eig = DiagonalOp(np.exp(1j * u.eigenphases))
         with pytest.raises(ValueError):
-            apply_batch(power_op(u, 1), state.amplitudes[:, None], u.system_qubits)
+            apply_batch(u_eig, state.amplitudes[:, None], u.system_qubits)
 
 
 class TestGrover:
