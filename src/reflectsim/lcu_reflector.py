@@ -171,6 +171,7 @@ def build_reflector(unitary: EigenUnitary, eps: float, *,
                     exact_qft: bool = False) -> ReflectorA:
     """One-stop pipeline from a gapped unitary to the reflector A, with
     the error budget split by ``lcu_budget``."""
+    system_qubits = unitary.system_qubits
     params, spec = lcu_budget(eps, unitary.gap, c, kernel_fraction, exact_qft)
     b = build_B(params, spec)
     sel = build_select(params, unitary)
@@ -179,7 +180,7 @@ def build_reflector(unitary: EigenUnitary, eps: float, *,
     a = build_A(w, r, b.n)
     return ReflectorA(
         w=w, r=r, a=a, params=params, ledger=a.footprint, b=b, select=sel,
-        s=b.s, n_ancilla=b.n, system_qubits=unitary.system_qubits,
+        s=b.s, n_ancilla=b.n, system_qubits=system_qubits,
         qft_spec=spec,
     )
 
@@ -193,43 +194,39 @@ def build_reflector(unitary: EigenUnitary, eps: float, *,
 WORKING_COPIES = 7.3
 
 
-def working_set_bytes(total_qubits: int, columns: int) -> float:
-    """Estimated peak memory of simulating ``columns`` states of
-    ``total_qubits`` qubits at once."""
-    return 16 * (1 << total_qubits) * columns * WORKING_COPIES
+def working_set_bytes(total_qubits: int) -> float:
+    """Estimated peak memory of simulating one state of ``total_qubits``
+    qubits."""
+    return 16 * (1 << total_qubits) * WORKING_COPIES
 
 
-def require_memory(total_qubits: int, columns: int) -> None:
-    """Raise ValueError, with the GiB needed, when simulating ``columns``
-    states of ``total_qubits`` qubits would not fit in physical memory."""
-    need = working_set_bytes(total_qubits, columns)
+def require_memory(total_qubits: int) -> None:
+    """Raise ValueError, with the GiB needed, when simulating one state of
+    ``total_qubits`` qubits would not fit in physical memory."""
+    need = working_set_bytes(total_qubits)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(
-            f"simulating {columns} state(s) of {total_qubits} qubits needs "
+            f"simulating a state of {total_qubits} qubits needs "
             f"about {need / 2 ** 30:.1f} GiB, more than the "
             f"{have / 2 ** 30:.1f} GiB of physical memory")
 
 
-def apply_lifted(op: CircuitOp, n_ancilla: int,
-                 columns: np.ndarray) -> np.ndarray:
-    """op |0_anc>|xi> for each system column xi, as full-register columns,
-    after ``require_memory``."""
+def eigen_profile(op: CircuitOp, n_ancilla: int) -> np.ndarray:
+    """op(lambda_j)|0> for every eigenvector j, from one simulated column.
+
+    Precondition: op touches the system register only through
+    whole-register ``DiagonalOp``s in U's eigenbasis, as every tree the
+    builders make does. Then op = sum_j op(lambda_j) (x) |e_j><e_j|, and
+    op |0>(sum_j |e_j>) holds all D ancilla blocks at once. Returns that
+    column, after ``require_memory``, as a (2^n_ancilla, D) array whose
+    column j is op(lambda_j)|0>.
+    """
     d = 1 << (op.num_qubits - n_ancilla)
-    if columns.ndim != 2 or columns.shape[0] != d:
-        raise ValueError("system columns do not match the operator's system register")
-    require_memory(op.num_qubits, columns.shape[1])
-    lifted = np.zeros((1 << op.num_qubits, columns.shape[1]), dtype=np.complex128)
-    lifted[:d] = columns
-    return apply_batch(op, lifted, op.num_qubits)
-
-
-def ancilla_zero_block(op: CircuitOp, layout: RegisterLayout) -> np.ndarray:
-    """<0_anc| op |0_anc> as a system-dimension matrix in U's eigenbasis."""
-    if op.num_qubits != layout.total_qubits:
-        raise ValueError("operator width does not match layout")
-    d = layout.system_dim
-    return apply_lifted(op, layout.ancilla_qubits, np.eye(d))[:d, :]
+    require_memory(op.num_qubits)
+    lifted = np.zeros((1 << op.num_qubits, 1), dtype=np.complex128)
+    lifted[:d] = 1.0
+    return apply_batch(op, lifted, op.num_qubits).reshape(1 << n_ancilla, d)
 
 
 def oaa_expansion_check(w: CircuitOp, r: CircuitOp, layout: RegisterLayout,
@@ -239,23 +236,21 @@ def oaa_expansion_check(w: CircuitOp, r: CircuitOp, layout: RegisterLayout,
     Returns the max-norm mismatch of
     P A P = 5 PWP - 20 PWPW'PWP + 16 PWPW'PWPW'PWP
     (as system blocks), the coefficient defect |1 - 5/s + 20/s^3 - 16/s^5|,
-    and the unitarity defect of the implied R-tilde = s <0|W|0>.
+    and the unitarity defect of the implied R-tilde = s <0|W|0>. The system
+    blocks are diagonal in U's eigenbasis, so the products are elementwise
+    on row 0 of the profiles.
     """
     a = build_A(w, r, layout.ancilla_qubits)
-    m_w = ancilla_zero_block(w, layout)
-    m_a = ancilla_zero_block(a, layout)
-    m_wd = m_w.conj().T
-    rhs = 5 * m_w - 20 * m_w @ m_wd @ m_w \
-        + 16 * m_w @ m_wd @ m_w @ m_wd @ m_w
+    m_w = eigen_profile(w, layout.ancilla_qubits)[0]
+    m_a = eigen_profile(a, layout.ancilla_qubits)[0]
+    weight = np.abs(m_w) ** 2
+    rhs = m_w * (5 - 20 * weight + 16 * weight ** 2)
     expansion = float(np.abs(m_a - rhs).max())
 
     x = 1 / s
     coeff = abs(1 - 5 * x + 20 * x ** 3 - 16 * x ** 5)
 
-    r_tilde = s * m_w
-    runitary = float(np.abs(
-        np.eye(layout.system_dim) - r_tilde.conj().T @ r_tilde
-    ).max())
+    runitary = float(np.abs(1 - s ** 2 * weight).max())
     return {
         "expansion_maxnorm": expansion,
         "coefficient_defect": float(coeff),
@@ -268,10 +263,12 @@ def reflection_error(reflector, unitary: EigenUnitary, trials: int, seed: int,
     """max over trial states of || A |0>|xi> - |0> R_psi0 |xi> ||.
 
     Works for any reflector exposing ``.a`` and ``.n_ancilla``. The states
-    are system vectors in the computational basis; they are simulated in
-    U's eigenbasis, where R_psi0 is the sign vector (1, -1, ..., -1) and the
-    norm is the same. Haar trial states are drawn from the seed unless
-    explicit system vectors are supplied.
+    are system vectors in the computational basis. In U's eigenbasis,
+    R_psi0 is the sign vector r = (1, -1, ..., -1), and eigenvector j
+    misses by e_j = ||A(lambda_j)|0> - r_j|0>||, read off ``eigen_profile``;
+    a state with eigen-coordinates xi_j misses by sqrt(sum_j |xi_j|^2 e_j^2).
+    Haar trial states are drawn from the seed unless explicit system
+    vectors are supplied.
     """
     if trials < 1 and not states:
         raise ValueError("need at least one trial")
@@ -279,22 +276,16 @@ def reflection_error(reflector, unitary: EigenUnitary, trials: int, seed: int,
     if states is None:
         states = [random_state(unitary.system_qubits, rng).amplitudes
                   for _ in range(trials)]
-    d = unitary.dimension
-    coords = unitary.to_eigenbasis(np.stack(states, axis=1))
-    sign = -np.ones(d)
-    sign[0] = 1.0
-    # chunk the batch so big registers never hold more than ~2^23 amplitudes
-    chunk = max(1, (1 << 23) >> (reflector.n_ancilla + unitary.system_qubits))
-    worst = 0.0
-    for start in range(0, coords.shape[1], chunk):
-        part = coords[:, start:start + chunk]
-        out = apply_lifted(reflector.a, reflector.n_ancilla, part)
-        for i in range(part.shape[1]):
-            # the target |0> R xi has no amplitude past the first d entries
-            miss = np.linalg.norm(out[:d, i] - sign * part[:, i])
-            leak = np.linalg.norm(out[d:, i])
-            worst = max(worst, math.sqrt(miss ** 2 + leak ** 2))
-    return worst
+    columns = np.stack(states, axis=1)
+    if columns.shape[0] != unitary.dimension:
+        raise ValueError("states do not match the system dimension")
+    weights = np.abs(unitary.to_eigenbasis(columns)) ** 2
+    miss = eigen_profile(reflector.a, reflector.n_ancilla)
+    # subtract r_j |0> from column j
+    miss[0, 0] -= 1.0
+    miss[0, 1:] += 1.0
+    e_sq = np.sum(np.abs(miss) ** 2, axis=0)
+    return float(np.sqrt((e_sq @ weights).max()))
 
 
 def grover_step(inst: GroverInstance, eps: float):
@@ -306,10 +297,10 @@ def grover_step(inst: GroverInstance, eps: float):
     """
     s_defect = abs(inst.s_state @ (exact_reflection(inst.unitary) @ inst.s_state))
     refl = build_reflector(inst.unitary, eps)
-    out = apply_lifted(refl.a, refl.n_ancilla,
-                       inst.unitary.to_eigenbasis(inst.s_state[:, None]))
+    profile = eigen_profile(refl.a, refl.n_ancilla)
     # back to the computational basis for the marked amplitude
-    hit = inst.unitary.eigenbasis[inst.marked] @ out[:inst.dimension, 0]
+    hit = inst.unitary.eigenbasis[inst.marked] @ (
+        profile[0] * inst.unitary.to_eigenbasis(inst.s_state))
     nu = 1 - abs(hit) ** 2
     envelope = 4 * (1 / math.sqrt(inst.dimension) + 10 * eps) ** 2
     return s_defect, nu, envelope, refl

@@ -23,7 +23,7 @@ from .core_sim import (
     densify,
     hadamard,
 )
-from .lcu_reflector import ancilla_reflection, apply_lifted
+from .lcu_reflector import ancilla_reflection, eigen_profile
 from .spectral_models import EigenUnitary
 from .state_prep import QftSpec, qft
 
@@ -149,14 +149,12 @@ def build_pea_reflector(unitary: EigenUnitary, eps: float, *,
                         ledger=a.footprint)
 
 
-def block_leakage(unitary: EigenUnitary, n_prime: int, qft_spec: QftSpec,
-                  eigen_index: int) -> float:
-    """|p| = squared ancilla-|0> amplitude of one block on an eigenvector."""
+def block_leakage(unitary: EigenUnitary, n_prime: int,
+                  qft_spec: QftSpec) -> np.ndarray:
+    """|p_j| = squared ancilla-|0> amplitude of one block on eigenvector j,
+    for every j at once."""
     block = pea_block(unitary, n_prime, qft_spec)
-    e_j = np.zeros((unitary.dimension, 1))
-    e_j[eigen_index] = 1.0
-    out = apply_lifted(block, n_prime, e_j)
-    return float(np.sum(np.abs(out[:unitary.dimension, 0]) ** 2))
+    return np.abs(eigen_profile(block, n_prime)[0]) ** 2
 
 
 def leakage_amplitude_bound(n_prime: int, delta: float) -> float:

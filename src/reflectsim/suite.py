@@ -227,9 +227,7 @@ def check_pea_baseline() -> CheckResult:
     unitary = _instance()
     params = choose_pea_params(eps, unitary.gap)
     spec = QftSpec.for_budget(params.n_prime, 0.05)
-    worst_p = 0.0
-    for j in range(1, unitary.dimension):
-        worst_p = max(worst_p, block_leakage(unitary, params.n_prime, spec, j))
+    worst_p = float(block_leakage(unitary, params.n_prime, spec)[1:].max())
     refl = build_pea_reflector(unitary, eps)
     err = reflection_error(refl, unitary, 5, _TRIAL_SEED)
     # R psi0 = psi0, so the reflection error on psi0 is how far A moves it
@@ -396,6 +394,11 @@ ALL_CHECKS = (
 
 
 def run_all(names=None, echo=print) -> list[CheckResult]:
+    valid = [name for name, _ in ALL_CHECKS]
+    unknown = sorted(set(names or ()) - set(valid))
+    if unknown:
+        raise ValueError(f"unknown check(s) {', '.join(unknown)}; "
+                         f"valid checks: {', '.join(valid)}")
     results = []
     for name, fn in ALL_CHECKS:
         if names and name not in names:

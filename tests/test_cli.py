@@ -85,7 +85,7 @@ class TestReflectCommand:
     def test_oversized_run_refused(self, capsys):
         # pea at D = 8, eps = 1e-3 needs 2^33 amplitudes per column
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if working_set_bytes(33, 1) <= physical:
+        if working_set_bytes(33) <= physical:
             pytest.skip("this machine could hold the 2^33-amplitude state")
         code = run(["reflect", "pea", "--dim", "8", "--gap", "0.5",
                     "--eps", "1e-3"])
@@ -93,6 +93,15 @@ class TestReflectCommand:
         assert code == 1
         assert captured.out == ""
         assert "GiB" in captured.err
+
+    @pytest.mark.parametrize("method", ["lcu", "pea"])
+    def test_dimension_not_power_of_two(self, capsys, method):
+        code = run(["reflect", method, "--dim", "6", "--gap", "0.5",
+                    "--eps", "0.2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "dimension is not a power of two" in captured.err
 
     def test_schema_field_compatible(self, capsys):
         _, out_l = _capture(capsys, [
@@ -172,6 +181,14 @@ class TestContract:
         assert code == 0
         report = json.loads(out)
         assert report["checks"][0]["name"] == "ancilla_scaling"
+
+    def test_suite_unknown_check(self, capsys):
+        code = run(["verify-suite", "--only", "ancilla_scaling,nosuch"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "nosuch" in captured.err
+        assert all(name in captured.err for name, _ in suite_mod.ALL_CHECKS)
 
     def test_every_json_roundtrips(self, capsys):
         for argv in (["kernel", "--eps", "1e-1", "--gap", "0.8"],

@@ -5,24 +5,27 @@ Every operator tree acts on the system register in U's eigenbasis V, so a
 system block must equal V^H M V for the computational-basis operator M of
 the paper.
 """
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import in_eigenbasis, pea_zero_amplitude
-from reflectsim.core_sim import RegisterLayout, apply_batch
+from oracles import in_eigenbasis, lifted_action, pea_zero_amplitude
+from reflectsim.core_sim import DenseOp, apply_batch
 from reflectsim.gaussian_kernel import select_params
 from reflectsim.lcu_reflector import (
-    ancilla_zero_block,
-    apply_lifted,
+    ancilla_reflection,
+    build_A,
     build_reflector,
     build_select,
     build_W,
+    eigen_profile,
+    reflection_error,
 )
 from reflectsim.pea_reflector import build_pea_reflector, pea_block
 from reflectsim.spectral_models import synth_unitary
-from reflectsim.state_prep import QftSpec, build_B
+from reflectsim.state_prep import OAA_ANGLE, QftSpec, build_B
 
 DIMS = (2, 8, 64)
 TOL = 1e-12
@@ -59,8 +62,7 @@ class TestLcuAgreement:
     def test_w_zero_block_is_scaled_lcu_sum(self, lcu_parts):
         params, unitary, b, sel = lcu_parts
         w = build_W(b, sel)
-        block = ancilla_zero_block(
-            w, RegisterLayout(b.n, unitary.system_qubits))
+        block = np.diag(eigen_profile(w, b.n)[0])
         want = -np.eye(unitary.dimension, dtype=complex)
         for i in range(2 * params.L):
             want += b.beta_magnitudes[i] * unitary.power_matrix(i - params.L)
@@ -76,10 +78,49 @@ class TestPeaAgreement:
     def test_zero_amplitude_matches_phase_sum(self, dim, spec):
         unitary = synth_unitary(dim, 0.5, seed=dim + 1)
         block = pea_block(unitary, 5, spec)
-        got = apply_lifted(block, 5, np.eye(dim))[:dim]
+        got = np.diag(eigen_profile(block, 5)[0])
         want = np.diag([pea_zero_amplitude(lam, 5)
                         for lam in unitary.eigenphases])
         assert np.abs(got - want).max() <= TOL
+
+
+def _profile_mismatch(op, n_ancilla: int, dim: int) -> float:
+    """max |A|0>|xi> - (profile * xi).ravel()| over three Haar columns xi,
+    with A|0>|xi> simulated column by column."""
+    rng = np.random.default_rng(dim)
+    xi = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    xi /= np.linalg.norm(xi, axis=0)
+    profile = eigen_profile(op, n_ancilla)
+    predicted = (profile[:, :, None] * xi).reshape(-1, 3)
+    return float(np.abs(lifted_action(op, n_ancilla, xi) - predicted).max())
+
+
+class TestBlockDiagonality:
+    """One simulated column holds every eigenvector's block only if the
+    operator is block diagonal in U's eigenbasis: the profile must predict
+    the column-by-column simulation of A|0>|xi>."""
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_lcu_reflector(self, dim):
+        refl = build_reflector(synth_unitary(dim, 0.5, seed=dim), 1e-2)
+        assert _profile_mismatch(refl.a, refl.n_ancilla, dim) <= TOL
+
+    @pytest.mark.parametrize("dim", (2, 8))
+    def test_pea_reflector(self, dim):
+        refl = build_pea_reflector(synth_unitary(dim, 0.5, seed=dim), 0.2)
+        assert _profile_mismatch(refl.a, refl.n_ancilla, dim) <= TOL
+
+    def test_rejects_dense_system_mixing(self):
+        # the synthetic W = [[aV, bV], [bV, -aV]] of the two-round OAA test
+        # applies a dense V to the system, so it is not block diagonal
+        rng = np.random.default_rng(9)
+        v = np.linalg.qr(rng.normal(size=(4, 4))
+                         + 1j * rng.normal(size=(4, 4)))[0]
+        aa = math.sin(OAA_ANGLE)
+        bb = math.sqrt(1 - aa * aa)
+        w = DenseOp(np.block([[aa * v, bb * v], [bb * v, -aa * v]]))
+        a = build_A(w, ancilla_reflection(1), 1)
+        assert _profile_mismatch(a, 1, 4) > 1e-2
 
 
 def _traced_peak_mib(build) -> float:
@@ -102,3 +143,11 @@ class TestAllocation:
     def test_pea_build_at_d8(self):
         unitary = synth_unitary(8, 0.5, 7)
         assert _traced_peak_mib(lambda: build_pea_reflector(unitary, 1e-2)) <= 4
+
+    def test_verification_memory_flat_in_trials(self):
+        # every trial reads the same one-column profile
+        unitary = synth_unitary(64, 0.5, 3)
+        refl = build_reflector(unitary, 1e-2)
+        one = _traced_peak_mib(lambda: reflection_error(refl, unitary, 1, 5))
+        ten = _traced_peak_mib(lambda: reflection_error(refl, unitary, 10, 5))
+        assert ten <= 1.5 * one

@@ -17,13 +17,12 @@ from reflectsim.core_sim import (
 from reflectsim.gaussian_kernel import alpha_coeffs, select_params
 from reflectsim.lcu_reflector import (
     ancilla_reflection,
-    ancilla_zero_block,
     build_A,
     build_reflector,
     build_select,
     build_W,
+    eigen_profile,
     mcx_two_qubit_cost,
-    apply_lifted,
     oaa_expansion_check,
     reflection_error,
     working_set_bytes,
@@ -151,8 +150,7 @@ class TestAncillaReflection:
 class TestW:
     def test_zero_block_is_scaled_lcu_sum(self, small):
         params, unitary, b, sel, w, *_ = small
-        layout = RegisterLayout(b.n, unitary.system_qubits)
-        block = ancilla_zero_block(w, layout)
+        block = np.diag(eigen_profile(w, b.n)[0])
         # structural identity: <0|W|0> = (1/s) (sum |beta_l| U^l - 1)
         acc = -np.eye(unitary.dimension, dtype=complex)
         for i in range(2 * params.L):
@@ -161,8 +159,7 @@ class TestW:
 
     def test_zero_block_near_kernel_weighted_sum(self, small):
         params, unitary, b, sel, w, *_ = small
-        layout = RegisterLayout(b.n, unitary.system_qubits)
-        block = ancilla_zero_block(w, layout)
+        block = np.diag(eigen_profile(w, b.n)[0])
         alphas = alpha_coeffs(params)
         acc = -np.eye(unitary.dimension, dtype=complex)
         for i in range(2 * params.L):
@@ -239,8 +236,7 @@ class TestOaaExpansion:
 
     def test_pap_close_to_exact_reflection(self, medium):
         unitary, refl = medium
-        layout = RegisterLayout(refl.n_ancilla, refl.system_qubits)
-        block = ancilla_zero_block(refl.a, layout)
+        block = np.diag(eigen_profile(refl.a, refl.n_ancilla)[0])
         want = in_eigenbasis(unitary.eigenbasis, exact_reflection(unitary))
         assert np.linalg.norm(block - want, 2) <= 10 * 1e-2
 
@@ -294,34 +290,57 @@ class TestGapEdge:
     """Eigenphases exactly at +-gap, where the kernel is largest: errors
     there measure the construction rather than roundoff."""
 
-    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
-    def test_edge_eigenvectors_within_bound(self, eps):
+    @staticmethod
+    def _edge_unitary():
         base = synth_unitary(8, 0.5, seed=7)
         phases = base.eigenphases.copy()
         phases[1], phases[2] = 0.5, 2 * math.pi - 0.5
-        unitary = EigenUnitary(8, phases, base.eigenbasis, 0.5)
+        return EigenUnitary(8, phases, base.eigenbasis, 0.5)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_edge_eigenvectors_within_bound(self, eps):
+        unitary = self._edge_unitary()
         refl = build_reflector(unitary, eps)
         states = [unitary.eigenbasis[:, j] for j in (0, 1, 2)]
         assert reflection_error(refl, unitary, 0, 0, states=states) <= 10 * eps
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_exact_worst_case(self, eps):
+        # max_j ||A(lambda_j)|0> - r_j|0>|| bounds every input |0>|xi>
+        # and is attained on eigenvector argmax
+        unitary = self._edge_unitary()
+        refl = build_reflector(unitary, eps)
+        miss = eigen_profile(refl.a, refl.n_ancilla)
+        miss[0] -= np.where(np.arange(8) == 0, 1.0, -1.0)
+        per_eigenvector = np.linalg.norm(miss, axis=0)
+        worst = per_eigenvector.max()
+        assert worst <= 10 * eps
+        for seed in range(3):
+            assert reflection_error(refl, unitary, 20, seed) <= worst
+        j = int(per_eigenvector.argmax())
+        attained = reflection_error(refl, unitary, 0, 0,
+                                    states=[unitary.eigenbasis[:, j]])
+        assert attained == pytest.approx(worst, rel=1e-12)
+
 
 class TestMemoryPreflight:
     def test_estimate_scales_with_state(self):
-        one = working_set_bytes(20, 1)
+        one = working_set_bytes(20)
         assert one == pytest.approx(7.3 * 16 * 2 ** 20)
-        assert working_set_bytes(21, 1) == 2 * one
-        assert working_set_bytes(20, 3) == 3 * one
+        assert working_set_bytes(21) == 2 * one
 
     def test_refuses_before_allocating(self, monkeypatch, medium):
         unitary, refl = medium
-        monkeypatch.setattr("os.sysconf", lambda name: 1024)
+        # a 64 KiB machine: one 13-qubit column needs about 0.95 MiB
+        monkeypatch.setattr("os.sysconf", lambda name: 256)
         with pytest.raises(ValueError, match="GiB"):
-            apply_lifted(refl.a, refl.n_ancilla, np.eye(unitary.dimension))
+            eigen_profile(refl.a, refl.n_ancilla)
 
     def test_rejects_wrong_system_width(self, medium):
         unitary, refl = medium
-        with pytest.raises(ValueError):
-            apply_lifted(refl.a, refl.n_ancilla, np.eye(unitary.dimension // 2))
+        short = np.ones(unitary.dimension // 2) / 2
+        with pytest.raises(ValueError, match="system dimension"):
+            reflection_error(refl, unitary, 0, 0, states=[short])
 
 
 class TestReflectorLedger:
