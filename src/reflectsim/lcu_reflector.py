@@ -134,6 +134,15 @@ class ReflectorA:
     def layout(self) -> RegisterLayout:
         return RegisterLayout(self.n_ancilla, self.system_qubits)
 
+    def eigen_errors(self) -> np.ndarray:
+        """e_j = ||A(lambda_j)|0> - r_j|0>|| for every eigenvector j, with
+        r = (1, -1, ..., -1), read off ``eigen_profile``."""
+        miss = eigen_profile(self.a, self.n_ancilla)
+        # subtract r_j |0> from column j
+        miss[0, 0] -= 1.0
+        miss[0, 1:] += 1.0
+        return np.sqrt(np.sum(np.abs(miss) ** 2, axis=0))
+
 
 def build_A(w: CircuitOp, r: CircuitOp, n_ancilla: int) -> CircuitOp:
     """A = W R W' R W R W' R W; five W/W' uses, four R uses."""
@@ -173,6 +182,9 @@ def build_reflector(unitary: EigenUnitary, eps: float, *,
     the error budget split by ``lcu_budget``."""
     system_qubits = unitary.system_qubits
     params, spec = lcu_budget(eps, unitary.gap, c, kernel_fraction, exact_qft)
+    # refuse before anything 2^(n + s)-sized exists: the select diagonal
+    # alone is 16 B per amplitude, and W' copies it
+    require_memory(params.m + 2 + system_qubits)
     b = build_B(params, spec)
     sel = build_select(params, unitary)
     w = build_W(b, sel)
@@ -262,13 +274,13 @@ def reflection_error(reflector, unitary: EigenUnitary, trials: int, seed: int,
                      states: list[np.ndarray] | None = None) -> float:
     """max over trial states of || A |0>|xi> - |0> R_psi0 |xi> ||.
 
-    Works for any reflector exposing ``.a`` and ``.n_ancilla``. The states
-    are system vectors in the computational basis. In U's eigenbasis,
-    R_psi0 is the sign vector r = (1, -1, ..., -1), and eigenvector j
-    misses by e_j = ||A(lambda_j)|0> - r_j|0>||, read off ``eigen_profile``;
-    a state with eigen-coordinates xi_j misses by sqrt(sum_j |xi_j|^2 e_j^2).
-    Haar trial states are drawn from the seed unless explicit system
-    vectors are supplied.
+    Works for any reflector exposing ``eigen_errors()``, the per-eigenvector
+    misses e_j = ||A(lambda_j)|0> - r_j|0>|| with r = (1, -1, ..., -1), the
+    sign vector of R_psi0 in U's eigenbasis. The states are system vectors
+    in the computational basis; one with eigen-coordinates xi_j misses by
+    sqrt(sum_j |xi_j|^2 e_j^2), and max_j e_j is the exact worst case over
+    all inputs. Haar trial states are drawn from the seed unless explicit
+    system vectors are supplied.
     """
     if trials < 1 and not states:
         raise ValueError("need at least one trial")
@@ -280,12 +292,8 @@ def reflection_error(reflector, unitary: EigenUnitary, trials: int, seed: int,
     if columns.shape[0] != unitary.dimension:
         raise ValueError("states do not match the system dimension")
     weights = np.abs(unitary.to_eigenbasis(columns)) ** 2
-    miss = eigen_profile(reflector.a, reflector.n_ancilla)
-    # subtract r_j |0> from column j
-    miss[0, 0] -= 1.0
-    miss[0, 1:] += 1.0
-    e_sq = np.sum(np.abs(miss) ** 2, axis=0)
-    return float(np.sqrt((e_sq @ weights).max()))
+    e = reflector.eigen_errors()
+    return float(np.sqrt(((e ** 2) @ weights).max()))
 
 
 def grover_step(inst: GroverInstance, eps: float):

@@ -3,8 +3,9 @@
 A = W' R W.
 
 Blocks are applied sequentially to a shared system register, in U's
-eigenbasis; on an eigenvector the all-zero ancilla amplitude factorizes
-over the blocks.
+eigenbasis. On an eigenvector the q registers stay a product state until R,
+so verification simulates one block on n' + s qubits, never the
+2^(q n' + s) register of A.
 """
 from __future__ import annotations
 
@@ -73,7 +74,8 @@ def pea_block(unitary: EigenUnitary, n_prime: int,
     ancilla value a and eigenvector j, charging the 2^n' - 1 queries of its
     legs. The ancilla-local layers (the Hadamard wall and the inverse QFT)
     are collapsed to dense matrices when narrow enough; this changes nothing
-    semantically and keeps wide multi-register simulations affordable.
+    semantically, halves the cost of verifying a block, and keeps the dense
+    whole-register reference simulation affordable.
     """
     if qft_spec.m != n_prime:
         raise ValueError("QFT width must equal n_prime")
@@ -119,7 +121,7 @@ def build_A_pea(w: CircuitOp, n_total_ancilla: int) -> CircuitOp:
 @dataclass(frozen=True)
 class PeaReflector:
     """Assembled PEA reflector; shares the verification harness with the
-    LCU route through .a and .n_ancilla."""
+    LCU route through ``eigen_errors``."""
 
     w: CircuitOp
     a: CircuitOp
@@ -131,6 +133,33 @@ class PeaReflector:
 
     def layout(self) -> RegisterLayout:
         return RegisterLayout(self.n_ancilla, self.system_qubits)
+
+    def eigen_errors(self) -> np.ndarray:
+        """e_j = ||A(lambda_j)|0> - r_j|0>|| for every eigenvector j, with
+        r = (1, -1, ..., -1), from two columns of one block.
+
+        Every register runs the same block, so W|0>|e_j> = phi^(x q) with
+        phi = block|0>. R makes that 2 phi_0^q |0> - phi^(x q) and W'W = 1,
+        so A|0>|e_j> = 2 phi_0^q chi^(x q) - |0> with chi = block'|0>
+        (simulating block' phi instead of using W'W = 1 would only add
+        roundoff, which swamps the gapped e_j below about 1e-15).
+        Subtracting r_j|0> doubles the -|0> on the target (r_0 = 1) and
+        cancels it elsewhere (r_j = -1).
+        The all-zero amplitude is split off; the rest of chi^(x q) has
+        squared norm (x + y)^q - x^q = sum_k C(q, k) x^(q-k) y^k, with
+        x = |chi_0|^2 and y = ||chi||^2 - x, a sum of non-negative terms.
+        """
+        block, _ = self.w.steps[0]
+        n_prime, q = self.params.n_prime, self.params.q
+        scale = 2 * eigen_profile(block, n_prime)[0] ** q
+        chi = eigen_profile(adjoint(block), n_prime)
+        zero = scale * chi[0] ** q
+        zero[0] -= 2.0
+        x = np.abs(chi[0]) ** 2
+        y = np.sum(np.abs(chi[1:]) ** 2, axis=0)
+        rest = sum(math.comb(q, k) * x ** (q - k) * y ** k
+                   for k in range(1, q + 1))
+        return np.sqrt(np.abs(zero) ** 2 + np.abs(scale) ** 2 * rest)
 
 
 def build_pea_reflector(unitary: EigenUnitary, eps: float, *,

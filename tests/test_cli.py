@@ -4,12 +4,15 @@ import io
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
+import reflectsim.cli as cli
 import reflectsim.suite as suite_mod
 from reflectsim.cli import run
 from reflectsim.lcu_reflector import working_set_bytes
+from reflectsim.spectral_models import synth_unitary
 from reflectsim.suite import CheckResult
 
 
@@ -82,17 +85,41 @@ class TestReflectCommand:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
-    def test_oversized_run_refused(self, capsys):
-        # pea at D = 8, eps = 1e-3 needs 2^33 amplitudes per column
+    def test_oversized_run_refused(self, capsys, monkeypatch):
+        # lcu at D = 1024, gap 1e-3 has L = 65536 and 19 ancilla, so
+        # 2^29 amplitudes per column; its select diagonal alone is 8 GiB
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if working_set_bytes(33) <= physical:
-            pytest.skip("this machine could hold the 2^33-amplitude state")
-        code = run(["reflect", "pea", "--dim", "8", "--gap", "0.5",
-                    "--eps", "1e-3"])
+        if working_set_bytes(29) <= physical:
+            pytest.skip("this machine could hold the 2^29-amplitude state")
+        # build the instance outside the traced window: drawing the
+        # 1024 x 1024 Haar eigenbasis alone peaks at about 96 MiB
+        unitary = synth_unitary(1024, 1e-3, 7)
+        monkeypatch.setattr(cli, "synth_unitary", lambda *args: unitary)
+        tracemalloc.start()
+        try:
+            code = run(["reflect", "lcu", "--dim", "1024", "--gap", "1e-3",
+                        "--eps", "1e-2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert "GiB" in captured.err
+        assert peak <= 4 * 2 ** 20
+
+    def test_pea_beyond_dense_simulation(self, capsys):
+        # 30 ancilla plus 3 system qubits: a dense column would be 2^33
+        # amplitudes, the product-state verification needs 2^8 per block
+        code, out = _capture(capsys, ["reflect", "pea", "--dim", "8",
+                                      "--gap", "0.5", "--eps", "1e-3"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert report["n_ancilla"] == 30
+        n_prime, q = report["params"]["n_prime"], report["params"]["q"]
+        assert n_prime * q == 30
+        assert report["ledger"]["queries_u"] == 2 * q * ((1 << n_prime) - 1)
 
     @pytest.mark.parametrize("method", ["lcu", "pea"])
     def test_dimension_not_power_of_two(self, capsys, method):

@@ -123,6 +123,48 @@ class TestBlockDiagonality:
         assert _profile_mismatch(a, 1, 4) > 1e-2
 
 
+def _dense_eigen_errors(refl) -> np.ndarray:
+    """||A(lambda_j)|0> - r_j|0>|| for every j, read off the dense column
+    of the whole 2^(q n' + s) register."""
+    miss = eigen_profile(refl.a, refl.n_ancilla)
+    miss[0] -= np.where(np.arange(miss.shape[1]) == 0, 1.0, -1.0)
+    return np.linalg.norm(miss, axis=0)
+
+
+QFTS = pytest.mark.parametrize("exact_qft", [True, False],
+                               ids=["exact", "truncated"])
+
+
+class TestPeaEigenErrors:
+    """The product-state misses of the PEA reflector against the dense
+    column, and against the phase-sum oracle where that column is out of
+    reach."""
+
+    @pytest.mark.parametrize("dim", (2, 8))
+    @pytest.mark.parametrize("eps", (0.2, 1e-2))
+    @QFTS
+    def test_matches_dense_column(self, dim, eps, exact_qft):
+        unitary = synth_unitary(dim, 0.5, seed=dim)
+        refl = build_pea_reflector(unitary, eps, exact_qft=exact_qft)
+        got = refl.eigen_errors()
+        assert np.abs(got - _dense_eigen_errors(refl)).max() <= 1e-14
+
+    @pytest.mark.parametrize("eps", (1e-3, 1e-4))
+    @QFTS
+    def test_matches_phase_sum_oracle(self, eps, exact_qft):
+        # q n' + s = 33 and 43 qubits: no dense column to compare with.
+        # On a gapped eigenvector A|0> = 2 a^q chi^(x q) - |0> and r_j = -1,
+        # so e_j = 2 |a|^q with a = <0|block|0>; the target is fixed.
+        unitary = synth_unitary(8, 0.5, seed=7)
+        refl = build_pea_reflector(unitary, eps, exact_qft=exact_qft)
+        n_prime, q = refl.params.n_prime, refl.params.q
+        want = [2 * abs(pea_zero_amplitude(lam, n_prime)) ** q
+                for lam in unitary.eigenphases[1:]]
+        got = refl.eigen_errors()
+        assert got[1:] == pytest.approx(want, rel=1e-10)
+        assert got[0] <= 1e-12
+
+
 def _traced_peak_mib(build) -> float:
     tracemalloc.start()
     try:
@@ -134,7 +176,8 @@ def _traced_peak_mib(build) -> float:
 
 class TestAllocation:
     """No D x D power matrix and no 2^n diagonal for R: what a build
-    allocates is the select diagonal and the ancilla-local layers."""
+    allocates is the select diagonal and the ancilla-local layers. PEA
+    verification simulates one block, never the whole ancilla register."""
 
     def test_lcu_build_at_d1024(self):
         unitary = synth_unitary(1024, 0.5, 1)
@@ -151,3 +194,11 @@ class TestAllocation:
         one = _traced_peak_mib(lambda: reflection_error(refl, unitary, 1, 5))
         ten = _traced_peak_mib(lambda: reflection_error(refl, unitary, 10, 5))
         assert ten <= 1.5 * one
+
+    def test_pea_verification_at_d8(self):
+        # two columns of 2^(n' + s) = 2^8 amplitudes; the dense column of
+        # A would be 2^23
+        unitary = synth_unitary(8, 0.5, 7)
+        refl = build_pea_reflector(unitary, 1e-2)
+        peak = _traced_peak_mib(lambda: reflection_error(refl, unitary, 3, 5))
+        assert peak <= 4

@@ -310,9 +310,7 @@ class TestGapEdge:
         # and is attained on eigenvector argmax
         unitary = self._edge_unitary()
         refl = build_reflector(unitary, eps)
-        miss = eigen_profile(refl.a, refl.n_ancilla)
-        miss[0] -= np.where(np.arange(8) == 0, 1.0, -1.0)
-        per_eigenvector = np.linalg.norm(miss, axis=0)
+        per_eigenvector = refl.eigen_errors()
         worst = per_eigenvector.max()
         assert worst <= 10 * eps
         for seed in range(3):
