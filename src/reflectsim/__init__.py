@@ -4,9 +4,11 @@ Two routes to ||A |0>|xi> - |0> R_psi0 |xi>|| <= eps: repeated phase
 estimation, and a Gaussian linear combination of unitary powers amplified
 by two rounds of oblivious amplitude amplification. Both are simulated
 in U's eigenbasis and verified against the exact rank-one reflection, with
-resource ledgers for ancilla, query and gate counts. The LCU route
-simulates one column of its whole register; the PEA route one block of
-n' + s qubits, since its q registers stay a product state.
+resource ledgers for ancilla, query and gate counts. The LCU route is
+verified in the two-dimensional subspace that oblivious amplitude
+amplification keeps, from the scalar <0|W|0> on each eigenvector; the PEA
+route from one block of n' + s qubits, since its q registers stay a
+product state.
 """
 
 from .core_sim import (

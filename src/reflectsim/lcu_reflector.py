@@ -5,30 +5,32 @@ data qubits. select applies U^(l - L) when the header is |00> (l the data
 value), and the header-conditioned signs via Z on the second header qubit.
 A = W R W' R W R W' R W amplifies the ancilla-|0> block of W into the
 approximate reflection. Every operator acts on the system register in U's
-eigenbasis (see ``spectral_models``), where select is one diagonal.
+eigenbasis (see ``spectral_models``), where select is one
+``EigenPowersOp``. On eigenvector j the ancilla |0> stays in
+span{|0>, W(lambda_j)|0>}, so A(lambda_j)|0> follows from the scalar
+w_j = <0|W(lambda_j)|0> alone: verification simulates nothing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-import os
 
 import numpy as np
 
 from .core_sim import (
     CircuitOp,
-    DiagonalOp,
-    RegisterLayout,
+    EigenPowersOp,
     ResourceFootprint,
     SequenceOp,
     ZeroReflectionOp,
     adjoint,
     apply_batch,
     random_state,
+    require_memory,
 )
-from .gaussian_kernel import KernelParams, select_params
+from .gaussian_kernel import KernelParams, select_params, trig_poly
 from .spectral_models import EigenUnitary, GroverInstance, exact_reflection
-from .state_prep import BOperator, QftSpec, build_B
+from .state_prep import OAA_ANGLE, BOperator, QftSpec, build_B
 
 DEFAULT_KERNEL_FRACTION = 0.5
 
@@ -65,8 +67,8 @@ class SelectU:
 
 
 def build_select(params: KernelParams, unitary: EigenUnitary) -> SelectU:
-    """select(U-bar) on (m + 2) ancilla plus system qubits, as one diagonal
-    in U's eigenbasis.
+    """select(U-bar) on (m + 2) ancilla plus system qubits, as one
+    ``EigenPowersOp`` in U's eigenbasis.
 
     Header |00> with data l gives exp(i lambda_j (l - L)) on eigenvector j;
     headers |01>, |10>, |11> give the signs -1/+1/-1 of Z on the second
@@ -75,13 +77,13 @@ def build_select(params: KernelParams, unitary: EigenUnitary) -> SelectU:
     bit, 3L - 1 queries in all.
     """
     m, L = params.m, params.L
-    diag = np.empty((4, 2 * L, unitary.dimension), dtype=np.complex128)
-    diag[0] = np.exp(1j * np.outer(np.arange(-L, L), unitary.eigenphases))
-    diag[1], diag[2], diag[3] = -1, 1, -1
+    powers = np.zeros((4, 2 * L), dtype=np.int64)
+    powers[0] = np.arange(-L, L)
+    signs = np.repeat([1.0, -1.0, 1.0, -1.0], 2 * L)
     cost = ResourceFootprint(queries_u=(3 * L - 1) * unitary.step_cost,
                              one_qubit_gates=1)
-    return SelectU(n=m + 2, L=L, unitary=unitary,
-                   op=DiagonalOp(diag.reshape(-1), cost),
+    op = EigenPowersOp(powers.reshape(-1), signs, unitary.eigenphases, cost)
+    return SelectU(n=m + 2, L=L, unitary=unitary, op=op,
                    queries_max_power=L * unitary.step_cost)
 
 
@@ -131,17 +133,40 @@ class ReflectorA:
     system_qubits: int
     qft_spec: QftSpec
 
-    def layout(self) -> RegisterLayout:
-        return RegisterLayout(self.n_ancilla, self.system_qubits)
+    def w_amplitudes(self) -> np.ndarray:
+        """w_j = <0|W(lambda_j)|0> for every eigenvector j, from B's table.
+
+        <0|W|0> = sum_a |b_a|^2 sign_a U^(k_a) with b = B|0>: the body
+        weights |beta_l| / s on U^l and the header weights, whose signs
+        give -beta_L + beta_{L+1} - beta_{L+2}. Here s = 1/sin(pi/10) is
+        the header column's normalisation, not the sum ``self.s``.
+        """
+        betas, L = self.b.beta_magnitudes, self.params.L
+        body = trig_poly(betas[:2 * L], self.select.unitary.eigenphases)
+        header = -betas[2 * L] + betas[2 * L + 1] - betas[2 * L + 2]
+        return (body + header) * math.sin(OAA_ANGLE)
 
     def eigen_errors(self) -> np.ndarray:
         """e_j = ||A(lambda_j)|0> - r_j|0>|| for every eigenvector j, with
-        r = (1, -1, ..., -1), read off ``eigen_profile``."""
-        miss = eigen_profile(self.a, self.n_ancilla)
-        # subtract r_j |0> from column j
-        miss[0, 0] -= 1.0
-        miss[0, 1:] += 1.0
-        return np.sqrt(np.sum(np.abs(miss) ** 2, axis=0))
+        r = (1, -1, ..., -1), from ``oaa_column``."""
+        a0, perp = oaa_column(self.w_amplitudes())
+        r = np.full(a0.shape[0], -1.0)
+        r[0] = 1.0
+        return np.sqrt(np.abs(a0 - r) ** 2 + perp ** 2)
+
+
+def oaa_column(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(<0|A|0>, <perp|A|0>) on each eigenvector, from its w = <0|W|0>,
+    for A = W R W' R W R W' R W; A|0> has no other component.
+
+    In the basis (|0>, |perp>) of span{|0>, W|0>}, W|0> = (w, c) with
+    c = sqrt(1 - x), x = |w|^2, and W R W' R is
+    [[2x - 1, -2wc], [2 conj(w) c, 2x - 1]]. Its square sends (w, c) to
+    (w (16x^2 - 20x + 5), c (16x^2 - 12x + 1)).
+    """
+    x = np.abs(w) ** 2
+    return (w * (16 * x ** 2 - 20 * x + 5),
+            np.sqrt(1 - x) * (16 * x ** 2 - 12 * x + 1))
 
 
 def build_A(w: CircuitOp, r: CircuitOp, n_ancilla: int) -> CircuitOp:
@@ -182,9 +207,6 @@ def build_reflector(unitary: EigenUnitary, eps: float, *,
     the error budget split by ``lcu_budget``."""
     system_qubits = unitary.system_qubits
     params, spec = lcu_budget(eps, unitary.gap, c, kernel_fraction, exact_qft)
-    # refuse before anything 2^(n + s)-sized exists: the select diagonal
-    # alone is 16 B per amplitude, and W' copies it
-    require_memory(params.m + 2 + system_qubits)
     b = build_B(params, spec)
     sel = build_select(params, unitary)
     w = build_W(b, sel)
@@ -201,35 +223,12 @@ def build_reflector(unitary: EigenUnitary, eps: float, *,
 # block extraction and verification
 
 
-# apply keeps the input, a moved copy and each step's output alive: a
-# reflect pea --dim 8 verification peaked at 7.3x its 128 MiB state
-WORKING_COPIES = 7.3
-
-
-def working_set_bytes(total_qubits: int) -> float:
-    """Estimated peak memory of simulating one state of ``total_qubits``
-    qubits."""
-    return 16 * (1 << total_qubits) * WORKING_COPIES
-
-
-def require_memory(total_qubits: int) -> None:
-    """Raise ValueError, with the GiB needed, when simulating one state of
-    ``total_qubits`` qubits would not fit in physical memory."""
-    need = working_set_bytes(total_qubits)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"simulating a state of {total_qubits} qubits needs "
-            f"about {need / 2 ** 30:.1f} GiB, more than the "
-            f"{have / 2 ** 30:.1f} GiB of physical memory")
-
-
 def eigen_profile(op: CircuitOp, n_ancilla: int) -> np.ndarray:
     """op(lambda_j)|0> for every eigenvector j, from one simulated column.
 
     Precondition: op touches the system register only through
-    whole-register ``DiagonalOp``s in U's eigenbasis, as every tree the
-    builders make does. Then op = sum_j op(lambda_j) (x) |e_j><e_j|, and
+    whole-register ``EigenPowersOp``s, as every tree the builders make
+    does. Then op = sum_j op(lambda_j) (x) |e_j><e_j|, and
     op |0>(sum_j |e_j>) holds all D ancilla blocks at once. Returns that
     column, after ``require_memory``, as a (2^n_ancilla, D) array whose
     column j is op(lambda_j)|0>.
@@ -241,9 +240,9 @@ def eigen_profile(op: CircuitOp, n_ancilla: int) -> np.ndarray:
     return apply_batch(op, lifted, op.num_qubits).reshape(1 << n_ancilla, d)
 
 
-def oaa_expansion_check(w: CircuitOp, r: CircuitOp, layout: RegisterLayout,
+def oaa_expansion_check(w: CircuitOp, r: CircuitOp, n_ancilla: int,
                         s: float) -> dict:
-    """Compare PAP against the exact three-term expansion.
+    """Compare PAP, simulated densely, against ``oaa_column``.
 
     Returns the max-norm mismatch of
     P A P = 5 PWP - 20 PWPW'PWP + 16 PWPW'PWPW'PWP
@@ -252,12 +251,11 @@ def oaa_expansion_check(w: CircuitOp, r: CircuitOp, layout: RegisterLayout,
     blocks are diagonal in U's eigenbasis, so the products are elementwise
     on row 0 of the profiles.
     """
-    a = build_A(w, r, layout.ancilla_qubits)
-    m_w = eigen_profile(w, layout.ancilla_qubits)[0]
-    m_a = eigen_profile(a, layout.ancilla_qubits)[0]
+    a = build_A(w, r, n_ancilla)
+    m_w = eigen_profile(w, n_ancilla)[0]
+    m_a = eigen_profile(a, n_ancilla)[0]
     weight = np.abs(m_w) ** 2
-    rhs = m_w * (5 - 20 * weight + 16 * weight ** 2)
-    expansion = float(np.abs(m_a - rhs).max())
+    expansion = float(np.abs(m_a - oaa_column(m_w)[0]).max())
 
     x = 1 / s
     coeff = abs(1 - 5 * x + 20 * x ** 3 - 16 * x ** 5)
@@ -305,10 +303,10 @@ def grover_step(inst: GroverInstance, eps: float):
     """
     s_defect = abs(inst.s_state @ (exact_reflection(inst.unitary) @ inst.s_state))
     refl = build_reflector(inst.unitary, eps)
-    profile = eigen_profile(refl.a, refl.n_ancilla)
+    a0, _ = oaa_column(refl.w_amplitudes())
     # back to the computational basis for the marked amplitude
     hit = inst.unitary.eigenbasis[inst.marked] @ (
-        profile[0] * inst.unitary.to_eigenbasis(inst.s_state))
+        a0 * inst.unitary.to_eigenbasis(inst.s_state))
     nu = 1 - abs(hit) ** 2
     envelope = 4 * (1 / math.sqrt(inst.dimension) + 10 * eps) ** 2
     return s_defect, nu, envelope, refl

@@ -16,8 +16,7 @@ import numpy as np
 
 from .core_sim import (
     CircuitOp,
-    DiagonalOp,
-    RegisterLayout,
+    EigenPowersOp,
     ResourceFootprint,
     SequenceOp,
     adjoint,
@@ -70,9 +69,9 @@ def pea_block(unitary: EigenUnitary, n_prime: int,
     """One phase-estimation register: Hadamards, the controlled U^(2^j)
     ladder, then the inverse QFT.
 
-    In U's eigenbasis the ladder is one diagonal, exp(i a lambda_j) on
-    ancilla value a and eigenvector j, charging the 2^n' - 1 queries of its
-    legs. The ancilla-local layers (the Hadamard wall and the inverse QFT)
+    In U's eigenbasis the ladder is one ``EigenPowersOp``, exp(i a lambda_j)
+    on ancilla value a and eigenvector j, charging the 2^n' - 1 queries of
+    its legs. The ancilla-local layers (the Hadamard wall and the inverse QFT)
     are collapsed to dense matrices when narrow enough; this changes nothing
     semantically, halves the cost of verifying a block, and keeps the dense
     whole-register reference simulation affordable.
@@ -86,9 +85,8 @@ def pea_block(unitary: EigenUnitary, n_prime: int,
     if n_prime <= 10:
         h_wall = densify(h_wall)
         iqft = densify(iqft)
-    ladder = DiagonalOp(
-        np.exp(1j * np.outer(np.arange(1 << n_prime), unitary.eigenphases))
-        .reshape(-1),
+    ladder = EigenPowersOp(
+        np.arange(1 << n_prime), np.ones(1 << n_prime), unitary.eigenphases,
         ResourceFootprint(queries_u=((1 << n_prime) - 1) * unitary.step_cost))
     return SequenceOp(total, [(h_wall, anc), (ladder, tuple(range(total))),
                               (iqft, anc)])
@@ -130,9 +128,6 @@ class PeaReflector:
     n_ancilla: int
     system_qubits: int
     ledger: ResourceFootprint
-
-    def layout(self) -> RegisterLayout:
-        return RegisterLayout(self.n_ancilla, self.system_qubits)
 
     def eigen_errors(self) -> np.ndarray:
         """e_j = ||A(lambda_j)|0> - r_j|0>|| for every eigenvector j, with

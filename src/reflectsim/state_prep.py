@@ -26,6 +26,7 @@ from .core_sim import (
     hadamard,
     pauli_x,
     pauli_z,
+    require_memory,
     swap_gate,
 )
 from .gaussian_kernel import KernelParams, phi_amplitudes
@@ -272,7 +273,8 @@ def build_B_hat(params: KernelParams, spec: QftSpec) -> CircuitOp:
 
 
 def bhat_state(params: KernelParams, spec: QftSpec) -> np.ndarray:
-    """Amplitudes of B-hat |0...0>."""
+    """Amplitudes of B-hat |0...0>, after ``require_memory``."""
+    require_memory(params.m)
     op = build_B_hat(params, spec)
     return apply(op, StateVector.computational(params.m)).amplitudes.copy()
 

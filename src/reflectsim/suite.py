@@ -14,7 +14,6 @@ import numpy as np
 
 from . import accounting
 from .core_sim import (
-    RegisterLayout,
     StateVector,
     apply,
     op_matrix,
@@ -201,8 +200,7 @@ def check_oaa_algebra() -> CheckResult:
     t0 = time.perf_counter()
     unitary = _instance()
     refl = build_reflector(unitary, 1e-2, c=KERNEL_C)
-    layout = RegisterLayout(refl.n_ancilla, refl.system_qubits)
-    stats = oaa_expansion_check(refl.w, refl.r, layout, refl.s)
+    stats = oaa_expansion_check(refl.w, refl.r, refl.n_ancilla, refl.s)
     s_defect = abs(refl.s - 1 / math.sin(OAA_ANGLE))
     x = math.sin(OAA_ANGLE)
     cheb = abs(5 * x - 20 * x ** 3 + 16 * x ** 5 - 1.0)

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from reflectsim.core_sim import apply_batch
+from reflectsim.spectral_models import EigenUnitary, synth_unitary
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -109,3 +110,13 @@ def lifted_action(op, n_ancilla: int, columns: np.ndarray) -> np.ndarray:
     lifted = np.zeros((d << n_ancilla, columns.shape[1]), dtype=np.complex128)
     lifted[:d] = columns
     return apply_batch(op, lifted, op.num_qubits)
+
+
+def gap_edge_unitary() -> EigenUnitary:
+    """D = 8, gap 0.5, with eigenphases exactly at +-gap, where the kernel
+    is largest: errors there measure the construction rather than
+    roundoff."""
+    base = synth_unitary(8, 0.5, seed=7)
+    phases = base.eigenphases.copy()
+    phases[1], phases[2] = 0.5, 2 * math.pi - 0.5
+    return EigenUnitary(8, phases, base.eigenbasis, 0.5)

@@ -8,11 +8,9 @@ import tracemalloc
 
 import pytest
 
-import reflectsim.cli as cli
 import reflectsim.suite as suite_mod
 from reflectsim.cli import run
-from reflectsim.lcu_reflector import working_set_bytes
-from reflectsim.spectral_models import synth_unitary
+from reflectsim.core_sim import working_set_bytes
 from reflectsim.suite import CheckResult
 
 
@@ -20,6 +18,32 @@ def _capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _traced(argv):
+    """(exit code, tracemalloc peak in bytes) of one run."""
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _skip_unless_oversized():
+    # gap 1e-7 gives m = 30 data qubits, so B|0> alone is 2^30 amplitudes
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if working_set_bytes(30) <= physical:
+        pytest.skip("this machine could hold the 2^30-amplitude state")
+
+
+def _assert_refused(capsys, argv):
+    code, peak = _traced(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "GiB" in captured.err
+    assert peak <= 4 * 2 ** 20
 
 
 class TestKernelCommand:
@@ -57,6 +81,10 @@ class TestPrepCommand:
         assert report["chain_error"] <= report["chain_bound"]
         assert "beta_table" in report
 
+    def test_oversized_prep_refused(self, capsys):
+        _skip_unless_oversized()
+        _assert_refused(capsys, ["prep", "--eps", "1e-2", "--gap", "1e-7"])
+
 
 class TestReflectCommand:
     def test_lcu_small(self, capsys):
@@ -85,28 +113,23 @@ class TestReflectCommand:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
-    def test_oversized_run_refused(self, capsys, monkeypatch):
-        # lcu at D = 1024, gap 1e-3 has L = 65536 and 19 ancilla, so
-        # 2^29 amplitudes per column; its select diagonal alone is 8 GiB
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if working_set_bytes(29) <= physical:
-            pytest.skip("this machine could hold the 2^29-amplitude state")
-        # build the instance outside the traced window: drawing the
-        # 1024 x 1024 Haar eigenbasis alone peaks at about 96 MiB
-        unitary = synth_unitary(1024, 1e-3, 7)
-        monkeypatch.setattr(cli, "synth_unitary", lambda *args: unitary)
-        tracemalloc.start()
-        try:
-            code = run(["reflect", "lcu", "--dim", "1024", "--gap", "1e-3",
-                        "--eps", "1e-2"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert "GiB" in captured.err
-        assert peak <= 4 * 2 ** 20
+    def test_oversized_run_refused(self, capsys):
+        # the refusal comes from B|0> on the 30 data qubits; the system
+        # register is never simulated
+        _skip_unless_oversized()
+        _assert_refused(capsys, ["reflect", "lcu", "--dim", "2", "--gap",
+                                 "1e-7", "--eps", "1e-2"])
+
+    def test_lcu_wide_register(self, capsys):
+        # 19 ancilla: the dense column would be 2^22 amplitudes, but only
+        # B|0> on 17 data qubits is simulated
+        code, peak = _traced(["reflect", "lcu", "--dim", "8", "--gap", "1e-3",
+                              "--eps", "1e-2"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["passed"] is True
+        assert report["n_ancilla"] == 19
+        assert peak <= 64 * 2 ** 20
 
     def test_pea_beyond_dense_simulation(self, capsys):
         # 30 ancilla plus 3 system qubits: a dense column would be 2^33

@@ -8,6 +8,7 @@ from reflectsim.core_sim import (
     ControlledOp,
     DenseOp,
     DiagonalOp,
+    EigenPowersOp,
     PermutationOp,
     RegisterLayout,
     ResourceFootprint,
@@ -210,6 +211,22 @@ class TestOperatorKinds:
         with pytest.raises(ValueError):
             DiagonalOp(np.array([1.0, 0.5]))
 
+    def test_eigen_powers_match_their_diagonal(self):
+        powers, signs = np.array([3, -2, 0, 5]), np.array([1, -1, -1, 1])
+        phases = np.array([0.0, 0.4, 2.1, 5.0])
+        op = EigenPowersOp(powers, signs, phases)
+        assert op.num_qubits == 4
+        want = (signs[:, None] * np.exp(1j * np.outer(powers, phases))).ravel()
+        assert np.abs(op_matrix(op) - np.diag(want)).max() < 1e-15
+
+    def test_eigen_powers_reject_bad_tables(self):
+        with pytest.raises(ValueError):
+            EigenPowersOp(np.arange(3), np.ones(3), np.zeros(2))
+        with pytest.raises(ValueError):
+            EigenPowersOp(np.arange(2), np.ones(2), np.zeros(3))
+        with pytest.raises(ValueError):
+            EigenPowersOp(np.arange(2), np.array([1.0, 0.5]), np.zeros(2))
+
     def test_permutation_rejects_nonbijection(self):
         with pytest.raises(ValueError):
             PermutationOp(np.array([0, 0]))
@@ -255,11 +272,20 @@ class TestAdjoint:
         lambda: phase_gate(0.3), lambda: ry(1.2), lambda: cphase(0.9),
         lambda: SequenceOp(2, [(hadamard(), (0,)), (cnot(), (0, 1))]),
         lambda: ControlledOp(ry(0.4), 1, 1),
+        lambda: EigenPowersOp(np.array([1, -3]), np.array([-1, 1]),
+                              np.array([0.0, 1.3])),
     ])
     def test_adjoint_inverts(self, op_factory):
         op = op_factory()
         mat = op_matrix(op) @ op_matrix(adjoint(op))
         assert np.abs(mat - np.eye(op.dim)).max() < 1e-12
+
+    def test_eigen_powers_adjoint_negates_powers(self):
+        op = EigenPowersOp(np.array([2, -1]), np.array([1, -1]),
+                           np.array([0.0, 0.7]))
+        inv = adjoint(op)
+        assert np.array_equal(inv.powers, [-2, 1])
+        assert np.array_equal(inv.signs, op.signs)
 
     def test_adjoint_preserves_footprint(self):
         seq = SequenceOp(2, [(hadamard(), (0,)), (cnot(), (0, 1))])

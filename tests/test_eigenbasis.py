@@ -11,7 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import in_eigenbasis, lifted_action, pea_zero_amplitude
+from oracles import (
+    gap_edge_unitary,
+    in_eigenbasis,
+    lifted_action,
+    pea_zero_amplitude,
+)
 from reflectsim.core_sim import DenseOp, apply_batch
 from reflectsim.gaussian_kernel import select_params
 from reflectsim.lcu_reflector import (
@@ -21,6 +26,7 @@ from reflectsim.lcu_reflector import (
     build_select,
     build_W,
     eigen_profile,
+    oaa_column,
     reflection_error,
 )
 from reflectsim.pea_reflector import build_pea_reflector, pea_block
@@ -125,10 +131,33 @@ class TestBlockDiagonality:
 
 def _dense_eigen_errors(refl) -> np.ndarray:
     """||A(lambda_j)|0> - r_j|0>|| for every j, read off the dense column
-    of the whole 2^(q n' + s) register."""
+    of the whole 2^(n + s) register."""
     miss = eigen_profile(refl.a, refl.n_ancilla)
     miss[0] -= np.where(np.arange(miss.shape[1]) == 0, 1.0, -1.0)
     return np.linalg.norm(miss, axis=0)
+
+
+class TestLcuEigenErrors:
+    """The subspace misses of the LCU reflector, read off B's table,
+    against the dense column of A."""
+
+    @staticmethod
+    def _assert_matches_dense(refl):
+        dense_a0 = eigen_profile(refl.a, refl.n_ancilla)[0]
+        a0, _ = oaa_column(refl.w_amplitudes())
+        assert np.abs(a0 - dense_a0).max() <= 1e-13
+        assert np.abs(refl.eigen_errors()
+                      - _dense_eigen_errors(refl)).max() <= 1e-13
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("eps", (0.2, 1e-2, 1e-3))
+    def test_matches_dense_column(self, dim, eps):
+        unitary = synth_unitary(dim, 0.5, seed=dim)
+        self._assert_matches_dense(build_reflector(unitary, eps))
+
+    @pytest.mark.parametrize("eps", (1e-2, 1e-3))
+    def test_matches_dense_column_on_gap_edge(self, eps):
+        self._assert_matches_dense(build_reflector(gap_edge_unitary(), eps))
 
 
 QFTS = pytest.mark.parametrize("exact_qft", [True, False],
@@ -175,13 +204,22 @@ def _traced_peak_mib(build) -> float:
 
 
 class TestAllocation:
-    """No D x D power matrix and no 2^n diagonal for R: what a build
-    allocates is the select diagonal and the ancilla-local layers. PEA
-    verification simulates one block, never the whole ancilla register."""
+    """No D x D power matrix, no 2^n diagonal for R and no 2^(n + s)
+    diagonal for select or the PEA ladder: what a build allocates is
+    B|0> and the ancilla-local layers. LCU verification reads B's table
+    and the eigenphases; PEA verification simulates one block, never the
+    whole ancilla register."""
 
     def test_lcu_build_at_d1024(self):
         unitary = synth_unitary(1024, 0.5, 1)
         assert _traced_peak_mib(lambda: build_reflector(unitary, 1e-2)) <= 64
+
+    def test_lcu_build_and_verify_at_d1024(self):
+        # the dense column of A would be 2^(12 + 10) amplitudes
+        unitary = synth_unitary(1024, 0.5, 1)
+        peak = _traced_peak_mib(lambda: reflection_error(
+            build_reflector(unitary, 1e-2), unitary, 10, 5))
+        assert peak <= 16
 
     def test_pea_build_at_d8(self):
         unitary = synth_unitary(8, 0.5, 7)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import in_eigenbasis, unit_vector
+from oracles import gap_edge_unitary, in_eigenbasis, unit_vector
 from reflectsim.core_sim import (
     DenseOp,
     RegisterLayout,
@@ -13,6 +13,7 @@ from reflectsim.core_sim import (
     op_matrix,
     project_ancilla_zero,
     unitarity_defect,
+    working_set_bytes,
 )
 from reflectsim.gaussian_kernel import alpha_coeffs, select_params
 from reflectsim.lcu_reflector import (
@@ -22,12 +23,12 @@ from reflectsim.lcu_reflector import (
     build_select,
     build_W,
     eigen_profile,
+    grover_step,
     mcx_two_qubit_cost,
     oaa_expansion_check,
     reflection_error,
-    working_set_bytes,
 )
-from reflectsim.spectral_models import EigenUnitary, exact_reflection, synth_unitary
+from reflectsim.spectral_models import exact_reflection, grover_unitary, synth_unitary
 from reflectsim.state_prep import OAA_ANGLE, QftSpec, build_B
 
 
@@ -228,8 +229,7 @@ class TestA:
 class TestOaaExpansion:
     def test_expansion_and_coefficients(self, medium):
         unitary, refl = medium
-        layout = RegisterLayout(refl.n_ancilla, refl.system_qubits)
-        stats = oaa_expansion_check(refl.w, refl.r, layout, refl.s)
+        stats = oaa_expansion_check(refl.w, refl.r, refl.n_ancilla, refl.s)
         assert stats["expansion_maxnorm"] <= 1e-10
         assert stats["coefficient_defect"] <= 10 * 1e-2
         assert stats["rtilde_unitarity"] <= 10 * 1e-2
@@ -290,16 +290,9 @@ class TestGapEdge:
     """Eigenphases exactly at +-gap, where the kernel is largest: errors
     there measure the construction rather than roundoff."""
 
-    @staticmethod
-    def _edge_unitary():
-        base = synth_unitary(8, 0.5, seed=7)
-        phases = base.eigenphases.copy()
-        phases[1], phases[2] = 0.5, 2 * math.pi - 0.5
-        return EigenUnitary(8, phases, base.eigenbasis, 0.5)
-
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])
     def test_edge_eigenvectors_within_bound(self, eps):
-        unitary = self._edge_unitary()
+        unitary = gap_edge_unitary()
         refl = build_reflector(unitary, eps)
         states = [unitary.eigenbasis[:, j] for j in (0, 1, 2)]
         assert reflection_error(refl, unitary, 0, 0, states=states) <= 10 * eps
@@ -308,7 +301,7 @@ class TestGapEdge:
     def test_exact_worst_case(self, eps):
         # max_j ||A(lambda_j)|0> - r_j|0>|| bounds every input |0>|xi>
         # and is attained on eigenvector argmax
-        unitary = self._edge_unitary()
+        unitary = gap_edge_unitary()
         refl = build_reflector(unitary, eps)
         per_eigenvector = refl.eigen_errors()
         worst = per_eigenvector.max()
@@ -339,6 +332,15 @@ class TestMemoryPreflight:
         short = np.ones(unitary.dimension // 2) / 2
         with pytest.raises(ValueError, match="system dimension"):
             reflection_error(refl, unitary, 0, 0, states=[short])
+
+
+class TestGroverStep:
+    @pytest.mark.parametrize("dim", [16, 64])
+    def test_nu_matches_exact_reflection(self, dim):
+        inst = grover_unitary(dim, marked=3)
+        _, nu, _, _ = grover_step(inst, 0.02)
+        hit = (exact_reflection(inst.unitary) @ inst.s_state)[inst.marked]
+        assert nu == pytest.approx(1 - abs(hit) ** 2, rel=0, abs=1e-13)
 
 
 class TestReflectorLedger:

@@ -157,7 +157,7 @@ class TestAPea:
     def test_exact_qft_fixes_target(self, setup):
         u, eps, _ = setup
         refl = build_pea_reflector(u, eps, exact_qft=True)
-        layout = refl.layout()
+        layout = RegisterLayout(refl.n_ancilla, refl.system_qubits)
         state = embed_system(unit_vector(8, 0), layout)
         out = apply(refl.a, state)
         assert np.linalg.norm(out.amplitudes - state.amplitudes) <= 1e-10
@@ -165,14 +165,14 @@ class TestAPea:
     def test_truncated_qft_still_fixes_target(self, setup):
         # dropped controlled phases act on |0> controls: exact invariance
         u, eps, refl = setup
-        layout = refl.layout()
+        layout = RegisterLayout(refl.n_ancilla, refl.system_qubits)
         state = embed_system(unit_vector(8, 0), layout)
         out = apply(refl.a, state)
         assert np.linalg.norm(out.amplitudes - state.amplitudes) <= 1e-10
 
     def test_gapped_expectation_value(self, setup):
         u, eps, refl = setup
-        layout = refl.layout()
+        layout = RegisterLayout(refl.n_ancilla, refl.system_qubits)
         j = 4
         spec = refl.qft_spec
         p_single = block_leakage(u, refl.params.n_prime, spec)[j]

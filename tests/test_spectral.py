@@ -63,7 +63,8 @@ def _ladder(unitary, n_prime):
 
 class TestPowers:
     """power_matrix is the computational-basis reference; the reflectors
-    apply powers as eigenbasis diagonals that charge the cascade's queries."""
+    apply powers as lazily phased eigenbasis diagonals (``EigenPowersOp``)
+    that charge the cascade's queries."""
 
     def test_zero_power_identity_and_free(self):
         u = synth_unitary(4, 0.5, seed=2)
@@ -73,7 +74,10 @@ class TestPowers:
         params = select_params(0.2, 1.5)
         sel = build_select(params, u)
         L, d = params.L, u.dimension
-        assert np.array_equal(sel.op.diagonal[L * d:(L + 1) * d], np.ones(d))
+        cols = np.zeros((sel.op.dim, d), dtype=complex)
+        cols[L * d:(L + 1) * d] = np.eye(d)
+        out = apply_batch(sel.op, cols, sel.op.num_qubits)
+        assert np.array_equal(out, cols)
         assert sel.footprint.queries_u == 3 * L - 1
 
     def test_eigen_relation(self):
