@@ -13,15 +13,10 @@ product state.
 
 from .core_sim import (
     CircuitOp,
-    RegisterLayout,
     ResourceFootprint,
-    StateVector,
     adjoint,
-    apply,
-    distance,
-    inner,
+    apply_batch,
     op_matrix,
-    project_ancilla_zero,
     unitarity_defect,
 )
 from .gaussian_kernel import (

@@ -1,9 +1,12 @@
 """Dense statevector simulation substrate.
 
-Registers, operator kinds, gate application, inner products, projections.
+Operator kinds with their declared footprints, one entry point that applies
+an operator to column arrays (``apply_batch``), and the memory preflight.
 
 Conventions used by every module in this package:
 
+* a state is a complex (2**n, batch) array of column vectors; there is no
+  separate state type;
 * qubit 0 is the **most significant** index bit of a register;
 * ancilla qubits occupy the most-significant block, the system the least;
 * sequences list their members in application (time) order, so the matrix
@@ -55,17 +58,6 @@ class ResourceFootprint:
 
     __add__ = merge
 
-    def times(self, k: int) -> "ResourceFootprint":
-        if k < 0:
-            raise ValueError("repetition count must be non-negative")
-        return ResourceFootprint(
-            queries_u=self.queries_u * k,
-            two_qubit_gates=self.two_qubit_gates * k,
-            one_qubit_gates=self.one_qubit_gates * k,
-            ancilla_qubits=self.ancilla_qubits,
-            modeled=self.modeled,
-        )
-
     def as_dict(self) -> dict:
         return {
             "queries_u": self.queries_u,
@@ -80,107 +72,14 @@ ZERO_COST = ResourceFootprint()
 
 
 # ---------------------------------------------------------------------------
-# states and registers
+# states and operator kinds
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Complex amplitudes over a fixed qubit register.
-
-    Instances are immutable; the amplitude buffer is copied in and marked
-    read-only. Norm is not forced to 1 here because projections legitimately
-    return sub-normalized vectors; unitary application preserves norms.
-    """
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be >= 1")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << self.num_qubits,):
-            raise ValueError(
-                f"amplitude length {amps.shape} does not match 2**{self.num_qubits}"
-            )
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
-    @classmethod
-    def computational(cls, num_qubits: int, index: int = 0) -> "StateVector":
-        if not 0 <= index < (1 << num_qubits):
-            raise ValueError("basis index out of range")
-        amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(num_qubits, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Ancilla/system split: ancilla are the most-significant index bits."""
-
-    ancilla_qubits: int
-    system_qubits: int
-
-    def __post_init__(self):
-        if self.ancilla_qubits < 0:
-            raise ValueError("ancilla_qubits must be >= 0")
-        if self.system_qubits < 1:
-            raise ValueError("system_qubits must be >= 1")
-
-    @property
-    def total_qubits(self) -> int:
-        return self.ancilla_qubits + self.system_qubits
-
-    @property
-    def system_dim(self) -> int:
-        return 1 << self.system_qubits
-
-    @property
-    def ancilla_dim(self) -> int:
-        return 1 << self.ancilla_qubits
-
-    def index(self, ancilla_index: int, system_index: int) -> int:
-        """Basis index of |ancilla_index>|system_index>."""
-        if not 0 <= ancilla_index < self.ancilla_dim:
-            raise ValueError("ancilla index out of range")
-        if not 0 <= system_index < self.system_dim:
-            raise ValueError("system index out of range")
-        return (ancilla_index << self.system_qubits) | system_index
-
-    def split(self, index: int) -> tuple[int, int]:
-        return index >> self.system_qubits, index & (self.system_dim - 1)
-
-
-def embed_system(system_amplitudes: np.ndarray, layout: RegisterLayout,
-                 ancilla_index: int = 0) -> StateVector:
-    """Lift a system vector to the full register with a fixed ancilla state."""
-    sys_amps = np.asarray(system_amplitudes, dtype=np.complex128)
-    if sys_amps.shape != (layout.system_dim,):
-        raise ValueError("system amplitude length does not match layout")
-    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
-    base = layout.index(ancilla_index, 0)
-    amps[base:base + layout.system_dim] = sys_amps
-    return StateVector(layout.total_qubits, amps)
-
-
-def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
-    """Haar-random pure state (normalized complex Gaussian vector)."""
+def random_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random pure state: a normalized complex Gaussian vector."""
     dim = 1 << num_qubits
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector(num_qubits, v / np.linalg.norm(v))
-
-
-# ---------------------------------------------------------------------------
-# operator kinds
+    return v / np.linalg.norm(v)
 
 
 class CircuitOp:
@@ -374,18 +273,6 @@ def _check_targets(op: CircuitOp, num_qubits: int, targets) -> tuple:
     return tg
 
 
-def _embed_transform(op: CircuitOp, block: np.ndarray, num_qubits: int,
-                     targets: tuple) -> np.ndarray:
-    """Apply op at the given qubit positions of a (2**num_qubits, batch) block."""
-    k = op.num_qubits
-    batch = block.shape[1]
-    if k == num_qubits and targets == tuple(range(num_qubits)):
-        return op._transform(block)
-    tensor = block.reshape((2,) * num_qubits + (batch,))
-    tensor = _embed_tensor(op, tensor, num_qubits, targets)
-    return np.ascontiguousarray(tensor).reshape(1 << num_qubits, batch)
-
-
 def _embed_tensor(op: CircuitOp, tensor: np.ndarray, num_qubits: int,
                   targets: tuple) -> np.ndarray:
     """Tensor-form embedding: input and output have shape (2,)*n + (batch,);
@@ -402,53 +289,23 @@ def _embed_tensor(op: CircuitOp, tensor: np.ndarray, num_qubits: int,
 # application and metrics
 
 
-def apply(op: CircuitOp, state: StateVector, targets=None) -> StateVector:
-    """Return op|state> with op embedded at the given target qubits.
+def apply_batch(op: CircuitOp, columns: np.ndarray, num_qubits: int,
+                targets=None) -> np.ndarray:
+    """Return op applied to every column of a (2**num_qubits, batch) array.
+    The input is never written.
 
     targets[i] is the register qubit carrying op's qubit i (op's most
     significant qubit first). Defaults to the whole register.
     """
-    tg = _check_targets(op, state.num_qubits, targets)
-    block = state.amplitudes.reshape(-1, 1)
-    out = _embed_transform(op, block, state.num_qubits, tg)
-    return StateVector(state.num_qubits, out[:, 0])
-
-
-def apply_batch(op: CircuitOp, columns: np.ndarray, num_qubits: int,
-                targets=None) -> np.ndarray:
-    """Apply op to many column vectors at once; returns the new columns."""
     tg = _check_targets(op, num_qubits, targets)
     cols = np.asarray(columns, dtype=np.complex128)
     if cols.ndim != 2 or cols.shape[0] != (1 << num_qubits):
         raise ValueError("columns must be a (2**num_qubits, batch) array")
-    return _embed_transform(op, cols, num_qubits, tg)
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("dimension mismatch")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def distance(a: StateVector, b: StateVector) -> float:
-    """Euclidean norm ||a - b||."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("dimension mismatch")
-    return float(np.linalg.norm(a.amplitudes - b.amplitudes))
-
-
-def project_ancilla_zero(state: StateVector, layout: RegisterLayout
-                         ) -> tuple[StateVector, float]:
-    """(P|state>, weight) for P = |0><0| on the ancilla block, identity on
-    the system. The returned vector is deliberately not renormalized."""
-    if layout.total_qubits != state.num_qubits:
-        raise ValueError("layout does not match state")
-    amps = np.zeros_like(state.amplitudes)
-    d = layout.system_dim
-    amps[:d] = state.amplitudes[:d]
-    weight = float(np.sum(np.abs(amps[:d]) ** 2))
-    return StateVector(state.num_qubits, amps), weight
+    if tg == tuple(range(num_qubits)):
+        return op._transform(cols)
+    tensor = cols.reshape((2,) * num_qubits + (cols.shape[1],))
+    tensor = _embed_tensor(op, tensor, num_qubits, tg)
+    return np.ascontiguousarray(tensor).reshape(cols.shape)
 
 
 def op_matrix(op: CircuitOp) -> np.ndarray:
@@ -456,13 +313,11 @@ def op_matrix(op: CircuitOp) -> np.ndarray:
     return op._transform(np.eye(op.dim, dtype=np.complex128))
 
 
-def densify(op: CircuitOp, max_qubits: int = 10) -> DenseOp:
+def densify(op: CircuitOp) -> DenseOp:
     """Collapse a narrow operator to one dense matrix with the same
     footprint. Purely a simulation speedup: the matrix is the exact product
     of the member gates, so semantics (including any QFT truncation) are
     unchanged."""
-    if op.num_qubits > max_qubits:
-        raise ValueError("operator too wide to densify")
     return DenseOp(op_matrix(op), op.footprint)
 
 
@@ -512,7 +367,7 @@ def audit_footprint(op: CircuitOp) -> ResourceFootprint:
 # memory preflight
 
 
-# apply keeps the input, a moved copy and each step's output alive: a
+# apply_batch keeps the input, a moved copy and each step's output alive: a
 # dense reflect pea --dim 8 verification peaked at 7.3x its 128 MiB state
 WORKING_COPIES = 7.3
 
@@ -554,10 +409,6 @@ def pauli_x() -> CircuitOp:
 
 def pauli_z() -> CircuitOp:
     return DiagonalOp(np.array([1.0, -1.0]), _ONE_Q)
-
-
-def phase_gate(angle: float) -> CircuitOp:
-    return DiagonalOp(np.array([1.0, np.exp(1j * angle)]), _ONE_Q)
 
 
 def ry(theta: float) -> CircuitOp:

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .core_sim import require_memory
+
 DEFAULT_C = 40.0
 
 # relative slack for float-edge re-validation of the selection inequalities
@@ -36,8 +38,8 @@ class KernelParams:
             raise ValueError("epsilon must lie in (0, 1/5]")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if self.c <= 1:
-            raise ValueError("c must exceed 1")
+        if not 1 < self.c < math.inf:
+            raise ValueError("c must be finite and exceed 1")
         if self.dz <= 0:
             raise ValueError("dz must be positive")
         if self.L != 1 << (self.m - 1):
@@ -71,8 +73,8 @@ def select_params(epsilon: float, delta: float, c: float = DEFAULT_C) -> KernelP
         raise ValueError("epsilon must lie in (0, 1/5]")
     if not 0 < delta <= math.pi:
         raise ValueError("delta must lie in (0, pi]")
-    if c <= 1:
-        raise ValueError("c must exceed 1")
+    if not 1 < c < math.inf:
+        raise ValueError("c must be finite and exceed 1")
 
     dz0 = min(
         math.pi / math.sqrt(math.log(2 * c / epsilon)),
@@ -99,7 +101,8 @@ def select_params(epsilon: float, delta: float, c: float = DEFAULT_C) -> KernelP
 
 def alpha_coeffs(params: KernelParams) -> np.ndarray:
     """alpha_l = (dz/sqrt(2 pi)) exp(-(l dz)^2 / 2) for -L <= l <= L-1,
-    entry l + L."""
+    entry l + L, after ``require_memory`` for the 2L = 2^m entries."""
+    require_memory(params.m)
     ls = np.arange(-params.L, params.L)
     return (params.dz / math.sqrt(2 * math.pi)) * np.exp(-((ls * params.dz) ** 2) / 2)
 

@@ -284,7 +284,7 @@ def reflection_error(reflector, unitary: EigenUnitary, trials: int, seed: int,
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     if states is None:
-        states = [random_state(unitary.system_qubits, rng).amplitudes
+        states = [random_state(unitary.system_qubits, rng)
                   for _ in range(trials)]
     columns = np.stack(states, axis=1)
     if columns.shape[0] != unitary.dimension:

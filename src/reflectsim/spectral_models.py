@@ -9,7 +9,6 @@ enter and leave through ``EigenUnitary.to_eigenbasis`` and ``eigenbasis``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 import math
 
 import numpy as np
@@ -84,37 +83,6 @@ class EigenUnitary:
         """V^H columns: computational-basis system columns in U's
         eigenbasis, without forming V^H."""
         return (columns.T.conj() @ self.eigenbasis).conj().T
-
-    def to_json_dict(self) -> dict:
-        basis = self.eigenbasis
-        return {
-            "dimension": self.dimension,
-            "eigenphases": [float(p) for p in self.eigenphases],
-            "eigenbasis": [
-                [[float(z.real), float(z.imag)] for z in row] for row in basis
-            ],
-            "gap": float(self.gap),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EigenUnitary":
-        basis = np.array(
-            [[complex(re, im) for re, im in row] for row in data["eigenbasis"]],
-            dtype=np.complex128,
-        )
-        return cls(
-            dimension=int(data["dimension"]),
-            eigenphases=np.array(data["eigenphases"], dtype=float),
-            eigenbasis=basis,
-            gap=float(data["gap"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "EigenUnitary":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

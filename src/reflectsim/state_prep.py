@@ -18,9 +18,8 @@ from .core_sim import (
     DenseOp,
     ResourceFootprint,
     SequenceOp,
-    StateVector,
     adjoint,
-    apply,
+    apply_batch,
     cnot,
     cphase,
     hadamard,
@@ -276,7 +275,9 @@ def bhat_state(params: KernelParams, spec: QftSpec) -> np.ndarray:
     """Amplitudes of B-hat |0...0>, after ``require_memory``."""
     require_memory(params.m)
     op = build_B_hat(params, spec)
-    return apply(op, StateVector.computational(params.m)).amplitudes.copy()
+    zero = np.zeros((1 << params.m, 1), dtype=np.complex128)
+    zero[0] = 1.0
+    return apply_batch(op, zero, params.m)[:, 0]
 
 
 def extract_betas(params: KernelParams, spec: QftSpec) -> np.ndarray:

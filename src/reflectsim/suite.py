@@ -13,12 +13,7 @@ import time
 import numpy as np
 
 from . import accounting
-from .core_sim import (
-    StateVector,
-    apply,
-    op_matrix,
-    unitarity_defect,
-)
+from .core_sim import apply_batch, op_matrix, unitarity_defect
 from .gaussian_kernel import (
     alpha_coeffs,
     kernel_sup_on_gap,
@@ -137,7 +132,7 @@ def check_state_prep_chain() -> CheckResult:
             psi = psi_amplitudes(params)
             phi_vec = _centered_phi_vector(params)
             fc = centered_qft(QftSpec.exact_for(params.m))
-            out = apply(fc, StateVector(params.m, phi_vec)).amplitudes
+            out = apply_batch(fc, phi_vec[:, None], params.m)[:, 0]
             err_exact = float(np.linalg.norm(psi - out))
             trunc = bhat_state(params, prep_qft_spec(params))
             err_trunc = float(np.linalg.norm(psi - trunc))

@@ -4,6 +4,8 @@ Everything here is built from first principles (numpy primitives, explicit
 summation), never from the library's own circuit machinery. The one
 exception is ``lifted_action``: the per-column simulation that the library's
 one-column eigen profile replaced, kept to guard the profile's precondition.
+States are plain (2^n, batch) column arrays, as in the library; ``lift``
+places system columns on one ancilla basis state.
 """
 from __future__ import annotations
 
@@ -103,13 +105,21 @@ def pea_zero_amplitude(lam: float, n_prime: int) -> complex:
     return total / (1 << n_prime)
 
 
+def lift(system: np.ndarray, n_ancilla: int, ancilla_index: int = 0) -> np.ndarray:
+    """|ancilla_index>|xi> for each column xi of ``system`` (a vector is one
+    column): a (2^n_ancilla d, batch) array, the ancilla on the most
+    significant index bits."""
+    cols = np.asarray(system, dtype=np.complex128).reshape(len(system), -1)
+    d = cols.shape[0]
+    out = np.zeros((d << n_ancilla, cols.shape[1]), dtype=np.complex128)
+    out[ancilla_index * d:(ancilla_index + 1) * d] = cols
+    return out
+
+
 def lifted_action(op, n_ancilla: int, columns: np.ndarray) -> np.ndarray:
     """op |0_anc>|xi> for each system column xi, simulated column by column
     in one batch: full-register output columns."""
-    d = columns.shape[0]
-    lifted = np.zeros((d << n_ancilla, columns.shape[1]), dtype=np.complex128)
-    lifted[:d] = columns
-    return apply_batch(op, lifted, op.num_qubits)
+    return apply_batch(op, lift(columns, n_ancilla), op.num_qubits)
 
 
 def gap_edge_unitary() -> EigenUnitary:

@@ -72,6 +72,11 @@ class TestKernelCommand:
         assert code == 0
         assert json.loads(path.read_text())["passed"] is True
 
+    def test_oversized_kernel_refused(self, capsys):
+        # the 2^30-entry alpha table is refused before it is allocated
+        _skip_unless_oversized()
+        _assert_refused(capsys, ["kernel", "--eps", "1e-2", "--gap", "1e-7"])
+
 
 class TestPrepCommand:
     def test_prep_passes(self, capsys):
@@ -199,6 +204,19 @@ class TestContract:
 
     def test_usage_error_bad_value(self):
         assert run(["kernel", "--eps", "0.9", "--gap", "0.5"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--eps", "1e-2", "--gap", "0.5", "--c", "nan"],
+        ["reflect", "lcu", "--dim", "8", "--gap", "0.5", "--eps", "1e-2",
+         "--c", "inf"],
+    ])
+    def test_non_finite_c(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "c must be finite" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_usage_error_no_command(self):
         assert run([]) == 1

@@ -1,4 +1,4 @@
-"""Substrate tests: states, registers, operator kinds, application, metrics."""
+"""Substrate tests: operator kinds, application to column arrays, metrics."""
 import math
 
 import numpy as np
@@ -10,25 +10,19 @@ from reflectsim.core_sim import (
     DiagonalOp,
     EigenPowersOp,
     PermutationOp,
-    RegisterLayout,
     ResourceFootprint,
     SequenceOp,
-    StateVector,
+    ZeroReflectionOp,
     adjoint,
-    apply,
+    apply_batch,
     audit_footprint,
     cnot,
     cphase,
     densify,
-    distance,
-    embed_system,
     hadamard,
-    inner,
     op_matrix,
     pauli_x,
     pauli_z,
-    phase_gate,
-    project_ancilla_zero,
     random_state,
     ry,
     swap_gate,
@@ -37,169 +31,95 @@ from reflectsim.core_sim import (
 from oracles import kron_chain
 
 
-class TestStateVector:
-    def test_computational_basis(self):
-        s = StateVector.computational(2, 3)
-        assert s.amplitudes[3] == 1.0 and abs(s.norm() - 1) < 1e-15
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            StateVector(2, np.ones(3))
-
-    def test_immutable_buffer(self):
-        s = StateVector.computational(1)
-        with pytest.raises(ValueError):
-            s.amplitudes[0] = 0.0
-
-    def test_input_buffer_not_aliased(self):
-        raw = np.array([1.0, 0.0], dtype=complex)
-        s = StateVector(1, raw)
-        raw[0] = 5.0
-        assert s.amplitudes[0] == 1.0
+def _basis(num_qubits: int, index: int = 0) -> np.ndarray:
+    col = np.zeros((1 << num_qubits, 1), dtype=np.complex128)
+    col[index] = 1.0
+    return col
 
 
-class TestRegisterLayout:
-    def test_index_split_roundtrip(self):
-        layout = RegisterLayout(2, 3)
-        for anc in range(4):
-            for sys in range(8):
-                idx = layout.index(anc, sys)
-                assert layout.split(idx) == (anc, sys)
-
-    def test_total_index_space(self):
-        layout = RegisterLayout(3, 2)
-        assert layout.ancilla_dim * layout.system_dim == 1 << layout.total_qubits
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RegisterLayout(-1, 2)
-        with pytest.raises(ValueError):
-            RegisterLayout(1, 0)
+def _random_columns(num_qubits: int, batch: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.stack([random_state(num_qubits, rng) for _ in range(batch)],
+                    axis=1)
 
 
 class TestApply:
     def test_x_flips(self):
-        out = apply(pauli_x(), StateVector.computational(1, 0))
-        assert abs(out.amplitudes[1] - 1) < 1e-15
+        out = apply_batch(pauli_x(), _basis(1, 0), 1)
+        assert abs(out[1, 0] - 1) < 1e-15
 
     def test_hadamard_plus_state(self):
-        out = apply(hadamard(), StateVector.computational(1, 0))
-        assert np.allclose(out.amplitudes, [1 / math.sqrt(2)] * 2)
+        out = apply_batch(hadamard(), _basis(1, 0), 1)
+        assert np.allclose(out[:, 0], [1 / math.sqrt(2)] * 2)
 
     def test_qft_roundtrip_random_state(self):
-        # apply F then F^dagger restores the state to 1e-12
+        # apply F then F^dagger restores every column to 1e-12
         from reflectsim.state_prep import QftSpec, qft
         op = qft(QftSpec.exact_for(3))
-        state = random_state(3, np.random.default_rng(1))
-        back = apply(adjoint(op), apply(op, state))
-        assert np.abs(back.amplitudes - state.amplitudes).max() < 1e-12
+        cols = _random_columns(3, 4, seed=1)
+        back = apply_batch(adjoint(op), apply_batch(op, cols, 3), 3)
+        for c in range(cols.shape[1]):
+            assert np.abs(back[:, c] - cols[:, c]).max() < 1e-12
 
     def test_targets_embedding_matches_kron(self):
         h = op_matrix(hadamard())
         x = op_matrix(pauli_x())
         eye = np.eye(2)
-        state = random_state(3, np.random.default_rng(2))
-        out = apply(hadamard(), state, targets=(1,))
-        expect = kron_chain(eye, h, eye) @ state.amplitudes
-        assert np.abs(out.amplitudes - expect).max() < 1e-14
-        out2 = apply(pauli_x(), state, targets=(2,))
-        expect2 = kron_chain(eye, eye, x) @ state.amplitudes
-        assert np.abs(out2.amplitudes - expect2).max() < 1e-14
+        cols = _random_columns(3, 3, seed=2)
+        out = apply_batch(hadamard(), cols, 3, targets=(1,))
+        out2 = apply_batch(pauli_x(), cols, 3, targets=(2,))
+        for c in range(cols.shape[1]):
+            expect = kron_chain(eye, h, eye) @ cols[:, c]
+            assert np.abs(out[:, c] - expect).max() < 1e-14
+            expect2 = kron_chain(eye, eye, x) @ cols[:, c]
+            assert np.abs(out2[:, c] - expect2).max() < 1e-14
 
     def test_two_qubit_reversed_targets(self):
-        state = random_state(2, np.random.default_rng(3))
-        out = apply(cnot(), state, targets=(1, 0))
-        # control on qubit 1 (LSB), target qubit 0
-        expect = state.amplitudes[[0, 3, 2, 1]]
-        assert np.abs(out.amplitudes - expect).max() < 1e-15
+        cols = _random_columns(2, 3, seed=3)
+        out = apply_batch(cnot(), cols, 2, targets=(1, 0))
+        for c in range(cols.shape[1]):
+            # control on qubit 1 (LSB), target qubit 0
+            expect = cols[[0, 3, 2, 1], c]
+            assert np.abs(out[:, c] - expect).max() < 1e-15
 
     def test_norm_preserved(self):
-        state = random_state(4, np.random.default_rng(4))
-        out = apply(swap_gate(), state, targets=(0, 3))
-        assert abs(out.norm() - 1) < 1e-10
+        state = _random_columns(4, 1, seed=4)
+        out = apply_batch(swap_gate(), state, 4, targets=(0, 3))
+        assert abs(np.linalg.norm(out) - 1) < 1e-10
 
     def test_errors(self):
-        state = StateVector.computational(2)
+        state = _basis(2)
         with pytest.raises(ValueError):
-            apply(cnot(), state, targets=(0, 0))
+            apply_batch(cnot(), state, 2, targets=(0, 0))
         with pytest.raises(ValueError):
-            apply(cnot(), state, targets=(0, 2))
+            apply_batch(cnot(), state, 2, targets=(0, 2))
         with pytest.raises(ValueError):
-            apply(cnot(), state, targets=(0,))
-
-
-class TestInnerAndDistance:
-    def test_inner_trivial(self):
-        zero = StateVector.computational(1, 0)
-        one = StateVector.computational(1, 1)
-        plus = apply(hadamard(), zero)
-        assert inner(zero, zero) == pytest.approx(1)
-        assert inner(zero, one) == pytest.approx(0)
-        assert inner(plus, zero) == pytest.approx(1 / math.sqrt(2))
-
-    def test_inner_conjugate_linear_first(self):
-        rng = np.random.default_rng(5)
-        a, b = random_state(2, rng), random_state(2, rng)
-        assert inner(a, b) == pytest.approx(np.conj(inner(b, a)))
-
-    def test_distance_values(self):
-        zero = StateVector.computational(1, 0)
-        one = StateVector.computational(1, 1)
-        plus = apply(hadamard(), zero)
-        assert distance(zero, zero) == pytest.approx(0.0)
-        assert distance(zero, one) == pytest.approx(math.sqrt(2))
-        assert distance(zero, plus) == pytest.approx(math.sqrt(2 - math.sqrt(2)))
-
-    def test_dimension_mismatch(self):
+            apply_batch(cnot(), state, 2, targets=(0,))
+        # columns must be a (2**num_qubits, batch) array
         with pytest.raises(ValueError):
-            inner(StateVector.computational(1), StateVector.computational(2))
+            apply_batch(cnot(), np.ones((3, 1)), 2)
         with pytest.raises(ValueError):
-            distance(StateVector.computational(1), StateVector.computational(2))
+            apply_batch(cnot(), np.ones(4), 2)
 
-
-class TestProjection:
-    def test_fixed_point(self):
-        layout = RegisterLayout(1, 1)
-        state = embed_system(np.array([0, 1.0]), layout, ancilla_index=0)
-        proj, weight = project_ancilla_zero(state, layout)
-        assert weight == pytest.approx(1.0)
-        assert np.allclose(proj.amplitudes, state.amplitudes)
-
-    def test_orthogonal_complement(self):
-        layout = RegisterLayout(1, 1)
-        state = embed_system(np.array([0, 1.0]), layout, ancilla_index=1)
-        proj, weight = project_ancilla_zero(state, layout)
-        assert weight == pytest.approx(0.0)
-        assert np.abs(proj.amplitudes).max() == 0.0
-
-    def test_half_weight(self):
-        layout = RegisterLayout(1, 1)
-        amps = np.zeros(4, dtype=complex)
-        amps[0] = amps[2] = 1 / math.sqrt(2)  # (|0>+|1>)_anc |0>_sys
-        proj, weight = project_ancilla_zero(StateVector(2, amps), layout)
-        assert weight == pytest.approx(0.5)
-
-    def test_idempotent(self):
-        layout = RegisterLayout(2, 2)
-        state = random_state(4, np.random.default_rng(6))
-        proj, w1 = project_ancilla_zero(state, layout)
-        proj2, w2 = project_ancilla_zero(proj, layout)
-        assert np.allclose(proj.amplitudes, proj2.amplitudes)
-        assert w2 == pytest.approx(w1)
-
-    def test_weight_is_amplitude_sum(self):
-        layout = RegisterLayout(2, 2)
-        state = random_state(4, np.random.default_rng(7))
-        _, weight = project_ancilla_zero(state, layout)
-        expect = sum(
-            abs(state.amplitudes[layout.index(0, s)]) ** 2 for s in range(4)
-        )
-        assert weight == pytest.approx(expect, abs=1e-14)
-
-    def test_layout_mismatch(self):
-        with pytest.raises(ValueError):
-            project_ancilla_zero(StateVector.computational(3),
-                                 RegisterLayout(1, 1))
+    @pytest.mark.parametrize("targets", [(0, 1), (2, 0)])
+    def test_input_columns_unchanged(self, targets):
+        # states are plain arrays: no op kind may write its input or hand
+        # it back as its output
+        ops = (DenseOp(op_matrix(swap_gate())), cphase(0.4), cnot(),
+               PermutationOp(np.array([3, 0, 1, 2])), ZeroReflectionOp(2),
+               EigenPowersOp(np.array([1, -2]), np.array([1, -1]),
+                             np.array([0.0, 0.3])),
+               SequenceOp(2, [(hadamard(), (1,)), (swap_gate(), (0, 1))]))
+        cols = _random_columns(3, 3, seed=9)
+        before = cols.copy()
+        for op in ops:
+            out = apply_batch(op, cols, 3, targets)
+            assert np.array_equal(cols, before)
+            assert not np.shares_memory(out, cols)
+        seq = SequenceOp(3, [(op, targets) for op in ops])
+        out = apply_batch(seq, cols, 3)
+        assert np.array_equal(cols, before)
+        assert not np.shares_memory(out, cols)
 
 
 class TestOperatorKinds:
@@ -242,15 +162,15 @@ class TestOperatorKinds:
         assert mat[state_idx, state_idx] == pytest.approx(1.0)
 
     def test_sequence_equals_member_composition(self):
-        rng = np.random.default_rng(8)
-        state = random_state(3, rng)
+        state = _random_columns(3, 1, seed=8)
+        phase = DiagonalOp(np.array([1.0, np.exp(0.7j)]))
         seq = SequenceOp(3, [(hadamard(), (0,)), (cnot(), (0, 2)),
-                             (phase_gate(0.7), (2,))])
-        out = apply(seq, state)
-        step = apply(hadamard(), state, targets=(0,))
-        step = apply(cnot(), step, targets=(0, 2))
-        step = apply(phase_gate(0.7), step, targets=(2,))
-        assert np.array_equal(out.amplitudes, step.amplitudes)
+                             (phase, (2,))])
+        out = apply_batch(seq, state, 3)
+        step = apply_batch(hadamard(), state, 3, targets=(0,))
+        step = apply_batch(cnot(), step, 3, targets=(0, 2))
+        step = apply_batch(phase, step, 3, targets=(2,))
+        assert np.array_equal(out, step)
 
     def test_sequence_footprint_sums(self):
         seq = SequenceOp(2, [(hadamard(), (0,)), (cnot(), (0, 1)),
@@ -269,7 +189,7 @@ class TestOperatorKinds:
 class TestAdjoint:
     @pytest.mark.parametrize("op_factory", [
         hadamard, pauli_x, pauli_z, cnot, swap_gate,
-        lambda: phase_gate(0.3), lambda: ry(1.2), lambda: cphase(0.9),
+        lambda: DiagonalOp(np.array([1.0, np.exp(0.3j)])), lambda: ry(1.2), lambda: cphase(0.9),
         lambda: SequenceOp(2, [(hadamard(), (0,)), (cnot(), (0, 1))]),
         lambda: ControlledOp(ry(0.4), 1, 1),
         lambda: EigenPowersOp(np.array([1, -3]), np.array([-1, 1]),
@@ -301,13 +221,7 @@ class TestFootprint:
         assert a.merge(b) == b.merge(a)
         assert a.merge(b).merge(c) == a.merge(b.merge(c))
 
-    def test_times(self):
-        a = ResourceFootprint(queries_u=2, two_qubit_gates=3, ancilla_qubits=1)
-        t = a.times(4)
-        assert t.queries_u == 8 and t.two_qubit_gates == 12
-        assert t.ancilla_qubits == 1
-
     def test_unitarity_of_gates(self):
         for op in (hadamard(), pauli_x(), pauli_z(), cnot(), swap_gate(),
-                   cphase(1.1), ry(0.2), phase_gate(2.2)):
+                   cphase(1.1), ry(0.2)):
             assert unitarity_defect(op) <= 1e-10

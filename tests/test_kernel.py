@@ -1,4 +1,5 @@
 """Kernel parameter selection and Gaussian coefficient tests."""
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,11 @@ class TestSelectParams:
             select_params(1e-2, math.pi + 1e-9)
         with pytest.raises(ValueError):
             select_params(1e-2, 0.5, c=1.0)
+        for c in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                select_params(1e-2, 0.5, c=c)
+            with pytest.raises(ValueError):
+                dataclasses.replace(select_params(1e-2, 0.5), c=c)
 
     @pytest.mark.parametrize("eps,delta", GRID)
     def test_invariants_hold(self, eps, delta):

@@ -4,14 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import gap_edge_unitary, in_eigenbasis, unit_vector
+from oracles import gap_edge_unitary, in_eigenbasis, lift, unit_vector
 from reflectsim.core_sim import (
     DenseOp,
-    RegisterLayout,
-    apply,
-    embed_system,
+    apply_batch,
     op_matrix,
-    project_ancilla_zero,
     unitarity_defect,
     working_set_bytes,
 )
@@ -74,21 +71,20 @@ class TestSelect:
     def test_paper_table_branches(self, small):
         params, unitary, b, sel, *_ = small
         m, L = params.m, params.L
-        layout = RegisterLayout(sel.n, unitary.system_qubits)
+        total = sel.op.num_qubits
         xi = np.array([0.6, 0.8], dtype=complex)
         for header, sign in ((1, -1), (2, 1), (3, -1)):
             anc = header << m
-            state = embed_system(xi, layout, ancilla_index=anc)
-            out = apply(sel.op, state)
-            assert np.abs(out.amplitudes - sign * state.amplitudes).max() < 1e-12
+            state = lift(xi, sel.n, ancilla_index=anc)
+            out = apply_batch(sel.op, state, total)
+            assert np.abs(out - sign * state).max() < 1e-12
 
     def test_data_l_equals_L_is_identity(self, small):
         params, unitary, b, sel, *_ = small
-        layout = RegisterLayout(sel.n, unitary.system_qubits)
         xi = np.array([1 / math.sqrt(2), 1j / math.sqrt(2)])
-        state = embed_system(xi, layout, ancilla_index=params.L)  # header 00
-        out = apply(sel.op, state)
-        assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
+        state = lift(xi, sel.n, ancilla_index=params.L)  # header 00
+        out = apply_batch(sel.op, state, sel.op.num_qubits)
+        assert np.abs(out - state).max() < 1e-12
 
     def test_query_ledger(self, small):
         params, _, _, sel, *_ = small
@@ -102,34 +98,32 @@ class TestSelect:
         unitary = synth_unitary(2, 2.5, seed=1)
         sel = build_select(params, unitary)
         assert sel.n == 6
-        layout = RegisterLayout(6, 1)
         xi = np.array([0.28 + 0.4j, 0.87], dtype=complex)
         xi /= np.linalg.norm(xi)
         vh = unitary.eigenbasis.conj().T
         for l in range(16):
-            state = embed_system(vh @ xi, layout, ancilla_index=l)  # header |00>
-            out = apply(sel.op, state)
-            want = embed_system(vh @ (unitary.power_matrix(l - 8) @ xi), layout,
-                                ancilla_index=l)
-            assert np.abs(out.amplitudes - want.amplitudes).max() < 1e-12
+            state = lift(vh @ xi, 6, ancilla_index=l)  # header |00>
+            out = apply_batch(sel.op, state, 7)
+            want = lift(vh @ (unitary.power_matrix(l - 8) @ xi), 6,
+                        ancilla_index=l)
+            assert np.abs(out - want).max() < 1e-12
         for header, sign in ((0b01, -1), (0b10, 1), (0b11, -1)):
             anc = header << 4
-            state = embed_system(xi, layout, ancilla_index=anc)
-            out = apply(sel.op, state)
-            assert np.abs(out.amplitudes - sign * state.amplitudes).max() < 1e-12
+            state = lift(xi, 6, ancilla_index=anc)
+            out = apply_batch(sel.op, state, 7)
+            assert np.abs(out - sign * state).max() < 1e-12
 
 
 class TestAncillaReflection:
     def test_action(self):
         r = ancilla_reflection(3)
-        layout = RegisterLayout(3, 1)
         xi = np.array([0.8, 0.6j])
-        keep = embed_system(xi, layout, ancilla_index=0)
-        out = apply(r, keep, targets=(0, 1, 2))
-        assert np.abs(out.amplitudes - keep.amplitudes).max() < 1e-15
-        flip = embed_system(xi, layout, ancilla_index=5)
-        out = apply(r, flip, targets=(0, 1, 2))
-        assert np.abs(out.amplitudes + flip.amplitudes).max() < 1e-15
+        keep = lift(xi, 3, ancilla_index=0)
+        out = apply_batch(r, keep, 4, targets=(0, 1, 2))
+        assert np.abs(out - keep).max() < 1e-15
+        flip = lift(xi, 3, ancilla_index=5)
+        out = apply_batch(r, flip, 4, targets=(0, 1, 2))
+        assert np.abs(out + flip).max() < 1e-15
 
     def test_involution(self):
         r = ancilla_reflection(4)
@@ -170,10 +164,9 @@ class TestW:
 
     def test_zero_weight_on_target(self, small):
         params, unitary, b, sel, w, *_ = small
-        layout = RegisterLayout(b.n, unitary.system_qubits)
-        state = embed_system(unit_vector(unitary.dimension, 0), layout)
-        out = apply(w, state)
-        _, weight = project_ancilla_zero(out, layout)
+        state = lift(unit_vector(unitary.dimension, 0), b.n)
+        out = apply_batch(w, state, w.num_qubits)
+        weight = float(np.sum(np.abs(out[:unitary.dimension]) ** 2))
         assert math.sqrt(weight) == pytest.approx(1 / b.s, abs=10 * params.epsilon)
 
     def test_unitary(self, small):
@@ -199,13 +192,11 @@ class TestA:
         unitary8, refl = medium
         for u, op, n_anc, eps in ((unitary, a, b.n, params.epsilon),
                                   (unitary8, refl.a, refl.n_ancilla, 1e-2)):
-            layout = RegisterLayout(n_anc, u.system_qubits)
             for j in range(u.dimension):
-                state = embed_system(unit_vector(u.dimension, j), layout)
-                out = apply(op, state)
+                state = lift(unit_vector(u.dimension, j), n_anc)
+                out = apply_batch(op, state, op.num_qubits)
                 sign = 1 if j == 0 else -1
-                assert np.linalg.norm(
-                    out.amplitudes - sign * state.amplitudes) <= 10 * eps
+                assert np.linalg.norm(out - sign * state) <= 10 * eps
 
     def test_two_round_oaa_exact_for_synthetic_block(self):
         # W = [[aV, bV], [bV, -aV]] with a = sin(pi/10): A|0>|xi> = |0>V|xi>
@@ -218,12 +209,11 @@ class TestA:
         w = DenseOp(np.block([[aa * v, bb * v], [bb * v, -aa * v]]))
         r = ancilla_reflection(1)
         a = build_A(w, r, 1)
-        layout = RegisterLayout(1, 2)
         xi = rng.normal(size=ds) + 1j * rng.normal(size=ds)
         xi /= np.linalg.norm(xi)
-        out = apply(a, embed_system(xi, layout))
-        want = embed_system(v @ xi, layout)
-        assert np.abs(out.amplitudes - want.amplitudes).max() < 1e-12
+        out = apply_batch(a, lift(xi, 1), 3)
+        want = lift(v @ xi, 1)
+        assert np.abs(out - want).max() < 1e-12
 
 
 class TestOaaExpansion:
@@ -243,9 +233,8 @@ class TestOaaExpansion:
     def test_pap_close_to_ap(self, small):
         # || PAP - AP || small: A maps the P image near the P image
         params, unitary, b, sel, w, r, a = small
-        layout = RegisterLayout(b.n, unitary.system_qubits)
         mat = op_matrix(a)
-        d = layout.system_dim
+        d = unitary.dimension
         proj = np.zeros((mat.shape[0], mat.shape[0]))
         proj[:d, :d] = np.eye(d)
         pap = proj @ mat @ proj

@@ -4,15 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import unit_vector
-from reflectsim.core_sim import (
-    RegisterLayout,
-    apply,
-    embed_system,
-    op_matrix,
-    project_ancilla_zero,
-    unitarity_defect,
-)
+from oracles import lift, unit_vector
+from reflectsim.core_sim import apply_batch, op_matrix, unitarity_defect
 from reflectsim.lcu_reflector import reflection_error
 from reflectsim.pea_reflector import (
     block_leakage,
@@ -69,10 +62,9 @@ class TestPeaBlock:
     def test_zero_phase_exact_return(self):
         u = _phase_unitary([0.0, 1.2], gap=1.2)
         block = pea_block(u, 4, QftSpec.exact_for(4))
-        layout = RegisterLayout(4, 1)
-        state = embed_system(u.psi0(), layout)
-        out = apply(block, state)
-        assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
+        state = lift(u.psi0(), 4)
+        out = apply_batch(block, state, 5)
+        assert np.abs(out - state).max() < 1e-12
 
     def test_representable_phase_lands_on_basis_state(self):
         n_prime = 4
@@ -81,11 +73,10 @@ class TestPeaBlock:
         u = _phase_unitary([0.0, 2 * math.pi * k / m_dim],
                            gap=2 * math.pi * k / m_dim)
         block = pea_block(u, n_prime, QftSpec.exact_for(n_prime))
-        layout = RegisterLayout(n_prime, 1)
-        state = embed_system(u.eigenbasis[:, 1], layout)
-        out = apply(block, state)
-        hit = layout.index(k, 1)
-        assert abs(out.amplitudes[hit]) == pytest.approx(1.0, abs=1e-12)
+        state = lift(u.eigenbasis[:, 1], n_prime)
+        out = apply_batch(block, state, n_prime + 1)
+        hit = (k << 1) | 1  # ancilla k, system 1
+        assert abs(out[hit, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_generic_phase_leakage_below_bound(self):
         u = synth_unitary(8, 0.5, seed=7)
@@ -124,11 +115,10 @@ class TestWPea:
         params = type(params)(n_prime=n_prime, q=q, epsilon=1e-2, delta=0.5)
         spec = QftSpec.for_budget(n_prime, 0.05)
         w = build_W_pea(u, params, spec)
-        layout = RegisterLayout(n_prime * q, 3)
         j = 2
-        state = embed_system(unit_vector(8, j), layout)
-        out = apply(w, state)
-        _, weight = project_ancilla_zero(out, layout)
+        state = lift(unit_vector(8, j), n_prime * q)
+        out = apply_batch(w, state, w.num_qubits)
+        weight = float(np.sum(np.abs(out[:8]) ** 2))
         single = block_leakage(u, n_prime, spec)[j]
         # ancilla-zero weight multiplies across registers on an eigenvector
         assert weight == pytest.approx(single ** q, abs=1e-10)
@@ -138,10 +128,9 @@ class TestWPea:
         params = choose_pea_params(0.2, 0.5)
         spec = QftSpec.exact_for(params.n_prime)
         w = build_W_pea(u, params, spec)
-        layout = RegisterLayout(params.total_ancilla, 3)
-        state = embed_system(unit_vector(8, 0), layout)
-        out = apply(w, state)
-        assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
+        state = lift(unit_vector(8, 0), params.total_ancilla)
+        out = apply_batch(w, state, w.num_qubits)
+        assert np.abs(out - state).max() < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -157,28 +146,25 @@ class TestAPea:
     def test_exact_qft_fixes_target(self, setup):
         u, eps, _ = setup
         refl = build_pea_reflector(u, eps, exact_qft=True)
-        layout = RegisterLayout(refl.n_ancilla, refl.system_qubits)
-        state = embed_system(unit_vector(8, 0), layout)
-        out = apply(refl.a, state)
-        assert np.linalg.norm(out.amplitudes - state.amplitudes) <= 1e-10
+        state = lift(unit_vector(8, 0), refl.n_ancilla)
+        out = apply_batch(refl.a, state, refl.a.num_qubits)
+        assert np.linalg.norm(out - state) <= 1e-10
 
     def test_truncated_qft_still_fixes_target(self, setup):
         # dropped controlled phases act on |0> controls: exact invariance
         u, eps, refl = setup
-        layout = RegisterLayout(refl.n_ancilla, refl.system_qubits)
-        state = embed_system(unit_vector(8, 0), layout)
-        out = apply(refl.a, state)
-        assert np.linalg.norm(out.amplitudes - state.amplitudes) <= 1e-10
+        state = lift(unit_vector(8, 0), refl.n_ancilla)
+        out = apply_batch(refl.a, state, refl.a.num_qubits)
+        assert np.linalg.norm(out - state) <= 1e-10
 
     def test_gapped_expectation_value(self, setup):
         u, eps, refl = setup
-        layout = RegisterLayout(refl.n_ancilla, refl.system_qubits)
         j = 4
         spec = refl.qft_spec
         p_single = block_leakage(u, refl.params.n_prime, spec)[j]
-        state = embed_system(unit_vector(8, j), layout)
-        out = apply(refl.a, state)
-        val = complex(np.vdot(state.amplitudes, out.amplitudes))
+        state = lift(unit_vector(8, j), refl.n_ancilla)
+        out = apply_batch(refl.a, state, refl.a.num_qubits)
+        val = complex(np.vdot(state, out))
         p_total = p_single ** refl.params.q
         assert val == pytest.approx(-1 + 2 * p_total, abs=1e-10)
         assert p_total <= eps ** 2 / 4
