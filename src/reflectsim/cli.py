@@ -119,6 +119,8 @@ def _jsonable(value):
 
 
 def kernel_report(eps: float, gap: float, c: float, points: int) -> dict:
+    if points < 1:
+        raise ValueError(f"--points must be at least 1, got {points}")
     params = select_params(eps, gap, c)
     alphas = alpha_coeffs(params)
     zero_defect = abs(kernel_value(0.0, params) - 1.0)

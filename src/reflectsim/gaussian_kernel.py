@@ -135,25 +135,36 @@ def kernel_value(lam, params: KernelParams):
     return trig_poly(alpha_coeffs(params), lam)
 
 
+def circle_values(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """trig_poly(coeffs, 2 pi k / n) for k = 0 .. n-1, by one inverse FFT of
+    the coefficients folded modulo n: exact for any n, including n < 2L."""
+    half = coeffs.shape[0] // 2
+    folded = np.zeros(n, dtype=np.complex128)
+    np.add.at(folded, np.arange(-half, half) % n, coeffs)
+    return n * np.fft.ifft(folded)
+
+
 def kernel_sup_on_gap(params: KernelParams, points: int = 1000,
                       refine: int = 200) -> float:
     """sup of |kernel_value| over [delta, 2 pi - delta].
 
-    Uses a uniform grid including endpoints plus one local refinement pass
-    around the coarse maximum.
+    One FFT samples the circle at 2 pi k / n, n the next power of two >=
+    max(points, 4L) (twice the Nyquist rate), after ``require_memory``. The
+    gap edges and ``refine`` points within one step of the best grid point
+    in the gap are summed directly.
     """
+    n = 1 << (max(points, 4 * params.L) - 1).bit_length()
+    require_memory(n.bit_length() - 1)
     lo, hi = params.delta, 2 * math.pi - params.delta
-    grid = np.linspace(lo, hi, points + 2)
-    vals = np.abs(kernel_value(grid, params))
-    best = int(np.argmax(vals))
-    sup = float(vals[best])
-    if refine > 0:
-        h = (hi - lo) / (points + 1)
-        flo = max(lo, grid[best] - h)
-        fhi = min(hi, grid[best] + h)
-        fine = np.linspace(flo, fhi, refine)
-        sup = max(sup, float(np.abs(kernel_value(fine, params)).max()))
-    return sup
+    alphas = alpha_coeffs(params)
+    h = 2 * math.pi / n
+    grid = h * np.arange(n)
+    vals = np.where((grid >= lo) & (grid <= hi),
+                    np.abs(circle_values(alphas, n)), 0.0)
+    best = grid[np.argmax(vals)]
+    fine = np.linspace(max(lo, best - h), min(hi, best + h), refine)
+    direct = np.abs(trig_poly(alphas, np.concatenate(([lo, hi], fine))))
+    return max(float(vals.max()), float(direct.max()))
 
 
 def chernoff_tail(params: KernelParams) -> tuple[float, float]:

@@ -16,11 +16,11 @@ from . import accounting
 from .core_sim import apply_batch, op_matrix, unitarity_defect
 from .gaussian_kernel import (
     alpha_coeffs,
+    circle_values,
     kernel_sup_on_gap,
     kernel_value,
     poisson_check,
     select_params,
-    trig_poly,
 )
 from .lcu_reflector import (
     ancilla_reflection,
@@ -59,9 +59,6 @@ _INSTANCE_DIM = 8
 _INSTANCE_GAP = 0.5
 _INSTANCE_SEED = 7
 _TRIAL_SEED = 11
-
-# sample points for sups over the whole circle
-_CIRCLE = np.linspace(0.0, 2 * math.pi, 1000, endpoint=False)
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,8 @@ def check_state_prep_chain() -> CheckResult:
 
 
 def check_scalar_lcu() -> CheckResult:
-    """sup over the circle of |sum (alpha_l - |beta_l|/2) e^{i l lam}| <= 10 eps
-    with beta extracted from the built B-hat."""
+    """|sum (alpha_l - |beta_l|/2) e^{i l lam}| <= 10 eps at the 1000 points
+    lam = 2 pi k / 1000, with beta extracted from the built B-hat."""
     t0 = time.perf_counter()
     worst = 0.0
     ok = True
@@ -158,7 +155,7 @@ def check_scalar_lcu() -> CheckResult:
             params = select_params(eps, delta, KERNEL_C)
             betas = 2 * np.abs(bhat_state(params, prep_qft_spec(params))) ** 2
             diff = alpha_coeffs(params) - betas / 2
-            sup = float(np.abs(trig_poly(diff, _CIRCLE)).max())
+            sup = float(np.abs(circle_values(diff, 1000)).max())
             worst = max(worst, sup / eps)
             ok = ok and sup <= 10 * eps
     seconds = time.perf_counter() - t0

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from reflectsim.core_sim import apply_batch
+from reflectsim.gaussian_kernel import kernel_value
 from reflectsim.spectral_models import EigenUnitary, synth_unitary
 
 
@@ -40,6 +41,20 @@ def gaussian_kernel_sum(lam: float, dz: float, L: int) -> complex:
     for l in range(L - 1, -L - 1, -1):
         total += math.exp(-((l * dz) ** 2) / 2) * np.exp(1j * l * lam)
     return total * dz / math.sqrt(2 * math.pi)
+
+
+def kernel_sup_dense_grid(params, points: int = 1000,
+                          refine: int = 200) -> float:
+    """sup of |kernel_value| over [delta, 2 pi - delta] by direct summation
+    on points + 2 evenly spaced angles, edges included, plus ``refine``
+    angles within one grid step of the best of them."""
+    lo, hi = params.delta, 2 * math.pi - params.delta
+    grid = np.linspace(lo, hi, points + 2)
+    vals = np.abs(kernel_value(grid, params))
+    best = int(np.argmax(vals))
+    h = (hi - lo) / (points + 1)
+    fine = np.linspace(max(lo, grid[best] - h), min(hi, grid[best] + h), refine)
+    return max(float(vals[best]), float(np.abs(kernel_value(fine, params)).max()))
 
 
 def phi_norm_reversed(lstar: int, L: int, dz: float) -> float:

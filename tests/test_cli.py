@@ -77,6 +77,22 @@ class TestKernelCommand:
         _skip_unless_oversized()
         _assert_refused(capsys, ["kernel", "--eps", "1e-2", "--gap", "1e-7"])
 
+    def test_oversized_points_refused(self, capsys):
+        # 10^9 points round up to a 2^30-point grid, refused before it exists
+        _skip_unless_oversized()
+        _assert_refused(capsys, ["kernel", "--eps", "0.1", "--gap", "0.5",
+                                 "--points", "1000000000"])
+
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    def test_points_below_one_refused(self, capsys, points):
+        code = run(["kernel", "--eps", "0.1", "--gap", "0.5",
+                    "--points", points])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"--points must be at least 1, got {points}" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestPrepCommand:
     def test_prep_passes(self, capsys):

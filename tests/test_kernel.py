@@ -1,6 +1,7 @@
 """Kernel parameter selection and Gaussian coefficient tests."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,16 @@ from reflectsim.gaussian_kernel import (
     KernelParams,
     alpha_coeffs,
     chernoff_tail,
+    circle_values,
     kernel_sup_on_gap,
     kernel_value,
     phi_amplitudes,
     poisson_check,
     psi_amplitudes,
     select_params,
+    trig_poly,
 )
-from oracles import gaussian_kernel_sum, phi_norm_reversed
+from oracles import gaussian_kernel_sum, kernel_sup_dense_grid, phi_norm_reversed
 
 GRID = [(e, d) for e in (1e-1, 1e-2, 1e-3) for d in (0.5, 0.1, 0.02)]
 
@@ -146,6 +149,68 @@ class TestKernelValue:
         p = select_params(eps, delta)
         tail, bound = chernoff_tail(p)
         assert tail <= bound <= eps / (2 * p.c) * (1 + 1e-9)
+
+
+class TestCircleValues:
+    @pytest.mark.parametrize("n", [5, 48, 64, 100, 256])
+    def test_matches_direct_sum(self, n):
+        # 2L = 64 coefficients: n < 2L folds several onto one frequency
+        rng = np.random.default_rng(3)
+        coeffs = rng.normal(size=64) + 1j * rng.normal(size=64)
+        lams = 2 * math.pi * np.arange(n) / n
+        want = trig_poly(coeffs, lams)
+        assert np.max(np.abs(circle_values(coeffs, n) - want)) <= 1e-12
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="long double is no wider than double here")
+    def test_long_double_reference_on_gap_edge_cell(self):
+        p = select_params(1e-3, 0.02)
+        n = 4 * p.L
+        alphas = alpha_coeffs(p)
+        ks = np.random.default_rng(5).choice(n, size=64, replace=False)
+        got = circle_values(alphas, n)[ks]
+        # l k mod n is exact, so each angle 2 pi (l k mod n) / n is
+        # rounded once, in long double
+        two_pi = 8 * np.arctan(np.longdouble(1))
+        ls = np.arange(-p.L, p.L)
+        angles = two_pi * (np.outer(ks, ls) % n).astype(np.longdouble) / n
+        weights = alphas.astype(np.longdouble)
+        want_re = np.cos(angles) @ weights
+        want_im = np.sin(angles) @ weights
+        assert np.max(np.abs(got.real - want_re)) <= 1e-15
+        assert np.max(np.abs(got.imag - want_im)) <= 1e-15
+
+
+class TestKernelSupOnGap:
+    @pytest.mark.parametrize("eps,delta", GRID)
+    def test_agrees_with_dense_grid(self, eps, delta):
+        p = select_params(eps, delta)
+        sup = kernel_sup_on_gap(p)
+        want = kernel_sup_dense_grid(p)
+        if sup > 1e-12:
+            assert sup == pytest.approx(want, rel=1e-6, abs=0)
+        else:
+            assert sup == pytest.approx(want, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("eps,delta", GRID)
+    def test_not_below_random_samples(self, eps, delta):
+        p = select_params(eps, delta)
+        sup = kernel_sup_on_gap(p)
+        lams = np.random.default_rng(17).uniform(delta, 2 * math.pi - delta,
+                                                 4096)
+        sampled = float(np.abs(kernel_value(lams, p)).max())
+        assert sup >= sampled - max(1e-6 * sup, 1e-13)
+
+    def test_memory_guard(self):
+        p = select_params(1.2e-3, 0.0162)
+        assert p.L == 4096
+        tracemalloc.start()
+        try:
+            kernel_sup_on_gap(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestPoisson:
