@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from .lcu_reflector import DEFAULT_KERNEL_FRACTION, lcu_budget, mcx_two_qubit_cost
-from .pea_reflector import DEFAULT_PEA_QFT_EPS, choose_pea_params
+from .lcu_reflector import lcu_budget, mcx_two_qubit_cost
+from .pea_reflector import choose_pea_params, pea_budget
 from .state_prep import QftSpec, qft_two_qubit_count
 
 DEFAULT_EPS_GRID = (1e-2, 1e-4, 1e-8)
@@ -100,9 +100,7 @@ class ScalingTable:
 
 
 def compare_scaling(eps_grid=DEFAULT_EPS_GRID, delta_grid=DEFAULT_DELTA_GRID,
-                    c: float = 40.0,
-                    kernel_fraction: float = DEFAULT_KERNEL_FRACTION
-                    ) -> ScalingTable:
+                    c: float = 40.0) -> ScalingTable:
     """Evaluate both routes' parameter formulas on the grid.
 
     Also evaluates the structural claims: n_lcu <= n_pea everywhere; per
@@ -116,10 +114,8 @@ def compare_scaling(eps_grid=DEFAULT_EPS_GRID, delta_grid=DEFAULT_DELTA_GRID,
     rows = []
     for delta in delta_grid:
         for eps in eps_sorted:
-            lcu = lcu_gate_model(*lcu_budget(eps, delta, c, kernel_fraction))
-            pp = choose_pea_params(eps, delta)
-            pea_spec = QftSpec.for_budget(pp.n_prime, DEFAULT_PEA_QFT_EPS)
-            pea = pea_gate_model(pp, pea_spec)
+            lcu = lcu_gate_model(*lcu_budget(eps, delta, c))
+            pea = pea_gate_model(*pea_budget(eps, delta))
             rows.append(ScalingRow(
                 epsilon=eps, delta=float(delta),
                 n_lcu=lcu["n_ancilla"], n_pea=pea["n_ancilla"],

@@ -27,7 +27,7 @@ from .gaussian_kernel import (
 from .lcu_reflector import build_reflector, grover_step, reflection_error
 from .pea_reflector import build_pea_reflector
 from .spectral_models import grover_unitary, synth_unitary
-from .state_prep import QftSpec, bhat_state, build_B, prep_qft_spec
+from .state_prep import QftSpec, build_B, prep_qft_spec
 
 USAGE_ERROR = 1
 ASSERTION_ERROR = 2
@@ -140,9 +140,7 @@ def prep_report(eps: float, gap: float, c: float, exact_qft: bool) -> dict:
     params = select_params(eps, gap, c)
     spec = QftSpec.exact_for(params.m) if exact_qft else prep_qft_spec(params)
     b = build_B(params, spec)
-    psi = psi_amplitudes(params)
-    trunc = bhat_state(params, spec)
-    chain_err = float(np.linalg.norm(psi - trunc))
+    chain_err = float(np.linalg.norm(psi_amplitudes(params) - b.bhat_column))
     bound = eps if exact_qft else 2 * eps
     return {
         "command": "prep",

@@ -379,14 +379,15 @@ def working_set_bytes(total_qubits: int) -> float:
 
 
 def require_memory(total_qubits: int) -> None:
-    """Raise ValueError, with the GiB needed, when simulating one state of
-    ``total_qubits`` qubits would not fit in physical memory."""
+    """Raise ValueError, with the GiB needed, when working on an array of
+    2^total_qubits entries (a state of that many qubits, or a table or grid
+    of that length) would not fit in physical memory."""
     need = working_set_bytes(total_qubits)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(
-            f"simulating a state of {total_qubits} qubits needs "
-            f"about {need / 2 ** 30:.1f} GiB, more than the "
+            f"an array of 2^{total_qubits} entries needs about "
+            f"{need / 2 ** 30:.1f} GiB, more than the "
             f"{have / 2 ** 30:.1f} GiB of physical memory")
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .core_sim import require_memory
 
 DEFAULT_C = 40.0
+REFINE_POINTS = 200
 
 # relative slack for float-edge re-validation of the selection inequalities
 _REL_TOL = 1e-9
@@ -144,14 +145,13 @@ def circle_values(coeffs: np.ndarray, n: int) -> np.ndarray:
     return n * np.fft.ifft(folded)
 
 
-def kernel_sup_on_gap(params: KernelParams, points: int = 1000,
-                      refine: int = 200) -> float:
+def kernel_sup_on_gap(params: KernelParams, points: int = 1000) -> float:
     """sup of |kernel_value| over [delta, 2 pi - delta].
 
     One FFT samples the circle at 2 pi k / n, n the next power of two >=
     max(points, 4L) (twice the Nyquist rate), after ``require_memory``. The
-    gap edges and ``refine`` points within one step of the best grid point
-    in the gap are summed directly.
+    gap edges and ``REFINE_POINTS`` points within one step of the best grid
+    point in the gap are summed directly.
     """
     n = 1 << (max(points, 4 * params.L) - 1).bit_length()
     require_memory(n.bit_length() - 1)
@@ -162,7 +162,7 @@ def kernel_sup_on_gap(params: KernelParams, points: int = 1000,
     vals = np.where((grid >= lo) & (grid <= hi),
                     np.abs(circle_values(alphas, n)), 0.0)
     best = grid[np.argmax(vals)]
-    fine = np.linspace(max(lo, best - h), min(hi, best + h), refine)
+    fine = np.linspace(max(lo, best - h), min(hi, best + h), REFINE_POINTS)
     direct = np.abs(trig_poly(alphas, np.concatenate(([lo, hi], fine))))
     return max(float(vals.max()), float(direct.max()))
 

@@ -64,6 +64,16 @@ def choose_pea_params(epsilon: float, delta: float) -> PeaParams:
                      epsilon=epsilon, delta=delta)
 
 
+def pea_budget(eps: float, gap: float,
+               exact_qft: bool = False) -> tuple[PeaParams, QftSpec]:
+    """n' and q from ``choose_pea_params``, and each register's inverse QFT,
+    exact or truncated at the constant ``DEFAULT_PEA_QFT_EPS``."""
+    params = choose_pea_params(eps, gap)
+    if exact_qft:
+        return params, QftSpec.exact_for(params.n_prime)
+    return params, QftSpec.for_budget(params.n_prime, DEFAULT_PEA_QFT_EPS)
+
+
 def pea_block(unitary: EigenUnitary, n_prime: int,
               qft_spec: QftSpec) -> CircuitOp:
     """One phase-estimation register: Hadamards, the controlled U^(2^j)
@@ -158,13 +168,8 @@ class PeaReflector:
 
 
 def build_pea_reflector(unitary: EigenUnitary, eps: float, *,
-                        qft_eps: float = DEFAULT_PEA_QFT_EPS,
                         exact_qft: bool = False) -> PeaReflector:
-    params = choose_pea_params(eps, unitary.gap)
-    if exact_qft:
-        spec = QftSpec.exact_for(params.n_prime)
-    else:
-        spec = QftSpec.for_budget(params.n_prime, qft_eps)
+    params, spec = pea_budget(eps, unitary.gap, exact_qft)
     w = build_W_pea(unitary, params, spec)
     a = build_A_pea(w, params.total_ancilla)
     return PeaReflector(w=w, a=a, params=params, qft_spec=spec,

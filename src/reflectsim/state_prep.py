@@ -271,30 +271,19 @@ def build_B_hat(params: KernelParams, spec: QftSpec) -> CircuitOp:
     return SequenceOp(m, steps)
 
 
-def bhat_state(params: KernelParams, spec: QftSpec) -> np.ndarray:
-    """Amplitudes of B-hat |0...0>, after ``require_memory``."""
-    require_memory(params.m)
-    op = build_B_hat(params, spec)
-    zero = np.zeros((1 << params.m, 1), dtype=np.complex128)
-    zero[0] = 1.0
-    return apply_batch(op, zero, params.m)[:, 0]
-
-
-def extract_betas(params: KernelParams, spec: QftSpec) -> np.ndarray:
-    """|beta_l| for -L <= l <= L-1 read off B-hat: 2 |amplitude(l + L)|^2."""
-    return 2 * np.abs(bhat_state(params, spec)) ** 2
-
-
 @dataclass(frozen=True)
 class BOperator:
     """The full coefficient-preparation unitary on n = m + 2 qubits.
 
+    ``bhat_column`` is B-hat|0...0> on the m data qubits.
     ``beta_magnitudes[i]`` holds |beta_l| for l = i - L, covering the body
-    (-L .. L-1) and the three header terms (L, L+1, L+2); ``s`` is their sum.
+    (-L .. L-1), read off that column as 2 |amplitude(l + L)|^2, and the
+    three header terms (L, L+1, L+2); ``s`` is their sum.
     """
 
     n: int
     op: CircuitOp
+    bhat_column: np.ndarray
     beta_magnitudes: np.ndarray
     s: float
 
@@ -314,8 +303,10 @@ def build_B(params: KernelParams, spec: QftSpec) -> BOperator:
     The header column is (sqrt(2), sqrt(beta_L), sqrt(beta_{L+1}),
     sqrt(beta_{L+2})) / sqrt(s) with positive square roots; beta_L = 1 and
     the last two terms cancel in the LCU, making s = 1/sin(pi/10) exactly.
+    B-hat is built once and simulated once, after ``require_memory``.
     """
     m = params.m
+    require_memory(m)
     n = m + 2
     b_pad = header_beta()
     s = 2.0 + 1.0 + 2.0 * b_pad
@@ -342,10 +333,12 @@ def build_B(params: KernelParams, spec: QftSpec) -> BOperator:
 
     op = SequenceOp(n, [(header, (0, 1)), (conditioned, tuple(range(n)))])
 
-    body = extract_betas(params, spec)
-    betas = np.concatenate([body, [1.0, b_pad, b_pad]])
-    s_actual = float(np.sum(betas))
-    return BOperator(n=n, op=op, beta_magnitudes=betas, s=s_actual)
+    zero = np.zeros((1 << m, 1), dtype=np.complex128)
+    zero[0] = 1.0
+    bhat_column = apply_batch(bhat, zero, m)[:, 0]
+    betas = np.concatenate([2 * np.abs(bhat_column) ** 2, [1.0, b_pad, b_pad]])
+    return BOperator(n=n, op=op, bhat_column=bhat_column,
+                     beta_magnitudes=betas, s=float(np.sum(betas)))
 
 
 def _householder_completion(column: np.ndarray) -> np.ndarray:

@@ -34,12 +34,12 @@ from .pea_reflector import (
     block_leakage,
     build_pea_reflector,
     choose_pea_params,
+    pea_budget,
 )
 from .spectral_models import grover_unitary, synth_unitary
 from .state_prep import (
     OAA_ANGLE,
     QftSpec,
-    bhat_state,
     build_B,
     build_B_hat,
     centered_qft,
@@ -131,7 +131,7 @@ def check_state_prep_chain() -> CheckResult:
             fc = centered_qft(QftSpec.exact_for(params.m))
             out = apply_batch(fc, phi_vec[:, None], params.m)[:, 0]
             err_exact = float(np.linalg.norm(psi - out))
-            trunc = bhat_state(params, prep_qft_spec(params))
+            trunc = build_B(params, prep_qft_spec(params)).bhat_column
             err_trunc = float(np.linalg.norm(psi - trunc))
             worst_exact = max(worst_exact, err_exact / eps)
             worst_trunc = max(worst_trunc, err_trunc / eps)
@@ -153,8 +153,8 @@ def check_scalar_lcu() -> CheckResult:
     for eps in EPS_GRID:
         for delta in DELTA_GRID:
             params = select_params(eps, delta, KERNEL_C)
-            betas = 2 * np.abs(bhat_state(params, prep_qft_spec(params))) ** 2
-            diff = alpha_coeffs(params) - betas / 2
+            betas = build_B(params, prep_qft_spec(params)).beta_magnitudes
+            diff = alpha_coeffs(params) - betas[:2 * params.L] / 2
             sup = float(np.abs(circle_values(diff, 1000)).max())
             worst = max(worst, sup / eps)
             ok = ok and sup <= 10 * eps
@@ -215,8 +215,7 @@ def check_pea_baseline() -> CheckResult:
     t0 = time.perf_counter()
     eps = 1e-2
     unitary = _instance()
-    params = choose_pea_params(eps, unitary.gap)
-    spec = QftSpec.for_budget(params.n_prime, 0.05)
+    params, spec = pea_budget(eps, unitary.gap)
     worst_p = float(block_leakage(unitary, params.n_prime, spec)[1:].max())
     refl = build_pea_reflector(unitary, eps)
     err = reflection_error(refl, unitary, 5, _TRIAL_SEED)
@@ -285,7 +284,7 @@ def _structural_op_zoo():
     """Representative operators capped at 8 qubits for dense unitarity."""
     from .core_sim import cnot, cphase, hadamard, pauli_x, pauli_z, ry, swap_gate
     params = select_params(0.2, 1.5, KERNEL_C)
-    spec = QftSpec.for_budget(params.m, 0.05)
+    spec = prep_qft_spec(params)
     unitary = synth_unitary(2, 1.0, seed=3)
     b = build_B(params, spec)
     sel = build_select(params, unitary)

@@ -10,7 +10,11 @@ from reflectsim.accounting import (
 from reflectsim.core_sim import ResourceFootprint
 from reflectsim.gaussian_kernel import select_params
 from reflectsim.lcu_reflector import build_reflector
-from reflectsim.pea_reflector import build_pea_reflector, choose_pea_params
+from reflectsim.pea_reflector import (
+    build_pea_reflector,
+    choose_pea_params,
+    pea_budget,
+)
 from reflectsim.spectral_models import synth_unitary
 from reflectsim.state_prep import QftSpec
 
@@ -88,6 +92,14 @@ class TestNoDrift:
         assert refl.ledger.queries_u == model["cu"]
         assert refl.n_ancilla == model["n_ancilla"]
 
+    def test_compare_pea_columns_match_budget(self):
+        table = compare_scaling()
+        for row in table.rows:
+            model = pea_gate_model(*pea_budget(row.epsilon, row.delta))
+            assert row.n_pea == model["n_ancilla"]
+            assert row.cu_pea == model["cu"]
+            assert row.cb_pea_model == model["a_two_qubit"]
+
     def test_csv_columns_stable(self):
         assert CSV_COLUMNS == ("epsilon", "delta", "n_lcu", "n_pea",
                                "cu_lcu", "cu_pea", "cb_lcu_model",
@@ -103,13 +115,10 @@ class TestGateCountTrends:
 
     def test_pea_gate_trend(self):
         import math
-        from reflectsim.pea_reflector import DEFAULT_PEA_QFT_EPS
         ratios = []
         counts = []
         for eps, delta in self.GRID:
-            pp = choose_pea_params(eps, delta)
-            spec = QftSpec.for_budget(pp.n_prime, DEFAULT_PEA_QFT_EPS)
-            cb = pea_gate_model(pp, spec)["a_two_qubit"]
+            cb = pea_gate_model(*pea_budget(eps, delta))["a_two_qubit"]
             pred = (math.log(1 / eps) * math.log(1 / delta)
                     * math.log(math.log(1 / delta)))
             ratios.append(cb / pred)

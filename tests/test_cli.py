@@ -6,11 +6,15 @@ import math
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import reflectsim.suite as suite_mod
 from reflectsim.cli import run
-from reflectsim.core_sim import working_set_bytes
+from reflectsim.core_sim import apply_batch, working_set_bytes
+from reflectsim.lcu_reflector import build_reflector
+from reflectsim.pea_reflector import build_pea_reflector
+from reflectsim.spectral_models import synth_unitary
 from reflectsim.suite import CheckResult
 
 
@@ -44,6 +48,7 @@ def _assert_refused(capsys, argv):
     assert captured.out == ""
     assert "GiB" in captured.err
     assert peak <= 4 * 2 ** 20
+    return captured.err
 
 
 class TestKernelCommand:
@@ -75,13 +80,15 @@ class TestKernelCommand:
     def test_oversized_kernel_refused(self, capsys):
         # the 2^30-entry alpha table is refused before it is allocated
         _skip_unless_oversized()
-        _assert_refused(capsys, ["kernel", "--eps", "1e-2", "--gap", "1e-7"])
+        err = _assert_refused(capsys, ["kernel", "--eps", "1e-2", "--gap", "1e-7"])
+        assert "an array of 2^30 entries needs about" in err
 
     def test_oversized_points_refused(self, capsys):
         # 10^9 points round up to a 2^30-point grid, refused before it exists
         _skip_unless_oversized()
-        _assert_refused(capsys, ["kernel", "--eps", "0.1", "--gap", "0.5",
-                                 "--points", "1000000000"])
+        err = _assert_refused(capsys, ["kernel", "--eps", "0.1", "--gap", "0.5",
+                                       "--points", "1000000000"])
+        assert "an array of 2^30 entries needs about" in err
 
     @pytest.mark.parametrize("points", ["0", "-5"])
     def test_points_below_one_refused(self, capsys, points):
@@ -186,6 +193,33 @@ class TestReflectCommand:
                   "trials", "params", "n_ancilla", "max_error", "error_bound",
                   "ledger", "passed"}
         assert shared <= set(rep_l) and shared <= set(rep_p)
+
+
+class TestTraceProbePaths:
+    """The benchmark's traced mode applies each layer of the reflectors that
+    ``reflect`` builds, reached through these attribute paths."""
+
+    @staticmethod
+    def _apply_layers(refl, layers):
+        total = refl.n_ancilla + refl.system_qubits
+        cols = np.zeros((1 << total, 1), dtype=np.complex128)
+        cols[0] = 1.0
+        for op, targets in layers:
+            out = apply_batch(op, cols, total, targets)
+            assert out.shape == cols.shape
+
+    def test_lcu_layers(self):
+        refl = build_reflector(synth_unitary(2, 1.0, seed=3), 0.2)
+        anc = tuple(range(refl.n_ancilla))
+        self._apply_layers(refl, [(refl.b.op, anc), (refl.select.op, None),
+                                  (refl.w, None), (refl.r, anc), (refl.a, None)])
+
+    def test_pea_layers(self):
+        refl = build_pea_reflector(synth_unitary(2, 1.0, seed=3), 0.2)
+        assert not hasattr(refl, "select")
+        block, targets = refl.w.steps[0]
+        self._apply_layers(refl, [(block, targets), (refl.w, None),
+                                  (refl.a, None)])
 
 
 class TestCompareCommand:

@@ -14,6 +14,7 @@ from reflectsim.pea_reflector import (
     choose_pea_params,
     leakage_amplitude_bound,
     pea_block,
+    pea_budget,
 )
 from reflectsim.spectral_models import EigenUnitary, synth_unitary
 from reflectsim.state_prep import QftSpec
@@ -131,6 +132,16 @@ class TestWPea:
         state = lift(unit_vector(8, 0), params.total_ancilla)
         out = apply_batch(w, state, w.num_qubits)
         assert np.abs(out - state).max() < 1e-12
+
+
+class TestPeaBudget:
+    @pytest.mark.parametrize("exact_qft", [False, True])
+    def test_reflector_uses_budget(self, exact_qft):
+        u = synth_unitary(8, 0.5, seed=7)
+        refl = build_pea_reflector(u, 1e-2, exact_qft=exact_qft)
+        params, spec = pea_budget(1e-2, u.gap, exact_qft)
+        assert refl.params == params
+        assert refl.qft_spec == spec
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import reflectsim.state_prep as state_prep_mod
+from reflectsim.cli import run
 from reflectsim.core_sim import (
     adjoint,
     apply_batch,
@@ -19,7 +21,6 @@ from reflectsim.state_prep import (
     OAA_ANGLE,
     QftSpec,
     RotationTree,
-    bhat_state,
     build_B,
     centered_qft,
     centering_circuit,
@@ -207,19 +208,19 @@ class TestBHat:
         vec = np.zeros(2 * params.L, dtype=complex)
         vec[params.L - params.Lstar: params.L + params.Lstar] = phi
         want = centered_dft(2 * params.L) @ vec
-        got = bhat_state(params, prep_qft_spec(params))
+        got = build_B(params, prep_qft_spec(params)).bhat_column
         assert np.linalg.norm(got - want) <= 10 * 1e-2
 
     @pytest.mark.parametrize("eps,delta", [(1e-1, 0.5), (1e-2, 0.1), (1e-3, 0.02)])
     def test_close_to_target_gaussian(self, eps, delta):
         params = select_params(eps, delta)
-        got = bhat_state(params, prep_qft_spec(params))
+        got = build_B(params, prep_qft_spec(params)).bhat_column
         assert np.linalg.norm(psi_amplitudes(params) - got) <= 10 * eps
 
     def test_beta_normalization_exact(self):
         params = select_params(1e-2, 0.5)
-        betas = 2 * np.abs(bhat_state(
-            params, prep_qft_spec(params))) ** 2
+        betas = 2 * np.abs(build_B(
+            params, prep_qft_spec(params)).bhat_column) ** 2
         assert abs(betas.sum() - 2.0) < 1e-12
 
 
@@ -277,3 +278,37 @@ class TestBuildB:
         assert "controlled_prep_x2" in b.op.footprint.modeled
         assert "header_prep_const" in b.op.footprint.modeled
         assert b.n == params.m + 2
+
+
+class TestBHatBuiltOnce:
+    """B-hat is built and simulated once per ``build_B``, and a ``prep``
+    report reads that one column."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        tally = {"built": 0, "simulated": 0}
+        built = []
+        build, apply = state_prep_mod.build_B_hat, state_prep_mod.apply_batch
+
+        def counting_build(*args, **kwargs):
+            op = build(*args, **kwargs)
+            tally["built"] += 1
+            built.append(op)
+            return op
+
+        def counting_apply(op, *args, **kwargs):
+            tally["simulated"] += any(op is b for b in built)
+            return apply(op, *args, **kwargs)
+
+        monkeypatch.setattr(state_prep_mod, "build_B_hat", counting_build)
+        monkeypatch.setattr(state_prep_mod, "apply_batch", counting_apply)
+        return tally
+
+    def test_build_B(self, counts):
+        params = select_params(1e-2, 0.5)
+        build_B(params, prep_qft_spec(params))
+        assert counts == {"built": 1, "simulated": 1}
+
+    def test_prep_op(self, counts):
+        assert run(["prep", "--eps", "1e-2", "--gap", "0.5"]) == 0
+        assert counts == {"built": 1, "simulated": 1}
