@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -42,7 +43,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args keeps no state."""
     parser = _Parser(prog="reflectsim",
                      description="Approximate reflection operators: build, "
                                  "simulate, verify, and count resources.")
@@ -103,6 +106,9 @@ def _build_parser() -> _Parser:
 
 
 def _jsonable(value):
+    if isinstance(value, list) and set(map(type, value)) == {float}:
+        # report tables come from tolist(): nothing to convert
+        return value
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

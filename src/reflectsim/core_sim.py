@@ -250,12 +250,12 @@ class SequenceOp(CircuitOp):
         self.footprint = footprint
 
     def _transform(self, block):
-        # stay in tensor form between steps: one contiguity copy per member
+        # stay in tensor form between steps; only generic members copy
         batch = block.shape[1]
         tensor = block.reshape((2,) * self.num_qubits + (batch,))
         for op, targets in self.steps:
             tensor = _embed_tensor(op, tensor, self.num_qubits, targets)
-        return np.ascontiguousarray(tensor).reshape(self.dim, batch)
+        return _fresh_columns(tensor, block, (self.dim, batch))
 
 
 def _check_targets(op: CircuitOp, num_qubits: int, targets) -> tuple:
@@ -273,16 +273,63 @@ def _check_targets(op: CircuitOp, num_qubits: int, targets) -> tuple:
     return tg
 
 
+_X_PERM = (1, 0)
+_SWAP_PERM = (0, 2, 1, 3)
+
+
 def _embed_tensor(op: CircuitOp, tensor: np.ndarray, num_qubits: int,
                   targets: tuple) -> np.ndarray:
-    """Tensor-form embedding: input and output have shape (2,)*n + (batch,);
-    the output may be a strided view."""
+    """Tensor-form embedding: input and output have shape (2,)*n + (batch,).
+
+    The output may be a strided view of the input (X and SWAP), so callers
+    copy before handing it out. Diagonals, X, SWAP and controlled ops work
+    on the tensor's own axes; other kinds move their axes to the front and
+    run on one contiguous copy."""
     k = op.num_qubits
+    if isinstance(op, DiagonalOp):
+        # op axis i is register axis targets[i]; order the axes by target
+        # and broadcast over every other axis
+        order = sorted(range(k), key=targets.__getitem__)
+        diag = op.diagonal.reshape((2,) * k).transpose(order)
+        shape = [1] * (num_qubits + 1)
+        for t in targets:
+            shape[t] = 2
+        return diag.reshape(shape) * tensor
+    if isinstance(op, PermutationOp):
+        perm = tuple(op.perm.tolist())
+        if perm == _X_PERM:
+            return np.flip(tensor, axis=targets[0])
+        if perm == _SWAP_PERM:
+            return np.swapaxes(tensor, *targets)
+    if isinstance(op, ControlledOp):
+        # fix each control axis at its pattern bit; the slice drops those
+        # axes, so renumber the sub-op's targets
+        c = op.num_controls
+        controls = targets[:c]
+        index = [slice(None)] * (num_qubits + 1)
+        for i, t in enumerate(controls):
+            index[t] = (op.pattern >> (c - 1 - i)) & 1
+        index = tuple(index)
+        sub_targets = tuple(t - sum(q < t for q in controls)
+                            for t in targets[c:])
+        out = tensor.copy()
+        out[index] = _embed_tensor(op.sub, out[index], num_qubits - c,
+                                   sub_targets)
+        return out
     moved = np.moveaxis(tensor, targets, range(k))
     shape = moved.shape
     flat = np.ascontiguousarray(moved).reshape(1 << k, -1)
     out = op._transform(flat)
     return np.moveaxis(out.reshape(shape), range(k), targets)
+
+
+def _fresh_columns(tensor: np.ndarray, source: np.ndarray,
+                   shape: tuple) -> np.ndarray:
+    """``tensor`` as a contiguous (dim, batch) array that shares no memory
+    with ``source``: view kernels can hand back the source itself."""
+    if np.may_share_memory(tensor, source):
+        return np.array(tensor, order="C").reshape(shape)
+    return np.ascontiguousarray(tensor).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +352,7 @@ def apply_batch(op: CircuitOp, columns: np.ndarray, num_qubits: int,
         return op._transform(cols)
     tensor = cols.reshape((2,) * num_qubits + (cols.shape[1],))
     tensor = _embed_tensor(op, tensor, num_qubits, tg)
-    return np.ascontiguousarray(tensor).reshape(cols.shape)
+    return _fresh_columns(tensor, cols, cols.shape)
 
 
 def op_matrix(op: CircuitOp) -> np.ndarray:

@@ -13,6 +13,9 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
+
+from .core_sim import require_memory
 
 _BASIS_ATOL = 1e-10
 
@@ -52,7 +55,11 @@ class EigenUnitary:
             others.min() < self.gap - tol or others.max() > 2 * math.pi - self.gap + tol
         ):
             raise ValueError("gapped eigenphases must lie in [gap, 2 pi - gap]")
-        defect = np.abs(basis.conj().T @ basis - np.eye(self.dimension)).max()
+        # one triangle of the Gram matrix, conj(V^H V), from the F-ordered
+        # V^T; the unset triangle is zero, like the identity's
+        gram = scipy.linalg.blas.zherk(1.0, basis.T)
+        gram[np.diag_indices(self.dimension)] -= 1.0
+        defect = np.abs(gram).max()
         if defect > _BASIS_ATOL:
             raise ValueError(f"eigenbasis is not unitary (defect {defect:.3e})")
         phases.setflags(write=False)
@@ -108,6 +115,7 @@ def synth_unitary(dimension: int, gap: float, seed: int) -> EigenUnitary:
     # gap == pi is allowed: the interval collapses to the single point pi
     if not 0 < gap <= math.pi:
         raise ValueError("gap must lie in (0, pi]")
+    _require_square(dimension)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(
         size=(dimension, dimension)
@@ -119,6 +127,11 @@ def synth_unitary(dimension: int, gap: float, seed: int) -> EigenUnitary:
     phases[1:] = rng.uniform(gap, 2 * math.pi - gap, size=dimension - 1)
     return EigenUnitary(dimension=dimension, eigenphases=phases, eigenbasis=q,
                         gap=gap)
+
+
+def _require_square(dimension: int) -> None:
+    """Refuse an instance whose D x D matrices would not fit in memory."""
+    require_memory((dimension * dimension - 1).bit_length())
 
 
 def _schur_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,6 +151,7 @@ def grover_unitary(dimension: int, marked: int) -> GroverInstance:
         raise ValueError("dimension must be a power of two >= 4")
     if not 0 <= marked < dimension:
         raise ValueError("marked index out of range")
+    _require_square(dimension)
     d = dimension
     s = np.full(d, 1 / math.sqrt(d))
     v = np.eye(d, dtype=np.complex128) + (1j - 1) * np.outer(s, s)

@@ -1,9 +1,12 @@
 """Independent reference computations used as test oracles.
 
 Everything here is built from first principles (numpy primitives, explicit
-summation), never from the library's own circuit machinery. The one
-exception is ``lifted_action``: the per-column simulation that the library's
-one-column eigen profile replaced, kept to guard the profile's precondition.
+summation), never from the library's own circuit machinery. Two exceptions:
+``lifted_action``, the per-column simulation that the library's one-column
+eigen profile replaced, kept to guard the profile's precondition; and
+``embed_moveaxis``, the gate embedding that ``apply_batch``'s view and
+broadcast kernels replaced, which only calls the operators' own
+whole-block transforms.
 States are plain (2^n, batch) column arrays, as in the library; ``lift``
 places system columns on one ancilla basis state.
 """
@@ -13,7 +16,7 @@ import math
 
 import numpy as np
 
-from reflectsim.core_sim import apply_batch
+from reflectsim.core_sim import ControlledOp, SequenceOp, apply_batch
 from reflectsim.gaussian_kernel import kernel_value
 from reflectsim.spectral_models import EigenUnitary, synth_unitary
 
@@ -145,3 +148,31 @@ def gap_edge_unitary() -> EigenUnitary:
     phases = base.eigenphases.copy()
     phases[1], phases[2] = 0.5, 2 * math.pi - 0.5
     return EigenUnitary(8, phases, base.eigenbasis, 0.5)
+
+
+def embed_moveaxis(op, columns: np.ndarray, num_qubits: int,
+                   targets=None) -> np.ndarray:
+    """op applied to each column at ``targets`` (default the whole
+    register): move the target axes to the front, transform one contiguous
+    (2^k, rest) block, move the axes back. Sequence and controlled ops
+    recurse here, so every leaf gate is applied this way."""
+    k = op.num_qubits
+    tg = tuple(range(k)) if targets is None else tuple(targets)
+    tensor = columns.reshape((2,) * num_qubits + (columns.shape[1],))
+    moved = np.moveaxis(tensor, tg, range(k))
+    flat = np.ascontiguousarray(moved).reshape(1 << k, -1)
+    out = _block_transform(op, flat).reshape(moved.shape)
+    return np.ascontiguousarray(
+        np.moveaxis(out, range(k), tg)).reshape(columns.shape)
+
+
+def _block_transform(op, block: np.ndarray) -> np.ndarray:
+    if isinstance(op, SequenceOp):
+        for sub, tg in op.steps:
+            block = embed_moveaxis(sub, block, op.num_qubits, tg)
+        return block
+    if isinstance(op, ControlledOp):
+        out = block.copy().reshape(1 << op.num_controls, op.sub.dim, -1)
+        out[op.pattern] = _block_transform(op.sub, out[op.pattern])
+        return out.reshape(block.shape)
+    return op._transform(block)

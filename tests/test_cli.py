@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reflectsim.suite as suite_mod
-from reflectsim.cli import run
+from reflectsim.cli import _build_parser, run
 from reflectsim.core_sim import apply_batch, working_set_bytes
 from reflectsim.lcu_reflector import build_reflector
 from reflectsim.pea_reflector import build_pea_reflector
@@ -99,6 +99,21 @@ class TestKernelCommand:
         assert captured.out == ""
         assert f"--points must be at least 1, got {points}" in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestOversizedInstance:
+    """D = 2^15 asks for D x D = 2^30-entry matrices: refused before the
+    random draw, not a numpy allocation error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["reflect", "lcu", "--dim", "32768", "--gap", "0.5", "--eps", "1e-2"],
+        ["grover", "--dim", "32768", "--eps", "0.02"],
+    ])
+    def test_refused(self, capsys, argv):
+        _skip_unless_oversized()
+        err = _assert_refused(capsys, argv)
+        assert "an array of 2^30 entries needs about" in err
+        assert "Traceback" not in err
 
 
 class TestPrepCommand:
@@ -292,6 +307,19 @@ class TestContract:
         _, first = _capture(capsys, argv)
         _, second = _capture(capsys, argv)
         assert first == second
+
+    def test_parser_built_once(self, capsys):
+        # a usage error between two runs leaves the shared parser intact
+        assert _build_parser() is _build_parser()
+        argv = ["reflect", "pea", "--dim", "2", "--gap", "1.0",
+                "--eps", "0.2", "--trials", "1"]
+        code, first = _capture(capsys, argv)
+        assert code == 0
+        assert run(["reflect", "lcu", "--gap", "0.5", "--eps", "1e-2"]) == 1
+        assert "--dim" in capsys.readouterr().err
+        code, again = _capture(capsys, argv)
+        assert code == 0
+        assert again == first
 
     def test_suite_subset(self, capsys):
         code, out = _capture(capsys, ["verify-suite", "--only",

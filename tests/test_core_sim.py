@@ -28,7 +28,7 @@ from reflectsim.core_sim import (
     swap_gate,
     unitarity_defect,
 )
-from oracles import kron_chain
+from oracles import embed_moveaxis, kron_chain
 
 
 def _basis(num_qubits: int, index: int = 0) -> np.ndarray:
@@ -104,22 +104,74 @@ class TestApply:
     @pytest.mark.parametrize("targets", [(0, 1), (2, 0)])
     def test_input_columns_unchanged(self, targets):
         # states are plain arrays: no op kind may write its input or hand
-        # it back as its output
+        # it back as its output. X and SWAP return views of their input,
+        # and two X's in a row give back the input's own layout.
         ops = (DenseOp(op_matrix(swap_gate())), cphase(0.4), cnot(),
                PermutationOp(np.array([3, 0, 1, 2])), ZeroReflectionOp(2),
                EigenPowersOp(np.array([1, -2]), np.array([1, -1]),
                              np.array([0.0, 0.3])),
-               SequenceOp(2, [(hadamard(), (1,)), (swap_gate(), (0, 1))]))
+               SequenceOp(2, [(hadamard(), (1,)), (swap_gate(), (0, 1))]),
+               pauli_x(), swap_gate(),
+               ControlledOp(SequenceOp(1, [(pauli_x(), (0,)),
+                                           (hadamard(), (0,))]), 1, 1),
+               SequenceOp(1, [(pauli_x(), (0,)), (pauli_x(), (0,))]))
         cols = _random_columns(3, 3, seed=9)
         before = cols.copy()
         for op in ops:
-            out = apply_batch(op, cols, 3, targets)
+            out = apply_batch(op, cols, 3, targets[:op.num_qubits])
             assert np.array_equal(cols, before)
             assert not np.shares_memory(out, cols)
-        seq = SequenceOp(3, [(op, targets) for op in ops])
+        seq = SequenceOp(3, [(op, targets[:op.num_qubits]) for op in ops])
         out = apply_batch(seq, cols, 3)
         assert np.array_equal(cols, before)
         assert not np.shares_memory(out, cols)
+
+
+def _phases(num_qubits: int, seed: int) -> DiagonalOp:
+    rng = np.random.default_rng(seed)
+    return DiagonalOp(np.exp(1j * rng.uniform(0, 2 * math.pi,
+                                              1 << num_qubits)))
+
+
+# leading, reversed and non-adjacent targets on a 4-qubit register
+_TARGETS = {1: [(0,), (3,), (2,)],
+            2: [(0, 1), (1, 0), (3, 1), (0, 2)],
+            3: [(0, 1, 2), (2, 1, 0), (3, 0, 2), (0, 3, 1)]}
+
+
+def _kernel_cases():
+    cases = [(f"diag{k}", _phases(k, seed=k)) for k in (1, 2, 3)]
+    cases += [("x", pauli_x()), ("swap", swap_gate())]
+    for controls in (1, 2):
+        for pattern in range(1 << controls):
+            cases.append((f"c{controls}p{pattern}-x",
+                          ControlledOp(pauli_x(), controls, pattern)))
+            cases.append((f"c{controls}p{pattern}-ry",
+                          ControlledOp(ry(0.7), controls, pattern)))
+            cases.append((f"c{controls}p{pattern}-diag",
+                          ControlledOp(_phases(1, seed=5), controls, pattern)))
+    body = SequenceOp(2, [(hadamard(), (1,)), (cphase(0.9), (1, 0)),
+                          (swap_gate(), (0, 1)), (pauli_x(), (0,))])
+    cases.append(("c1p0-sequence", ControlledOp(body, 1, 0)))
+    return cases
+
+
+class TestKernelsMatchMoveaxis:
+    """Diagonals, X, SWAP and controlled ops skip the moveaxis embedding;
+    their output must equal it bit for bit."""
+
+    @pytest.mark.parametrize("op", [op for _, op in _kernel_cases()],
+                             ids=[name for name, _ in _kernel_cases()])
+    def test_bit_identical(self, op):
+        cols = _random_columns(4, 3, seed=11)
+        for targets in _TARGETS[op.num_qubits]:
+            got = apply_batch(op, cols, 4, targets)
+            assert np.array_equal(got, embed_moveaxis(op, cols, 4, targets))
+            # the same step inside a sequence, between two generic steps
+            seq = SequenceOp(4, [(hadamard(), (2,)), (op, targets),
+                                 (ry(0.3), (0,))])
+            assert np.array_equal(apply_batch(seq, cols, 4),
+                                  embed_moveaxis(seq, cols, 4))
 
 
 class TestOperatorKinds:

@@ -229,3 +229,13 @@ class TestEigenUnitaryType:
     def test_rejects_phase_outside_gap(self):
         with pytest.raises(ValueError):
             EigenUnitary(2, np.array([0.0, 0.1]), np.eye(2), gap=0.5)
+
+    @pytest.mark.parametrize("row,col", [(3, 40), (40, 3)])
+    def test_rejects_basis_perturbed_off_diagonal(self, row, col):
+        # the Gram check reads one triangle: an entry above or below the
+        # diagonal moves a whole row and column of V^H V, so both show
+        base = synth_unitary(64, 0.5, seed=3)
+        basis = np.array(base.eigenbasis)
+        basis[row, col] += 1e-8
+        with pytest.raises(ValueError, match="eigenbasis is not unitary"):
+            EigenUnitary(64, base.eigenphases, basis, gap=0.5)
