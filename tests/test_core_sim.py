@@ -140,19 +140,20 @@ _TARGETS = {1: [(0,), (3,), (2,)],
 
 
 def _kernel_cases():
-    cases = [(f"diag{k}", _phases(k, seed=k)) for k in (1, 2, 3)]
-    cases += [("x", pauli_x()), ("swap", swap_gate())]
+    cases = [pytest.param(_phases(k, seed=k), id=f"diag{k}")
+             for k in (1, 2, 3)]
+    cases += [pytest.param(pauli_x(), id="x"),
+              pytest.param(swap_gate(), id="swap")]
     for controls in (1, 2):
         for pattern in range(1 << controls):
-            cases.append((f"c{controls}p{pattern}-x",
-                          ControlledOp(pauli_x(), controls, pattern)))
-            cases.append((f"c{controls}p{pattern}-ry",
-                          ControlledOp(ry(0.7), controls, pattern)))
-            cases.append((f"c{controls}p{pattern}-diag",
-                          ControlledOp(_phases(1, seed=5), controls, pattern)))
+            for name, sub in (("x", pauli_x()), ("ry", ry(0.7)),
+                              ("diag", _phases(1, seed=5))):
+                cases.append(pytest.param(
+                    ControlledOp(sub, controls, pattern),
+                    id=f"c{controls}p{pattern}-{name}"))
     body = SequenceOp(2, [(hadamard(), (1,)), (cphase(0.9), (1, 0)),
                           (swap_gate(), (0, 1)), (pauli_x(), (0,))])
-    cases.append(("c1p0-sequence", ControlledOp(body, 1, 0)))
+    cases.append(pytest.param(ControlledOp(body, 1, 0), id="c1p0-sequence"))
     return cases
 
 
@@ -160,8 +161,7 @@ class TestKernelsMatchMoveaxis:
     """Diagonals, X, SWAP and controlled ops skip the moveaxis embedding;
     their output must equal it bit for bit."""
 
-    @pytest.mark.parametrize("op", [op for _, op in _kernel_cases()],
-                             ids=[name for name, _ in _kernel_cases()])
+    @pytest.mark.parametrize("op", _kernel_cases())
     def test_bit_identical(self, op):
         cols = _random_columns(4, 3, seed=11)
         for targets in _TARGETS[op.num_qubits]:
