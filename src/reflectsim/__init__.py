@@ -57,6 +57,7 @@ from .lcu_reflector import (
     build_select,
     oaa_expansion_check,
     reflection_error,
+    worst_case,
 )
 from .pea_reflector import (
     PeaParams,

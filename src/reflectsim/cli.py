@@ -25,7 +25,7 @@ from .gaussian_kernel import (
     psi_amplitudes,
     select_params,
 )
-from .lcu_reflector import build_reflector, grover_step, reflection_error
+from .lcu_reflector import build_reflector, grover_step, worst_case
 from .pea_reflector import build_pea_reflector
 from .spectral_models import grover_unitary, synth_unitary
 from .state_prep import QftSpec, build_B, prep_qft_spec
@@ -76,7 +76,10 @@ def _build_parser() -> _Parser:
     p_reflect.add_argument("--eps", type=float, required=True)
     p_reflect.add_argument("--seed", type=int, default=7)
     p_reflect.add_argument("--trials", type=int, default=None,
-                           help="verification trials (default 10 lcu, 3 pea)")
+                           help="accepted and ignored: the report gives the "
+                                "exact worst case over all inputs; removed "
+                                "with the benchmark's use of it (ROADMAP "
+                                "item 2)")
     p_reflect.add_argument("--c", type=float, default=40.0)
     p_reflect.add_argument("--kernel-fraction", type=float, default=0.5)
     p_reflect.add_argument("--exact-qft", action="store_true")
@@ -172,27 +175,27 @@ def _ledger(refl) -> dict:
 
 
 def reflect_report(method: str, dim: int, gap: float, eps: float, seed: int,
-                   trials: int | None, c: float, kernel_fraction: float,
-                   exact_qft: bool) -> dict:
+                   c: float, kernel_fraction: float, exact_qft: bool) -> dict:
+    """Build the reflector on a seeded instance and check its exact worst
+    case, max_j e_j over U's eigenvectors, against 10 eps; reads only the
+    instance's eigenphases."""
     unitary = synth_unitary(dim, gap, seed)
-    if trials is None:
-        trials = 10 if method == "lcu" else 3
     if method == "lcu":
         refl = build_reflector(unitary, eps, c=c,
                                kernel_fraction=kernel_fraction,
                                exact_qft=exact_qft)
     else:
         refl = build_pea_reflector(unitary, eps, exact_qft=exact_qft)
-    err = reflection_error(refl, unitary, trials, seed + 1)
+    err, worst_phase = worst_case(refl, unitary)
     return {
         "command": "reflect",
         "method": method,
         "dimension": dim, "gap": gap, "epsilon": eps, "seed": seed,
-        "trials": trials,
         "params": dataclasses.asdict(refl.params),
         **({"s": refl.s} if method == "lcu" else {}),
         "n_ancilla": refl.n_ancilla,
         "max_error": err,
+        "worst_eigenphase": worst_phase,
         "error_bound": 10 * eps,
         "ledger": _ledger(refl),
         "passed": bool(err <= 10 * eps),
@@ -308,8 +311,8 @@ def run(argv=None) -> int:
             report = prep_report(args.eps, args.gap, args.c, args.exact_qft)
         elif args.command == "reflect":
             report = reflect_report(args.method, args.dim, args.gap, args.eps,
-                                    args.seed, args.trials, args.c,
-                                    args.kernel_fraction, args.exact_qft)
+                                    args.seed, args.c, args.kernel_fraction,
+                                    args.exact_qft)
         elif args.command == "compare":
             eps_grid = tuple(float(x) for x in args.eps_grid.split(","))
             delta_grid = tuple(float(x) for x in args.delta_grid.split(","))

@@ -25,7 +25,6 @@ from .core_sim import (
     ZeroReflectionOp,
     adjoint,
     apply_batch,
-    random_state,
     require_memory,
 )
 from .gaussian_kernel import KernelParams, select_params, trig_poly
@@ -268,24 +267,30 @@ def oaa_expansion_check(w: CircuitOp, r: CircuitOp, n_ancilla: int,
     }
 
 
-def reflection_error(reflector, unitary: EigenUnitary, trials: int, seed: int,
-                     states: list[np.ndarray] | None = None) -> float:
-    """max over trial states of || A |0>|xi> - |0> R_psi0 |xi> ||.
+def worst_case(reflector, unitary: EigenUnitary) -> tuple[float, float]:
+    """(max_j e_j, lambda_j at that j): the exact worst case over all
+    inputs of || A |0>|xi> - |0> R_psi0 |xi> ||, and the eigenphase where
+    it sits.
 
-    Works for any reflector exposing ``eigen_errors()``, the per-eigenvector
-    misses e_j = ||A(lambda_j)|0> - r_j|0>|| with r = (1, -1, ..., -1), the
-    sign vector of R_psi0 in U's eigenbasis. The states are system vectors
-    in the computational basis; one with eigen-coordinates xi_j misses by
-    sqrt(sum_j |xi_j|^2 e_j^2), and max_j e_j is the exact worst case over
-    all inputs. Haar trial states are drawn from the seed unless explicit
-    system vectors are supplied.
+    Works for any reflector exposing ``eigen_errors()``, the
+    per-eigenvector misses e_j = ||A(lambda_j)|0> - r_j|0>|| with
+    r = (1, -1, ..., -1), the sign vector of R_psi0 in U's eigenbasis. An
+    input with eigen-coordinates xi_j misses by sqrt(sum_j |xi_j|^2 e_j^2),
+    at most max_j e_j, with equality on eigenvector argmax. Reads only the
+    eigenphases.
     """
-    if trials < 1 and not states:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    if states is None:
-        states = [random_state(unitary.system_qubits, rng)
-                  for _ in range(trials)]
+    e = reflector.eigen_errors()
+    j = int(np.argmax(e))
+    return float(e[j]), float(unitary.eigenphases[j])
+
+
+def reflection_error(reflector, unitary: EigenUnitary,
+                     states: list[np.ndarray]) -> float:
+    """max over the given system vectors xi (computational basis) of
+    || A |0>|xi> - |0> R_psi0 |xi> || = sqrt(sum_j |xi_j|^2 e_j^2), with
+    xi_j the eigen-coordinates and e_j as in ``worst_case``."""
+    if not states:
+        raise ValueError("need at least one state")
     columns = np.stack(states, axis=1)
     if columns.shape[0] != unitary.dimension:
         raise ValueError("states do not match the system dimension")

@@ -3,12 +3,20 @@
 Synthetic Haar instances, the Grover lower-bound family, and the
 Hamiltonian front-end U = exp(i(H - lambda0)). Every instance is stored by
 eigendecomposition. The reflectors act on the system register in U's
-eigenbasis, where every controlled power of U is diagonal; system vectors
-enter and leave through ``EigenUnitary.to_eigenbasis`` and ``eigenbasis``.
+eigenbasis, where every controlled power of U is diagonal, and read only
+the eigenphases; system vectors enter and leave through
+``EigenUnitary.to_eigenbasis`` and ``eigenbasis``. A synthetic instance
+draws its D x D Haar basis on demand, the first time something reads
+``eigenbasis`` (``psi0``, ``power_matrix``, ``to_eigenbasis``,
+``exact_reflection``), so building and verifying a reflector on it never
+holds a D x D array. Grover and Hamiltonian instances get their bases
+from a diagonalisation, at construction.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -20,7 +28,6 @@ from .core_sim import require_memory
 _BASIS_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
 class EigenUnitary:
     """A unitary stored as eigenphases plus an orthonormal eigenbasis.
 
@@ -28,33 +35,46 @@ class EigenUnitary:
     (column 0 of ``eigenbasis``); all other phases lie in [gap, 2 pi - gap].
     ``step_cost`` lets the ledger charge a user-supplied per-power query
     cost (e.g. when U itself is a simulated evolution), default 1.
+
+    ``eigenbasis`` is given as a D x D array, checked at once, or as a
+    function of no arguments that draws it: then the draw, its memory
+    preflight and its unitarity check run the first time something reads
+    ``eigenbasis``. The reflectors read only the eigenphases. Instances are
+    immutable.
     """
 
-    dimension: int
-    eigenphases: np.ndarray
-    eigenbasis: np.ndarray
-    gap: float
-    step_cost: int = 1
-
-    def __post_init__(self):
-        phases = np.asarray(self.eigenphases, dtype=float).copy()
-        basis = np.asarray(self.eigenbasis, dtype=np.complex128).copy()
-        if phases.shape != (self.dimension,):
+    def __init__(self, dimension: int, eigenphases: np.ndarray,
+                 eigenbasis: np.ndarray | Callable[[], np.ndarray],
+                 gap: float, step_cost: int = 1):
+        phases = np.asarray(eigenphases, dtype=float).copy()
+        if phases.shape != (dimension,):
             raise ValueError("eigenphase count does not match dimension")
-        if basis.shape != (self.dimension, self.dimension):
-            raise ValueError("eigenbasis shape does not match dimension")
-        if self.gap <= 0:
+        if gap <= 0:
             raise ValueError("gap must be positive")
-        if self.step_cost < 1:
+        if step_cost < 1:
             raise ValueError("step_cost must be >= 1")
         if phases[0] != 0.0:
             raise ValueError("target eigenphase must be exactly 0")
         others = phases[1:]
         tol = 1e-9
         if others.size and (
-            others.min() < self.gap - tol or others.max() > 2 * math.pi - self.gap + tol
+            others.min() < gap - tol or others.max() > 2 * math.pi - gap + tol
         ):
             raise ValueError("gapped eigenphases must lie in [gap, 2 pi - gap]")
+        phases.setflags(write=False)
+        for name, value in (("dimension", dimension), ("eigenphases", phases),
+                            ("gap", gap), ("step_cost", step_cost)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_basis", eigenbasis if callable(eigenbasis)
+                           else self._checked_basis(eigenbasis))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EigenUnitary is immutable: cannot set {name}")
+
+    def _checked_basis(self, eigenbasis: np.ndarray) -> np.ndarray:
+        basis = np.asarray(eigenbasis, dtype=np.complex128).copy()
+        if basis.shape != (self.dimension, self.dimension):
+            raise ValueError("eigenbasis shape does not match dimension")
         # one triangle of the Gram matrix, conj(V^H V), from the F-ordered
         # V^T; the unset triangle is zero, like the identity's
         gram = scipy.linalg.blas.zherk(1.0, basis.T)
@@ -62,10 +82,16 @@ class EigenUnitary:
         defect = np.abs(gram).max()
         if defect > _BASIS_ATOL:
             raise ValueError(f"eigenbasis is not unitary (defect {defect:.3e})")
-        phases.setflags(write=False)
         basis.setflags(write=False)
-        object.__setattr__(self, "eigenphases", phases)
-        object.__setattr__(self, "eigenbasis", basis)
+        return basis
+
+    @property
+    def eigenbasis(self) -> np.ndarray:
+        """V, eigenvector j in column j; drawn on first read if the instance
+        was given a function for it."""
+        if callable(self._basis):
+            object.__setattr__(self, "_basis", self._checked_basis(self._basis()))
+        return self._basis
 
     @property
     def system_qubits(self) -> int:
@@ -108,13 +134,30 @@ class GroverInstance:
 
 
 def synth_unitary(dimension: int, gap: float, seed: int) -> EigenUnitary:
-    """Random instance: Haar eigenbasis, lambda_0 = 0, the rest uniform in
-    [gap, 2 pi - gap]. Deterministic for a fixed seed."""
+    """Random instance: lambda_0 = 0, the rest uniform in [gap, 2 pi - gap],
+    and a Haar eigenbasis drawn when first read. Deterministic for a fixed
+    seed; the phases and the basis come from independent streams spawned
+    from it, so the phases do not depend on whether the basis is read."""
     if dimension < 2:
         raise ValueError("dimension must be >= 2")
     # gap == pi is allowed: the interval collapses to the single point pi
     if not 0 < gap <= math.pi:
         raise ValueError("gap must lie in (0, pi]")
+    # the reflectors' working arrays are a few eigenphase-length vectors
+    require_memory((dimension - 1).bit_length())
+    phase_seed, basis_seed = np.random.SeedSequence(seed).spawn(2)
+    phases = np.zeros(dimension)
+    phases[1:] = np.random.default_rng(phase_seed).uniform(
+        gap, 2 * math.pi - gap, size=dimension - 1)
+    return EigenUnitary(dimension=dimension, eigenphases=phases,
+                        eigenbasis=functools.partial(_haar_basis, dimension,
+                                                     basis_seed),
+                        gap=gap)
+
+
+def _haar_basis(dimension: int, seed: np.random.SeedSequence) -> np.ndarray:
+    """A Haar-random D x D unitary: QR of a complex Gaussian matrix, with
+    R's diagonal phases moved into Q."""
     _require_square(dimension)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(
@@ -122,11 +165,7 @@ def synth_unitary(dimension: int, gap: float, seed: int) -> EigenUnitary:
     )
     q, r = np.linalg.qr(g)
     d = np.diag(r)
-    q = q * (d / np.abs(d))
-    phases = np.zeros(dimension)
-    phases[1:] = rng.uniform(gap, 2 * math.pi - gap, size=dimension - 1)
-    return EigenUnitary(dimension=dimension, eigenphases=phases, eigenbasis=q,
-                        gap=gap)
+    return q * (d / np.abs(d))
 
 
 def _require_square(dimension: int) -> None:

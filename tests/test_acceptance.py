@@ -33,8 +33,8 @@ def test_criterion_3_scalar_lcu_consistency():
 
 
 def test_criterion_4_lcu_reflection():
-    # D = 8, gap 0.5, 20 Haar trials: max error <= 10 eps at eps = 1e-2,
-    # decreasing at eps = 1e-3, within 2 min
+    # D = 8, gap 0.5: exact worst-case error max_j e_j <= 10 eps at
+    # eps = 1e-2, decreasing at eps = 1e-3, within 2 min
     result = _run(suite.check_lcu_reflection)
     assert result.details["max_err_eps3"] < result.details["max_err_eps2"]
 
@@ -46,8 +46,8 @@ def test_criterion_5_oaa_algebra():
 
 
 def test_criterion_6_pea_baseline():
-    # per-block |p| <= 1/16 on every gapped eigenvector, end-to-end error
-    # <= 10 eps, exact-QFT variant fixes |0>|psi0> at 1e-10
+    # per-block |p| <= 1/16 on every gapped eigenvector, exact worst-case
+    # error <= 10 eps, exact-QFT variant fixes |0>|psi0> at 1e-10
     _run(suite.check_pea_baseline)
 
 

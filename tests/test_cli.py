@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reflectsim.suite as suite_mod
-from reflectsim.cli import _build_parser, run
+from reflectsim.cli import _build_parser, reflect_report, run
 from reflectsim.core_sim import apply_batch, working_set_bytes
 from reflectsim.lcu_reflector import build_reflector
 from reflectsim.pea_reflector import build_pea_reflector
@@ -24,14 +24,18 @@ def _capture(capsys, argv):
     return code, out
 
 
-def _traced(argv):
-    """(exit code, tracemalloc peak in bytes) of one run."""
+def _traced_call(fn):
+    """(fn(), tracemalloc peak in bytes)."""
     tracemalloc.start()
     try:
-        code = run(argv)
-        return code, tracemalloc.get_traced_memory()[1]
+        return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _traced(argv):
+    """(exit code, tracemalloc peak in bytes) of one run."""
+    return _traced_call(lambda: run(argv))
 
 
 def _skip_unless_oversized():
@@ -102,11 +106,13 @@ class TestKernelCommand:
 
 
 class TestOversizedInstance:
-    """D = 2^15 asks for D x D = 2^30-entry matrices: refused before the
-    random draw, not a numpy allocation error."""
+    """Refused before the random draw, not a numpy allocation error:
+    ``reflect`` at D = 2^30 asks for eigenphase-length working arrays of
+    2^30 entries, ``grover`` at D = 2^15 for D x D = 2^30-entry matrices."""
 
     @pytest.mark.parametrize("argv", [
-        ["reflect", "lcu", "--dim", "32768", "--gap", "0.5", "--eps", "1e-2"],
+        ["reflect", "lcu", "--dim", str(1 << 30), "--gap", "0.5",
+         "--eps", "1e-2"],
         ["grover", "--dim", "32768", "--eps", "0.02"],
     ])
     def test_refused(self, capsys, argv):
@@ -196,6 +202,32 @@ class TestReflectCommand:
         assert captured.out == ""
         assert "dimension is not a power of two" in captured.err
 
+    @pytest.mark.parametrize("method", ["lcu", "pea"])
+    def test_trials_ignored(self, capsys, method):
+        # --trials still parses, for old command lines, and changes nothing
+        argv = ["reflect", method, "--dim", "8", "--gap", "0.5", "--eps", "0.1"]
+        code, without = _capture(capsys, argv)
+        assert code == 0
+        assert _capture(capsys, argv + ["--trials", "3"]) == (0, without)
+        assert "trials" not in json.loads(without)
+
+    def test_phase_only_instance_beyond_dense_basis(self, capsys):
+        # the D x D basis would be 2^30 entries; reflect reads only the
+        # 2^15 eigenphases
+        code, peak = _traced(["reflect", "lcu", "--dim", "32768", "--gap",
+                              "0.5", "--eps", "1e-2"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["passed"] is True
+        assert peak <= 512 * 2 ** 20
+
+    def test_lcu_report_allocates_no_square_array(self):
+        # one D x D complex array at D = 1024 is 16 MiB
+        report, peak = _traced_call(lambda: reflect_report(
+            "lcu", 1024, 0.5, 1e-2, 3, 40.0, 0.5, False))
+        assert report["passed"] is True
+        assert peak < 16 * 2 ** 20
+
     def test_schema_field_compatible(self, capsys):
         _, out_l = _capture(capsys, [
             "reflect", "lcu", "--dim", "4", "--gap", "0.8", "--eps", "1e-1",
@@ -205,8 +237,8 @@ class TestReflectCommand:
             "--trials", "1"])
         rep_l, rep_p = json.loads(out_l), json.loads(out_p)
         shared = {"command", "method", "dimension", "gap", "epsilon", "seed",
-                  "trials", "params", "n_ancilla", "max_error", "error_bound",
-                  "ledger", "passed"}
+                  "params", "n_ancilla", "max_error", "worst_eigenphase",
+                  "error_bound", "ledger", "passed"}
         assert shared <= set(rep_l) and shared <= set(rep_p)
 
 

@@ -17,7 +17,8 @@ from oracles import (
     lifted_action,
     pea_zero_amplitude,
 )
-from reflectsim.core_sim import DenseOp, apply_batch
+from reflectsim.cli import reflect_report
+from reflectsim.core_sim import DenseOp, apply_batch, random_state
 from reflectsim.gaussian_kernel import select_params
 from reflectsim.lcu_reflector import (
     ancilla_reflection,
@@ -28,6 +29,7 @@ from reflectsim.lcu_reflector import (
     eigen_profile,
     oaa_column,
     reflection_error,
+    worst_case,
 )
 from reflectsim.pea_reflector import build_pea_reflector, pea_block
 from reflectsim.spectral_models import synth_unitary
@@ -194,6 +196,47 @@ class TestPeaEigenErrors:
         assert got[0] <= 1e-12
 
 
+# (method, eps, dense tolerance): LCU misses are roundoff at eps = 1e-2 and
+# gap 0.5, not at 0.2; the PEA column at eps = 0.2 and D = 64 is 2^16
+# amplitudes, at eps = 1e-2 it would be 2^26
+ROUTES = pytest.mark.parametrize("method,eps,tol", [
+    ("lcu", 0.2, 1e-13), ("lcu", 1e-2, 1e-13), ("pea", 0.2, 1e-14)])
+
+
+def _build(method, unitary, eps):
+    if method == "lcu":
+        return build_reflector(unitary, eps)
+    return build_pea_reflector(unitary, eps)
+
+
+class TestWorstCase:
+    """``reflect``'s max_error is max_j e_j and its worst_eigenphase the
+    lambda_j where that sits, against the dense column of A."""
+
+    @staticmethod
+    def _assert_matches_dense(err, phase, unitary, refl, tol):
+        dense = _dense_eigen_errors(refl)
+        assert err == pytest.approx(dense.max(), rel=0, abs=tol)
+        j = list(unitary.eigenphases).index(phase)
+        assert dense[j] >= dense.max() - 2 * tol
+
+    @ROUTES
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_report_matches_dense(self, method, eps, tol, dim):
+        report = reflect_report(method, dim, 0.5, eps, dim, 40.0, 0.5, False)
+        unitary = synth_unitary(dim, 0.5, dim)
+        self._assert_matches_dense(report["max_error"],
+                                   report["worst_eigenphase"], unitary,
+                                   _build(method, unitary, eps), tol)
+
+    @ROUTES
+    def test_gap_edge_matches_dense(self, method, eps, tol):
+        unitary = gap_edge_unitary()
+        refl = _build(method, unitary, eps)
+        self._assert_matches_dense(*worst_case(refl, unitary), unitary, refl,
+                                   tol)
+
+
 def _traced_peak_mib(build) -> float:
     tracemalloc.start()
     try:
@@ -217,8 +260,8 @@ class TestAllocation:
     def test_lcu_build_and_verify_at_d1024(self):
         # the dense column of A would be 2^(12 + 10) amplitudes
         unitary = synth_unitary(1024, 0.5, 1)
-        peak = _traced_peak_mib(lambda: reflection_error(
-            build_reflector(unitary, 1e-2), unitary, 10, 5))
+        peak = _traced_peak_mib(
+            lambda: build_reflector(unitary, 1e-2).eigen_errors())
         assert peak <= 16
 
     def test_pea_build_at_d8(self):
@@ -226,11 +269,15 @@ class TestAllocation:
         assert _traced_peak_mib(lambda: build_pea_reflector(unitary, 1e-2)) <= 4
 
     def test_verification_memory_flat_in_trials(self):
-        # every trial reads the same one-column profile
+        # every trial state reads the same one-column profile
         unitary = synth_unitary(64, 0.5, 3)
         refl = build_reflector(unitary, 1e-2)
-        one = _traced_peak_mib(lambda: reflection_error(refl, unitary, 1, 5))
-        ten = _traced_peak_mib(lambda: reflection_error(refl, unitary, 10, 5))
+        rng = np.random.default_rng(5)
+        states = [random_state(unitary.system_qubits, rng) for _ in range(10)]
+        assert unitary.eigenbasis.shape == (64, 64)  # drawn before tracing
+        one = _traced_peak_mib(
+            lambda: reflection_error(refl, unitary, states[:1]))
+        ten = _traced_peak_mib(lambda: reflection_error(refl, unitary, states))
         assert ten <= 1.5 * one
 
     def test_pea_verification_at_d8(self):
@@ -238,5 +285,5 @@ class TestAllocation:
         # A would be 2^23
         unitary = synth_unitary(8, 0.5, 7)
         refl = build_pea_reflector(unitary, 1e-2)
-        peak = _traced_peak_mib(lambda: reflection_error(refl, unitary, 3, 5))
+        peak = _traced_peak_mib(refl.eigen_errors)
         assert peak <= 4

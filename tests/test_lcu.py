@@ -9,6 +9,7 @@ from reflectsim.core_sim import (
     DenseOp,
     apply_batch,
     op_matrix,
+    random_state,
     unitarity_defect,
     working_set_bytes,
 )
@@ -24,6 +25,7 @@ from reflectsim.lcu_reflector import (
     mcx_two_qubit_cost,
     oaa_expansion_check,
     reflection_error,
+    worst_case,
 )
 from reflectsim.spectral_models import exact_reflection, grover_unitary, synth_unitary
 from reflectsim.state_prep import OAA_ANGLE, QftSpec, build_B
@@ -245,14 +247,13 @@ class TestOaaExpansion:
 class TestVerifyReflection:
     def test_small_instance_bounds(self, medium):
         unitary, refl = medium
-        err = reflection_error(refl, unitary, trials=5, seed=11)
+        err, _ = worst_case(refl, unitary)
         assert err <= 10 * 1e-2
 
     def test_eigenvector_trials(self, medium):
         unitary, refl = medium
         err = reflection_error(
-            refl, unitary, 0, 0,
-            states=[unitary.psi0(), unitary.eigenbasis[:, 3]])
+            refl, unitary, [unitary.psi0(), unitary.eigenbasis[:, 3]])
         assert err <= 10 * 1e-2
 
     def test_monotone_in_eps(self):
@@ -260,19 +261,19 @@ class TestVerifyReflection:
         errs = []
         for eps in (1e-1, 1e-2, 1e-3):
             refl = build_reflector(unitary, eps)
-            errs.append(reflection_error(refl, unitary, 5, 11))
+            errs.append(worst_case(refl, unitary)[0])
         assert errs[0] >= errs[1] >= errs[2]
 
     def test_exact_qft_variant(self):
         unitary = synth_unitary(4, 0.8, seed=5)
         refl = build_reflector(unitary, 1e-2, exact_qft=True)
-        err = reflection_error(refl, unitary, trials=4, seed=2)
+        err, _ = worst_case(refl, unitary)
         assert err <= 10 * 1e-2
 
     def test_needs_trials(self, medium):
         unitary, refl = medium
-        with pytest.raises(ValueError):
-            reflection_error(refl, unitary, 0, 0)
+        with pytest.raises(ValueError, match="at least one state"):
+            reflection_error(refl, unitary, [])
 
 
 class TestGapEdge:
@@ -284,7 +285,7 @@ class TestGapEdge:
         unitary = gap_edge_unitary()
         refl = build_reflector(unitary, eps)
         states = [unitary.eigenbasis[:, j] for j in (0, 1, 2)]
-        assert reflection_error(refl, unitary, 0, 0, states=states) <= 10 * eps
+        assert reflection_error(refl, unitary, states) <= 10 * eps
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])
     def test_exact_worst_case(self, eps):
@@ -296,11 +297,14 @@ class TestGapEdge:
         worst = per_eigenvector.max()
         assert worst <= 10 * eps
         for seed in range(3):
-            assert reflection_error(refl, unitary, 20, seed) <= worst
+            rng = np.random.default_rng(seed)
+            haar = [random_state(unitary.system_qubits, rng)
+                    for _ in range(20)]
+            assert reflection_error(refl, unitary, haar) <= worst
         j = int(per_eigenvector.argmax())
-        attained = reflection_error(refl, unitary, 0, 0,
-                                    states=[unitary.eigenbasis[:, j]])
+        attained = reflection_error(refl, unitary, [unitary.eigenbasis[:, j]])
         assert attained == pytest.approx(worst, rel=1e-12)
+        assert worst_case(refl, unitary) == (worst, unitary.eigenphases[j])
 
 
 class TestMemoryPreflight:
@@ -320,7 +324,7 @@ class TestMemoryPreflight:
         unitary, refl = medium
         short = np.ones(unitary.dimension // 2) / 2
         with pytest.raises(ValueError, match="system dimension"):
-            reflection_error(refl, unitary, 0, 0, states=[short])
+            reflection_error(refl, unitary, [short])
 
 
 class TestGroverStep:
@@ -357,7 +361,7 @@ class TestHamiltonianFrontEnd:
         unitary = hamiltonian_unitary(h, -0.5)
         assert unitary.gap == pytest.approx(0.4)
         refl = build_reflector(unitary, 1e-2)
-        err = reflection_error(refl, unitary, trials=5, seed=4)
+        err, _ = worst_case(refl, unitary)
         assert err <= 10 * 1e-2
 
     def test_step_cost_scales_select_charge(self):

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import lift, unit_vector
 from reflectsim.core_sim import apply_batch, op_matrix, unitarity_defect
-from reflectsim.lcu_reflector import reflection_error
+from reflectsim.lcu_reflector import reflection_error, worst_case
 from reflectsim.pea_reflector import (
     block_leakage,
     build_pea_reflector,
@@ -182,8 +182,10 @@ class TestAPea:
 
     def test_shared_verification_harness(self, setup):
         u, eps, refl = setup
-        err = reflection_error(refl, u, 4, 11)
+        # every eigenvector, through the same harness as the LCU route
+        err = reflection_error(refl, u, list(u.eigenbasis.T))
         assert err <= 10 * eps
+        assert err == pytest.approx(worst_case(refl, u)[0], rel=1e-12)
 
     def test_query_ledger(self, setup):
         u, eps, refl = setup

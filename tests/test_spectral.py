@@ -1,14 +1,16 @@
 """Gapped-unitary builders: synthetic, Grover family, Hamiltonian front-end."""
 import math
+import os
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from reflectsim.core_sim import DiagonalOp, apply_batch
+from reflectsim import spectral_models
+from reflectsim.core_sim import DiagonalOp, apply_batch, working_set_bytes
 from reflectsim.gaussian_kernel import select_params
-from reflectsim.lcu_reflector import build_select
-from reflectsim.pea_reflector import pea_block
+from reflectsim.lcu_reflector import build_reflector, build_select
+from reflectsim.pea_reflector import build_pea_reflector, pea_block
 from reflectsim.spectral_models import (
     EigenUnitary,
     exact_reflection,
@@ -25,6 +27,47 @@ class TestSynthUnitary:
         b = synth_unitary(8, 0.5, seed=7)
         assert np.array_equal(a.eigenbasis, b.eigenbasis)
         assert np.array_equal(a.eigenphases, b.eigenphases)
+
+    def test_basis_drawn_on_first_read_only(self, monkeypatch):
+        draws = []
+        draw = spectral_models._haar_basis
+
+        def counted(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(spectral_models, "_haar_basis", counted)
+        u = synth_unitary(64, 0.5, seed=3)
+        for refl in (build_reflector(u, 1e-2), build_pea_reflector(u, 0.2)):
+            refl.eigen_errors()
+        assert draws == []
+        assert u.eigenbasis is u.eigenbasis
+        assert np.array_equal(u.psi0(), u.eigenbasis[:, 0])
+        assert len(draws) == 1
+
+    def test_phases_independent_of_basis_read(self):
+        read = synth_unitary(16, 0.5, seed=4)
+        assert read.eigenbasis.shape == (16, 16)
+        unread = synth_unitary(16, 0.5, seed=4)
+        assert np.array_equal(read.eigenphases, unread.eigenphases)
+        assert np.array_equal(read.eigenbasis, unread.eigenbasis)
+
+    def test_oversized_basis_refused_on_read(self):
+        # 2^15 eigenphases fit; the 2^30-entry basis is refused when read,
+        # before the Gaussian draw
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if working_set_bytes(30) <= physical:
+            pytest.skip("this machine could hold the 2^30-entry basis")
+        u = synth_unitary(1 << 15, 0.5, seed=1)
+        with pytest.raises(ValueError, match="2\\^30 entries"):
+            u.eigenbasis
+
+    def test_immutable(self):
+        u = synth_unitary(4, 0.5, seed=1)
+        with pytest.raises(AttributeError):
+            u.gap = 1.0
+        with pytest.raises(ValueError):
+            u.eigenphases[1] = 1.0
 
     def test_gap_pi_collapses_interval(self):
         u = synth_unitary(2, math.pi, seed=1)
@@ -229,6 +272,13 @@ class TestEigenUnitaryType:
     def test_rejects_phase_outside_gap(self):
         with pytest.raises(ValueError):
             EigenUnitary(2, np.array([0.0, 0.1]), np.eye(2), gap=0.5)
+
+    def test_drawn_basis_checked_on_read(self):
+        u = EigenUnitary(2, np.array([0.0, math.pi]), lambda: np.ones((2, 2)),
+                         gap=0.5)
+        assert u.eigenphases[1] == math.pi
+        with pytest.raises(ValueError, match="eigenbasis is not unitary"):
+            u.eigenbasis
 
     @pytest.mark.parametrize("row,col", [(3, 40), (40, 3)])
     def test_rejects_basis_perturbed_off_diagonal(self, row, col):

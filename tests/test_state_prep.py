@@ -312,3 +312,13 @@ class TestBHatBuiltOnce:
     def test_prep_op(self, counts):
         assert run(["prep", "--eps", "1e-2", "--gap", "0.5"]) == 0
         assert counts == {"built": 1, "simulated": 1}
+
+    def test_suite_cells_shared(self, counts):
+        # the state-prep and scalar-LCU checks share one B per (eps, delta)
+        # cell within a run, and the next run builds its own
+        argv = ["verify-suite", "--only",
+                "state_prep_chain,scalar_lcu_consistency"]
+        assert run(argv) == 0
+        assert counts == {"built": 9, "simulated": 9}
+        assert run(argv) == 0
+        assert counts == {"built": 18, "simulated": 18}
