@@ -9,7 +9,7 @@ additionally carry the raw cascade charge in their footprints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
 
 from .lcu_reflector import lcu_budget, mcx_two_qubit_cost
@@ -26,10 +26,9 @@ def lcu_gate_model(params, qft_spec: QftSpec) -> dict:
     conditioned body x2, four modeled MCX reflections)."""
     m = params.m
     k = max(1, math.ceil(math.log2(2 * params.Lstar)))
-    cutoff = None if qft_spec.exact else qft_spec.cutoff_b
     tree = max(0, (1 << k) - 2)
     centering = m - k
-    bhat = tree + centering + 3 * qft_two_qubit_count(m, cutoff)
+    bhat = tree + centering + 3 * qft_two_qubit_count(m, qft_spec.cutoff_b)
     b = 2 * bhat + 3
     w = 2 * b
     n = m + 2
@@ -49,8 +48,7 @@ def lcu_gate_model(params, qft_spec: QftSpec) -> dict:
 def pea_gate_model(params, qft_spec: QftSpec) -> dict:
     """Closed-form counts for the PEA route: 2q truncated QFTs plus the
     modeled MCX reflection."""
-    cutoff = None if qft_spec.exact else qft_spec.cutoff_b
-    w = params.q * qft_two_qubit_count(params.n_prime, cutoff)
+    w = params.q * qft_two_qubit_count(params.n_prime, qft_spec.cutoff_b)
     n = params.total_ancilla
     a = 2 * w + mcx_two_qubit_cost(n - 1)
     return {
@@ -72,21 +70,8 @@ class ScalingRow:
     cb_lcu_model: int
     cb_pea_model: int
 
-    def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "n_lcu": self.n_lcu,
-            "n_pea": self.n_pea,
-            "cu_lcu": self.cu_lcu,
-            "cu_pea": self.cu_pea,
-            "cb_lcu_model": self.cb_lcu_model,
-            "cb_pea_model": self.cb_pea_model,
-        }
 
-
-CSV_COLUMNS = ("epsilon", "delta", "n_lcu", "n_pea", "cu_lcu", "cu_pea",
-               "cb_lcu_model", "cb_pea_model")
+CSV_COLUMNS = tuple(f.name for f in fields(ScalingRow))
 
 
 @dataclass(frozen=True)

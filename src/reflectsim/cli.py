@@ -108,25 +108,6 @@ def _build_parser() -> _Parser:
 # report assembly
 
 
-def _jsonable(value):
-    if isinstance(value, list) and set(map(type, value)) == {float}:
-        # report tables come from tolist(): nothing to convert
-        return value
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
-
-
 def kernel_report(eps: float, gap: float, c: float, points: int) -> dict:
     if points < 1:
         raise ValueError(f"--points must be at least 1, got {points}")
@@ -206,7 +187,7 @@ def compare_report(eps_grid, delta_grid, c: float) -> dict:
     table = accounting.compare_scaling(eps_grid, delta_grid, c=c)
     return {
         "command": "compare",
-        "rows": [r.as_dict() for r in table.rows],
+        "rows": [dataclasses.asdict(r) for r in table.rows],
         "claims": dict(table.claims),
         "passed": bool(table.passed),
     }
@@ -227,9 +208,9 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
         "command": "grover",
         "dimension": dim, "epsilon": eps, "seed": seed, "marked": marked,
         "gap": inst.gap,
-        "nu": float(nu),
+        "nu": nu,
         "nu_envelope": envelope,
-        "s_reflection_defect": float(s_defect),
+        "s_reflection_defect": s_defect,
         "exact_target_fidelity": float(exact_hit ** 2),
         "ledger": _ledger(refl),
         "passed": bool(nu <= envelope and s_defect <= 1e-10),
@@ -238,11 +219,11 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
 
 def suite_report(only) -> dict:
     names = set(only.split(",")) if only else None
-    results = suite.run_all(names=names, echo=None)
+    results = suite.run_all(names=names)
     return {
         "command": "verify-suite",
         "checks": [
-            {"name": r.name, "passed": r.passed, "details": _jsonable(r.details)}
+            {"name": r.name, "passed": r.passed, "details": r.details}
             for r in results
         ],
         "passed": bool(results) and all(r.passed for r in results),
@@ -288,7 +269,7 @@ def _to_csv(report: dict) -> str:
 
 def _emit(report: dict, out: str | None, fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps(_jsonable(report), indent=2) + "\n"
+        text = json.dumps(report, indent=2) + "\n"
     else:
         text = _to_csv(report)
     if out:

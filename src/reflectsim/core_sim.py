@@ -16,6 +16,7 @@ Conventions used by every module in this package:
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 import math
 import os
@@ -59,13 +60,7 @@ class ResourceFootprint:
     __add__ = merge
 
     def as_dict(self) -> dict:
-        return {
-            "queries_u": self.queries_u,
-            "two_qubit_gates": self.two_qubit_gates,
-            "one_qubit_gates": self.one_qubit_gates,
-            "ancilla_qubits": self.ancilla_qubits,
-            "modeled": sorted(self.modeled),
-        }
+        return {**dataclasses.asdict(self), "modeled": sorted(self.modeled)}
 
 
 ZERO_COST = ResourceFootprint()
@@ -232,22 +227,18 @@ class ControlledOp(CircuitOp):
 class SequenceOp(CircuitOp):
     """A sequence of (op, targets) steps on a fixed-width register.
 
-    Steps are applied first-to-last; the footprint is the merge of the
-    members' footprints.
+    Steps are applied first-to-last; the footprint is always the merge of
+    the members' footprints.
     """
 
-    def __init__(self, num_qubits: int, steps, footprint: ResourceFootprint | None = None):
+    def __init__(self, num_qubits: int, steps):
         self.num_qubits = num_qubits
         norm_steps = []
         for op, targets in steps:
             tg = _check_targets(op, num_qubits, targets)
             norm_steps.append((op, tg))
         self.steps = tuple(norm_steps)
-        if footprint is None:
-            footprint = ZERO_COST
-            for op, _ in self.steps:
-                footprint = footprint.merge(op.footprint)
-        self.footprint = footprint
+        self.footprint = sum((op.footprint for op, _ in self.steps), ZERO_COST)
 
     def _transform(self, block):
         # stay in tensor form between steps; only generic members copy
@@ -392,22 +383,8 @@ def adjoint(op: CircuitOp) -> CircuitOp:
         return ControlledOp(adjoint(op.sub), op.num_controls, op.pattern, op.footprint)
     if isinstance(op, SequenceOp):
         steps = [(adjoint(o), tg) for o, tg in reversed(op.steps)]
-        return SequenceOp(op.num_qubits, steps, op.footprint)
+        return SequenceOp(op.num_qubits, steps)
     raise TypeError(f"cannot invert {type(op).__name__}")
-
-
-def audit_footprint(op: CircuitOp) -> ResourceFootprint:
-    """Recompute a footprint by walking the operator tree.
-
-    Sequences re-sum their members; other kinds report their declared cost.
-    Used to check that composite declarations never drift from their parts.
-    """
-    if isinstance(op, SequenceOp):
-        total = ZERO_COST
-        for sub, _ in op.steps:
-            total = total.merge(audit_footprint(sub))
-        return total
-    return op.footprint
 
 
 # ---------------------------------------------------------------------------

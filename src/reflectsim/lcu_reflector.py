@@ -239,9 +239,10 @@ def eigen_profile(op: CircuitOp, n_ancilla: int) -> np.ndarray:
     return apply_batch(op, lifted, op.num_qubits).reshape(1 << n_ancilla, d)
 
 
-def oaa_expansion_check(w: CircuitOp, r: CircuitOp, n_ancilla: int,
+def oaa_expansion_check(w: CircuitOp, a: CircuitOp, n_ancilla: int,
                         s: float) -> dict:
-    """Compare PAP, simulated densely, against ``oaa_column``.
+    """Compare PAP, simulated densely for the built A = ``build_A(w, ...)``,
+    against ``oaa_column``.
 
     Returns the max-norm mismatch of
     P A P = 5 PWP - 20 PWPW'PWP + 16 PWPW'PWPW'PWP
@@ -250,7 +251,6 @@ def oaa_expansion_check(w: CircuitOp, r: CircuitOp, n_ancilla: int,
     blocks are diagonal in U's eigenbasis, so the products are elementwise
     on row 0 of the profiles.
     """
-    a = build_A(w, r, n_ancilla)
     m_w = eigen_profile(w, n_ancilla)[0]
     m_a = eigen_profile(a, n_ancilla)[0]
     weight = np.abs(m_w) ** 2
@@ -314,4 +314,4 @@ def grover_step(inst: GroverInstance, eps: float):
         a0 * inst.unitary.to_eigenbasis(inst.s_state))
     nu = 1 - abs(hit) ** 2
     envelope = 4 * (1 / math.sqrt(inst.dimension) + 10 * eps) ** 2
-    return s_defect, nu, envelope, refl
+    return float(s_defect), float(nu), envelope, refl

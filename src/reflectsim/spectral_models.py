@@ -202,16 +202,7 @@ def grover_unitary(dimension: int, marked: int) -> GroverInstance:
 
     eigvals, basis = _schur_eigensystem(u)
     i0 = int(np.argmin(np.abs(eigvals - 1)))
-    phase0 = float(np.angle(eigvals[i0]))
-    phases = np.mod(np.angle(eigvals) - phase0, 2 * math.pi)
-    phases[i0] = 0.0
-
-    order = [i0] + [j for j in range(d) if j != i0]
-    phases = phases[order]
-    basis = basis[:, order]
-    dist = np.minimum(phases[1:], 2 * math.pi - phases[1:])
-    gap = float(dist.min())
-
+    phases, basis, gap = _target_first(np.angle(eigvals), basis, i0)
     unitary = EigenUnitary(dimension=d, eigenphases=phases, eigenbasis=basis,
                            gap=gap)
     psi_tilde = (s + _basis_vec(d, marked)) / math.sqrt(
@@ -225,6 +216,19 @@ def _basis_vec(dim: int, index: int) -> np.ndarray:
     v = np.zeros(dim)
     v[index] = 1.0
     return v
+
+
+def _target_first(angles: np.ndarray, basis: np.ndarray,
+                  i0: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenphases angles - angles[i0] mod 2 pi, with the target's exactly
+    0, and the basis columns, both with the target eigenvector i0 moved to
+    the front; and the gap, the least distance of another phase from 0."""
+    phases = np.mod(angles - angles[i0], 2 * math.pi)
+    phases[i0] = 0.0
+    order = [i0] + [j for j in range(phases.size) if j != i0]
+    phases = phases[order]
+    gap = float(np.minimum(phases[1:], 2 * math.pi - phases[1:]).min())
+    return phases, basis[:, order], gap
 
 
 def hamiltonian_unitary(hamiltonian: np.ndarray, lambda0: float) -> EigenUnitary:
@@ -245,15 +249,8 @@ def hamiltonian_unitary(hamiltonian: np.ndarray, lambda0: float) -> EigenUnitary
         raise ValueError("lambda0 is not an eigenvalue of H (tolerance 1e-8)")
     if near.size > 1:
         raise ValueError("target eigenvalue is degenerate")
-    i0 = int(near[0])
     # |H - lambda0| <= 2 < pi, so phases never wrap past the gap region
-    phases = np.mod(evals - evals[i0], 2 * math.pi)
-    phases[i0] = 0.0
-    order = [i0] + [j for j in range(evals.size) if j != i0]
-    phases = phases[order]
-    basis = evecs[:, order]
-    dist = np.minimum(phases[1:], 2 * math.pi - phases[1:])
-    gap = float(dist.min())
+    phases, basis, gap = _target_first(evals, evecs, int(near[0]))
     return EigenUnitary(dimension=h.shape[0], eigenphases=phases,
                         eigenbasis=basis, gap=gap)
 

@@ -157,13 +157,11 @@ def centering_offset(k: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class QftSpec:
-    """m-qubit QFT, exact or with controlled phases below 2 pi / 2**cutoff_b
-    left out."""
+    """m-qubit QFT with the controlled phases below 2 pi / 2**cutoff_b left
+    out. ``exact`` is cutoff_b > m: no phase is left out."""
 
     m: int
     cutoff_b: int
-    exact: bool
-    eps_qft: float | None = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -171,9 +169,13 @@ class QftSpec:
         if self.cutoff_b < 1:
             raise ValueError("cutoff_b must be >= 1")
 
+    @property
+    def exact(self) -> bool:
+        return self.cutoff_b > self.m
+
     @classmethod
     def exact_for(cls, m: int) -> "QftSpec":
-        return cls(m=m, cutoff_b=m + 1, exact=True)
+        return cls(m=m, cutoff_b=m + 1)
 
     @classmethod
     def for_budget(cls, m: int, eps_qft: float) -> "QftSpec":
@@ -181,7 +183,7 @@ class QftSpec:
         if eps_qft <= 0:
             raise ValueError("eps_qft must be positive")
         b = math.ceil(math.log2(m / eps_qft)) + 2
-        return cls(m=m, cutoff_b=b, exact=b > m, eps_qft=eps_qft)
+        return cls(m=m, cutoff_b=b)
 
 
 def prep_qft_spec(params: KernelParams) -> QftSpec:
@@ -203,18 +205,18 @@ def qft(spec: QftSpec) -> CircuitOp:
         steps.append((hadamard(), (j,)))
         for j2 in range(j + 1, m):
             k = j2 - j + 1
-            if spec.exact or k <= spec.cutoff_b:
+            if k <= spec.cutoff_b:
                 steps.append((cphase(2 * math.pi / (1 << k)), (j2, j)))
     for i in range(m // 2):
         steps.append((swap_gate(), (i, m - 1 - i)))
     return SequenceOp(m, steps)
 
 
-def qft_two_qubit_count(m: int, cutoff_b: int | None = None) -> int:
-    """Closed-form two-qubit gate count of the (truncated) QFT circuit."""
+def qft_two_qubit_count(m: int, cutoff_b: int) -> int:
+    """Closed-form two-qubit gate count of the QFT circuit at that cutoff."""
     total = 0
     for k in range(2, m + 1):
-        if cutoff_b is None or k <= cutoff_b:
+        if k <= cutoff_b:
             total += m - k + 1
     return total + (m // 2)
 

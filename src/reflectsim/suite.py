@@ -207,7 +207,7 @@ def check_oaa_algebra() -> CheckResult:
     t0 = time.perf_counter()
     unitary = _instance()
     refl = build_reflector(unitary, 1e-2, c=KERNEL_C)
-    stats = oaa_expansion_check(refl.w, refl.r, refl.n_ancilla, refl.s)
+    stats = oaa_expansion_check(refl.w, refl.a, refl.n_ancilla, refl.s)
     s_defect = abs(refl.s - 1 / math.sin(OAA_ANGLE))
     x = math.sin(OAA_ANGLE)
     cheb = abs(5 * x - 20 * x ** 3 + 16 * x ** 5 - 1.0)
@@ -319,7 +319,7 @@ def _structural_op_zoo():
         ("swap", swap_gate()),
         ("ry", ry(1.1)),
         ("qft_exact_m5", qft(QftSpec.exact_for(5))),
-        ("qft_trunc_m8", qft(QftSpec(m=8, cutoff_b=4, exact=False))),
+        ("qft_trunc_m8", qft(QftSpec(m=8, cutoff_b=4))),
         ("centered_qft_m5", centered_qft(QftSpec.exact_for(5))),
         ("centering_3_7", centering_circuit(3, 7)),
         ("rotation_tree", rotation_tree_prep(amps)),
@@ -351,7 +351,7 @@ def check_structural() -> CheckResult:
                 (cols_one == 1).all() and (nonzero == 1).all()
             )
             for j in range(1 << k):
-                perm_ok = perm_ok and abs(mat[j + off, j] - 1.0) < 1e-12
+                perm_ok = perm_ok and bool(abs(mat[j + off, j] - 1.0) < 1e-12)
 
     fc_defect = 0.0
     for m in range(1, 7):
@@ -401,7 +401,7 @@ ALL_CHECKS = (
 )
 
 
-def run_all(names=None, echo=print) -> list[CheckResult]:
+def run_all(names=None) -> list[CheckResult]:
     valid = [name for name, _ in ALL_CHECKS]
     unknown = sorted(set(names or ()) - set(valid))
     if unknown:
@@ -412,8 +412,5 @@ def run_all(names=None, echo=print) -> list[CheckResult]:
     for name, fn in ALL_CHECKS:
         if names and name not in names:
             continue
-        result = fn(cells) if name in _SHARE_CELLS else fn()
-        if echo:
-            echo(result.summary())
-        results.append(result)
+        results.append(fn(cells) if name in _SHARE_CELLS else fn())
     return results

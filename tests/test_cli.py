@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import reflectsim.suite as suite_mod
+from reflectsim import cli
 from reflectsim.cli import _build_parser, reflect_report, run
 from reflectsim.core_sim import apply_batch, working_set_bytes
 from reflectsim.lcu_reflector import build_reflector
@@ -374,6 +375,56 @@ class TestContract:
                      ["grover", "--dim", "16", "--eps", "0.05"]):
             _, out = _capture(capsys, argv)
             assert json.loads(out)
+
+
+BUILTIN_LEAVES = (bool, int, float, str, type(None))
+
+
+def _non_builtin_leaves(value, path="report"):
+    """(path, type name) of every leaf of a report whose type is not one of
+    BUILTIN_LEAVES exactly; numpy floats subclass float, so isinstance
+    would let them through."""
+    if isinstance(value, dict):
+        found = [(f"{path} key {k!r}", type(k).__name__)
+                 for k in value if type(k) is not str]
+        for k, v in value.items():
+            found += _non_builtin_leaves(v, f"{path}.{k}")
+        return found
+    if isinstance(value, (list, tuple)):
+        return [leaf for i, v in enumerate(value)
+                for leaf in _non_builtin_leaves(v, f"{path}[{i}]")]
+    return [] if type(value) in BUILTIN_LEAVES else [(path, type(value).__name__)]
+
+
+class TestBuiltinReports:
+    """Reports are built from builtin types at the source, so json.dumps
+    writes them as they stand."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: cli.kernel_report(1e-3, 0.05, 40.0, 1000),
+        lambda: cli.prep_report(1e-2, 0.5, 40.0, False),
+        lambda: cli.prep_report(1e-2, 0.5, 40.0, True),
+        lambda: reflect_report("lcu", 8, 0.5, 1e-2, 7, 40.0, 0.5, False),
+        lambda: reflect_report("lcu", 8, 0.5, 1e-2, 7, 40.0, 0.5, True),
+        lambda: reflect_report("pea", 2, 1.0, 0.2, 7, 40.0, 0.5, False),
+        lambda: reflect_report("pea", 4, 1.0, 0.2, 7, 40.0, 0.5, True),
+        lambda: cli.compare_report((1e-2, 1e-4, 1e-8), (0.5, 0.1, 1e-2), 40.0),
+        lambda: cli.grover_benchmark(64, 0.02, 7),
+    ], ids=["kernel", "prep", "prep_exact_qft", "reflect_lcu",
+            "reflect_lcu_exact_qft", "reflect_pea", "reflect_pea_exact_qft",
+            "compare", "grover"])
+    def test_report_leaves_builtin(self, build):
+        assert _non_builtin_leaves(build()) == []
+
+    def test_full_suite_leaves_builtin(self):
+        # the checks' own results, which verify-suite reports unchanged
+        results = suite_mod.run_all()
+        assert [r.name for r in results] == [n for n, _ in suite_mod.ALL_CHECKS]
+        leaves = [leaf for r in results for leaf in _non_builtin_leaves(
+            {"passed": r.passed, "details": r.details}, r.name)]
+        assert leaves == []
+        report = cli.suite_report(None)
+        assert _non_builtin_leaves(report) == []
 
 
 class TestDocumentedInvocations:

@@ -15,7 +15,6 @@ from reflectsim.core_sim import (
     ZeroReflectionOp,
     adjoint,
     apply_batch,
-    audit_footprint,
     cnot,
     cphase,
     densify,
@@ -229,7 +228,6 @@ class TestOperatorKinds:
                              (cnot(), (1, 0))])
         assert seq.footprint.two_qubit_gates == 2
         assert seq.footprint.one_qubit_gates == 1
-        assert audit_footprint(seq) == seq.footprint
 
     def test_densify_matches(self):
         seq = SequenceOp(2, [(hadamard(), (0,)), (cnot(), (0, 1))])

@@ -81,7 +81,7 @@ class TestLcuAgreement:
 class TestPeaAgreement:
     @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("spec", [QftSpec.exact_for(5),
-                                      QftSpec(m=5, cutoff_b=2, exact=False)],
+                                      QftSpec(m=5, cutoff_b=2)],
                              ids=["exact", "truncated"])
     def test_zero_amplitude_matches_phase_sum(self, dim, spec):
         unitary = synth_unitary(dim, 0.5, seed=dim + 1)

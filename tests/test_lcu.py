@@ -221,7 +221,7 @@ class TestA:
 class TestOaaExpansion:
     def test_expansion_and_coefficients(self, medium):
         unitary, refl = medium
-        stats = oaa_expansion_check(refl.w, refl.r, refl.n_ancilla, refl.s)
+        stats = oaa_expansion_check(refl.w, refl.a, refl.n_ancilla, refl.s)
         assert stats["expansion_maxnorm"] <= 1e-10
         assert stats["coefficient_defect"] <= 10 * 1e-2
         assert stats["rtilde_unitarity"] <= 10 * 1e-2

@@ -9,7 +9,10 @@ from reflectsim.cli import run
 from reflectsim.core_sim import (
     adjoint,
     apply_batch,
+    cphase,
+    hadamard,
     op_matrix,
+    swap_gate,
     unitarity_defect,
 )
 from reflectsim.gaussian_kernel import (
@@ -174,14 +177,72 @@ class TestQft:
         assert spec.cutoff_b == math.ceil(math.log2(8 / 0.125)) + 2
 
     def test_truncated_unitary(self):
-        assert unitarity_defect(qft(QftSpec(m=6, cutoff_b=3, exact=False))) < 1e-12
+        assert unitarity_defect(qft(QftSpec(m=6, cutoff_b=3))) < 1e-12
 
     def test_gate_count_matches_footprint(self):
         for m, cutoff in ((5, None), (8, 4), (6, 3)):
             spec = QftSpec.exact_for(m) if cutoff is None else \
-                QftSpec(m=m, cutoff_b=cutoff, exact=False)
+                QftSpec(m=m, cutoff_b=cutoff)
             op = qft(spec)
-            assert op.footprint.two_qubit_gates == qft_two_qubit_count(m, cutoff)
+            assert op.footprint.two_qubit_gates == qft_two_qubit_count(
+                m, spec.cutoff_b)
+
+
+# (m, eps_qft) pairs whose budget cutoffs fall on both sides of m
+BUDGET_GRID = [(m, eps) for m in range(1, 15)
+               for eps in (0.5, 0.2, 0.1, 1e-2, 1e-3, 1e-4, 1e-8)]
+
+
+def _stored_exact(m: int, eps_qft: float) -> bool:
+    """The flag ``QftSpec.for_budget`` stored before exactness was derived
+    from the cutoff: the budget cutoff exceeds m."""
+    return math.ceil(math.log2(m / eps_qft)) + 2 > m
+
+
+def _former_qft_gates(m: int, cutoff_b: int, exact: bool) -> list:
+    """The gates ``qft`` placed when it read a stored ``exact`` flag: every
+    controlled phase when exact, else those with k <= cutoff_b."""
+    gates = []
+    for j in range(m):
+        gates.append((hadamard(), (j,)))
+        for j2 in range(j + 1, m):
+            k = j2 - j + 1
+            if exact or k <= cutoff_b:
+                gates.append((cphase(2 * math.pi / (1 << k)), (j2, j)))
+    for i in range(m // 2):
+        gates.append((swap_gate(), (i, m - 1 - i)))
+    return gates
+
+
+def _gate_list(steps) -> list:
+    return [(type(op).__name__, targets, op_matrix(op).tobytes())
+            for op, targets in steps]
+
+
+class TestQftSpecExact:
+    """``QftSpec.exact`` is derived from the cutoff, and agrees with the
+    flag both constructors used to store."""
+
+    def test_for_budget_matches_stored_flag(self):
+        got = [QftSpec.for_budget(m, eps).exact for m, eps in BUDGET_GRID]
+        assert got == [_stored_exact(m, eps) for m, eps in BUDGET_GRID]
+        assert set(got) == {True, False}
+
+    def test_exact_for(self):
+        assert all(QftSpec.exact_for(m).exact is True for m in range(1, 15))
+
+    @pytest.mark.parametrize("spec,stored", [
+        *[(QftSpec.exact_for(m), True) for m in range(1, 9)],
+        *[(QftSpec.for_budget(m, eps), _stored_exact(m, eps))
+          for m, eps in BUDGET_GRID if m <= 8],
+        (QftSpec(m=6, cutoff_b=3), False),
+        (QftSpec(m=8, cutoff_b=4), False),
+        (QftSpec(m=5, cutoff_b=5), False),
+    ])
+    def test_qft_keeps_former_gates(self, spec, stored):
+        got = _gate_list(qft(spec).steps)
+        want = _gate_list(_former_qft_gates(spec.m, spec.cutoff_b, stored))
+        assert got == want
 
 
 class TestCenteredQft:
