@@ -366,25 +366,37 @@ def unitarity_defect(op: CircuitOp) -> float:
 
 
 def adjoint(op: CircuitOp) -> CircuitOp:
-    """Inverse operator; same declared footprint."""
+    """Inverse operator; same declared footprint.
+
+    The inverse of a checked operator is exact (a conjugate transpose, a
+    conjugate, an inverse permutation, reversed steps on the same targets),
+    so it is built without re-running the constructors' checks."""
     if isinstance(op, DenseOp):
-        return DenseOp(op.matrix.conj().T, op.footprint)
+        return _like(op, matrix=op.matrix.conj().T)
     if isinstance(op, DiagonalOp):
-        return DiagonalOp(op.diagonal.conj(), op.footprint)
+        return _like(op, diagonal=op.diagonal.conj())
     if isinstance(op, EigenPowersOp):
-        return EigenPowersOp(-op.powers, op.signs, op.eigenphases, op.footprint)
+        return _like(op, powers=-op.powers)
     if isinstance(op, PermutationOp):
         inv = np.empty_like(op.perm)
         inv[op.perm] = np.arange(op.perm.shape[0])
-        return PermutationOp(inv, op.footprint)
+        return _like(op, perm=inv)
     if isinstance(op, ZeroReflectionOp):
         return op
     if isinstance(op, ControlledOp):
-        return ControlledOp(adjoint(op.sub), op.num_controls, op.pattern, op.footprint)
+        return _like(op, sub=adjoint(op.sub))
     if isinstance(op, SequenceOp):
-        steps = [(adjoint(o), tg) for o, tg in reversed(op.steps)]
-        return SequenceOp(op.num_qubits, steps)
+        return _like(op, steps=tuple((adjoint(o), tg)
+                                     for o, tg in reversed(op.steps)))
     raise TypeError(f"cannot invert {type(op).__name__}")
+
+
+def _like(op: CircuitOp, **changes) -> CircuitOp:
+    """A copy of ``op`` with some attributes replaced, built without its
+    constructor's checks."""
+    new = object.__new__(type(op))
+    new.__dict__.update(op.__dict__, **changes)
+    return new
 
 
 # ---------------------------------------------------------------------------

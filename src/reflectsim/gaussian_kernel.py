@@ -145,13 +145,47 @@ def circle_values(coeffs: np.ndarray, n: int) -> np.ndarray:
     return n * np.fft.ifft(folded)
 
 
+def arc_values(coeffs: np.ndarray, start: float, stop: float,
+               num: int) -> np.ndarray:
+    """trig_poly(coeffs, np.linspace(start, stop, num)), by one Bluestein
+    chirp-z transform: an FFT convolution of power-of-two length
+    >= 2L + num - 1.
+
+    With step = (stop - start) / (num - 1), the identity
+    l k = (l^2 + k^2 - (k - l)^2) / 2 turns the sum at start + k step into
+    a convolution with the chirp e^{-i step m^2 / 2}. Every phase is
+    centred on l = 0, so a kernel's large central coefficients carry the
+    smallest ones, and l start rounds only in its part below 2^-24 start.
+    Roundoff then grows with the largest chirp phase,
+    |step| (L + num)^2 / 2: on windows a few grid steps wide, as
+    ``kernel_sup_on_gap`` refines, it is far below the direct sum's.
+    """
+    size = coeffs.shape[0]
+    half = size // 2
+    step = (stop - start) / (num - 1) if num > 1 else 0.0
+    # start_hi has 24 significant bits, so l * start_hi is exact
+    start_hi = float(np.float32(start))
+    ls = np.arange(-half, half)
+    x = (coeffs * np.exp(1j * (ls * start_hi))
+         * np.exp(1j * (ls * (start - start_hi) + 0.5 * step * ls * ls)))
+    # circular kernel: entry (k - l - half) mod fft_len holds chirp(k - l)
+    fft_len = 1 << (size + num - 2).bit_length()
+    m = np.arange(1 - half, half + num)
+    chirp = np.zeros(fft_len, dtype=np.complex128)
+    chirp[(m - half) % fft_len] = np.exp(-0.5j * step * m * m)
+    y = np.fft.ifft(np.fft.fft(x, fft_len) * np.fft.fft(chirp))[:num]
+    k = np.arange(num)
+    return y * np.exp(0.5j * step * k * k)
+
+
 def kernel_sup_on_gap(params: KernelParams, points: int = 1000) -> float:
     """sup of |kernel_value| over [delta, 2 pi - delta].
 
     One FFT samples the circle at 2 pi k / n, n the next power of two >=
     max(points, 4L) (twice the Nyquist rate), after ``require_memory``. The
-    gap edges and ``REFINE_POINTS`` points within one step of the best grid
-    point in the gap are summed directly.
+    two gap edges are summed directly, and ``arc_values`` evaluates
+    ``REFINE_POINTS`` points within one step of the best grid point in the
+    gap.
     """
     n = 1 << (max(points, 4 * params.L) - 1).bit_length()
     require_memory(n.bit_length() - 1)
@@ -162,9 +196,10 @@ def kernel_sup_on_gap(params: KernelParams, points: int = 1000) -> float:
     vals = np.where((grid >= lo) & (grid <= hi),
                     np.abs(circle_values(alphas, n)), 0.0)
     best = grid[np.argmax(vals)]
-    fine = np.linspace(max(lo, best - h), min(hi, best + h), REFINE_POINTS)
-    direct = np.abs(trig_poly(alphas, np.concatenate(([lo, hi], fine))))
-    return max(float(vals.max()), float(direct.max()))
+    edges = np.abs(trig_poly(alphas, [lo, hi]))
+    fine = np.abs(arc_values(alphas, max(lo, best - h), min(hi, best + h),
+                             REFINE_POINTS))
+    return max(float(vals.max()), float(edges.max()), float(fine.max()))
 
 
 def chernoff_tail(params: KernelParams) -> tuple[float, float]:

@@ -69,18 +69,6 @@ class CheckResult:
     details: dict
     seconds: float = 0.0
 
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        items = {**self.details, "seconds": self.seconds}
-        keys = ", ".join(f"{k}={_fmt(v)}" for k, v in items.items())
-        return f"{status} {self.name}: {keys}"
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.3e}"
-    return str(v)
-
 
 def check_kernel_bounds() -> CheckResult:
     """Value 1 at phase 0 and magnitude <= eps on the gapped region, for

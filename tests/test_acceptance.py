@@ -7,10 +7,18 @@ back the ``verify-suite`` CLI subcommand.
 from reflectsim import suite
 
 
+def _summary(result) -> str:
+    status = "PASS" if result.passed else "FAIL"
+    items = {**result.details, "seconds": result.seconds}
+    keys = ", ".join(f"{k}={v:.3e}" if isinstance(v, float) else f"{k}={v}"
+                     for k, v in items.items())
+    return f"{status} {result.name}: {keys}"
+
+
 def _run(check):
     result = check()
-    print(result.summary())
-    assert result.passed, result.summary()
+    print(_summary(result))
+    assert result.passed, _summary(result)
     return result
 
 

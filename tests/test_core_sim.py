@@ -42,6 +42,11 @@ def _random_columns(num_qubits: int, batch: int, seed: int) -> np.ndarray:
                     axis=1)
 
 
+def _random_unitary(num_qubits: int, seed: int) -> np.ndarray:
+    q, _ = np.linalg.qr(_random_columns(num_qubits, 1 << num_qubits, seed))
+    return q
+
+
 class TestApply:
     def test_x_flips(self):
         out = apply_batch(pauli_x(), _basis(1, 0), 1)
@@ -244,11 +249,32 @@ class TestAdjoint:
         lambda: ControlledOp(ry(0.4), 1, 1),
         lambda: EigenPowersOp(np.array([1, -3]), np.array([-1, 1]),
                               np.array([0.0, 1.3])),
+        lambda: DenseOp(_random_unitary(3, 11),
+                        ResourceFootprint(queries_u=2, ancilla_qubits=1)),
+        lambda: DiagonalOp(np.exp(1j * np.arange(8.0)),
+                           ResourceFootprint(modeled=frozenset({"d"}))),
+        lambda: PermutationOp(np.random.default_rng(4).permutation(8)),
+        lambda: ZeroReflectionOp(3, ResourceFootprint(two_qubit_gates=5)),
+        lambda: EigenPowersOp(np.array([0, 3, -2, 5]), np.array([1, -1, -1, 1]),
+                              np.array([0.0, 0.4, 2.5, 4.0]),
+                              ResourceFootprint(queries_u=5)),
+        lambda: ControlledOp(ControlledOp(DenseOp(_random_unitary(1, 2)), 1, 0),
+                             2, 2, ResourceFootprint(two_qubit_gates=9)),
+        lambda: ControlledOp(
+            SequenceOp(2, [(hadamard(), (1,)), (cphase(0.3), (0, 1))]), 1, 0),
+        lambda: SequenceOp(2, [(pauli_x(), (1,)), (swap_gate(), (1, 0))]),
     ])
     def test_adjoint_inverts(self, op_factory):
         op = op_factory()
-        mat = op_matrix(op) @ op_matrix(adjoint(op))
+        inv = adjoint(op)
+        mat = op_matrix(op) @ op_matrix(inv)
         assert np.abs(mat - np.eye(op.dim)).max() < 1e-12
+        # no constructor re-checks the inverse, so check it entry by entry
+        assert type(inv) is type(op)
+        assert inv.num_qubits == op.num_qubits
+        assert inv.footprint == op.footprint
+        assert np.array_equal(op_matrix(inv), op_matrix(op).conj().T)
+        assert np.array_equal(op_matrix(adjoint(inv)), op_matrix(op))
 
     def test_eigen_powers_adjoint_negates_powers(self):
         op = EigenPowersOp(np.array([2, -1]), np.array([1, -1]),
@@ -260,6 +286,24 @@ class TestAdjoint:
     def test_adjoint_preserves_footprint(self):
         seq = SequenceOp(2, [(hadamard(), (0,)), (cnot(), (0, 1))])
         assert adjoint(seq).footprint == seq.footprint
+
+    def test_nested_sequence_reverses_exact_steps(self):
+        seq = SequenceOp(4, [
+            (hadamard(), (2,)),
+            (ControlledOp(DenseOp(_random_unitary(2, 5)), 1, 1), (3, 0, 2)),
+            (SequenceOp(2, [(swap_gate(), (0, 1)), (ry(1.1), (1,))]), (1, 3)),
+            (DiagonalOp(np.exp(0.3j * np.arange(4.0))), (0, 2)),
+            (ControlledOp(pauli_x(), 2, 3), (1, 2, 0)),
+        ])
+        inv = adjoint(seq)
+        assert inv.footprint == seq.footprint
+        assert len(inv.steps) == len(seq.steps)
+        for (op, tg), (inv_op, inv_tg) in zip(seq.steps, reversed(inv.steps)):
+            assert inv_tg == tg
+            assert np.array_equal(op_matrix(inv_op), op_matrix(op).conj().T)
+        # the product of the steps rounds in a different order
+        diff = op_matrix(inv) - op_matrix(seq).conj().T
+        assert np.abs(diff).max() <= 1e-15
 
 
 class TestFootprint:

@@ -9,6 +9,7 @@ import pytest
 from reflectsim.gaussian_kernel import (
     KernelParams,
     alpha_coeffs,
+    arc_values,
     chernoff_tail,
     circle_values,
     kernel_sup_on_gap,
@@ -181,6 +182,52 @@ class TestCircleValues:
         assert np.max(np.abs(got.imag - want_im)) <= 1e-15
 
 
+class TestArcValues:
+    @pytest.mark.parametrize("half,num", [(32, 200), (32, 7), (256, 200),
+                                          (4, 1), (1, 3)])
+    @pytest.mark.parametrize("start,stop", [
+        (0.0, 0.05), (0.3, 0.3 + 1e-3), (2.0, 2.6), (math.pi, math.pi),
+        (4.5, 4.1), (6.2, 2 * math.pi), (0.0, 2 * math.pi), (5.9, 0.4)])
+    def test_matches_direct_sum(self, half, num, start, stop):
+        # num above and below 2L, ascending, descending and collapsed
+        # windows (start == stop, as the gap = pi cell refines)
+        rng = np.random.default_rng(half + num)
+        coeffs = rng.normal(size=2 * half) + 1j * rng.normal(size=2 * half)
+        want = trig_poly(coeffs, np.linspace(start, stop, num))
+        got = arc_values(coeffs, start, stop, num)
+        assert got.shape == (num,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(coeffs).sum()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="long double is no wider than double here")
+    def test_long_double_reference_on_gap_edge_cell(self):
+        p = select_params(1e-3, 0.02)
+        alphas = alpha_coeffs(p)
+        two_pi = 8 * np.arctan(np.longdouble(1))
+        ls = np.arange(-p.L, p.L).astype(np.longdouble)
+        weights = alphas.astype(np.longdouble)
+
+        def error(start, stop, num=32):
+            got = arc_values(alphas, start, stop, num)
+            # the angles start + k step, rounded once, in long double
+            lams = start + np.arange(num) * np.longdouble((stop - start)
+                                                          / (num - 1))
+            angles = np.outer(lams, ls) % two_pi
+            return max(np.max(np.abs(got.real - np.cos(angles) @ weights)),
+                       np.max(np.abs(got.imag - np.sin(angles) @ weights)))
+
+        # refinement windows two grid steps wide, as kernel_sup_on_gap
+        # takes, across the whole gap and in both directions
+        h = 2 * math.pi / (4 * p.L)
+        lo, hi = p.delta, 2 * math.pi - p.delta
+        for centre in np.linspace(lo + h, hi - h, 7):
+            assert error(centre - h, centre + h) <= 1e-15
+            assert error(centre + h, centre - h) <= 1e-15
+        # a window 0.1 wide: chirp phases reach 10^4, so roundoff depends
+        # on centring them on l = 0, where the kernel's weight sits
+        assert error(lo, lo + 0.1) <= 1e-14
+
+
 class TestKernelSupOnGap:
     @pytest.mark.parametrize("eps,delta", GRID)
     def test_agrees_with_dense_grid(self, eps, delta):
@@ -201,16 +248,26 @@ class TestKernelSupOnGap:
         sampled = float(np.abs(kernel_value(lams, p)).max())
         assert sup >= sampled - max(1e-6 * sup, 1e-13)
 
+    @staticmethod
+    def _traced_peak(params):
+        tracemalloc.start()
+        try:
+            kernel_sup_on_gap(params)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_memory_guard(self):
         p = select_params(1.2e-3, 0.0162)
         assert p.L == 4096
-        tracemalloc.start()
-        try:
-            kernel_sup_on_gap(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert self._traced_peak(p) < 64 * 2 ** 20
+
+    def test_memory_guard_largest_kernel(self):
+        # L = 65536: the refinement is one chirp-z transform, not 200
+        # direct sums of 2L terms
+        p = select_params(1e-3, 1e-3)
+        assert p.L == 65536
+        assert self._traced_peak(p) < 40 * 2 ** 20
 
 
 class TestPoisson:
