@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 import math
 
+from .gaussian_kernel import DEFAULT_C
 from .lcu_reflector import lcu_budget, mcx_two_qubit_cost
 from .pea_reflector import choose_pea_params, pea_budget
 from .state_prep import QftSpec, qft_two_qubit_count
@@ -85,7 +86,7 @@ class ScalingTable:
 
 
 def compare_scaling(eps_grid=DEFAULT_EPS_GRID, delta_grid=DEFAULT_DELTA_GRID,
-                    c: float = 40.0) -> ScalingTable:
+                    c: float = DEFAULT_C) -> ScalingTable:
     """Evaluate both routes' parameter formulas on the grid.
 
     Also evaluates the structural claims: n_lcu <= n_pea everywhere; per

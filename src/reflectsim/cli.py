@@ -17,15 +17,22 @@ import sys
 
 import numpy as np
 
-from . import accounting, suite
+from . import accounting
 from .gaussian_kernel import (
+    DEFAULT_C,
+    SUP_POINTS,
     alpha_coeffs,
     kernel_sup_on_gap,
     kernel_value,
     psi_amplitudes,
     select_params,
 )
-from .lcu_reflector import build_reflector, grover_step, worst_case
+from .lcu_reflector import (
+    DEFAULT_KERNEL_FRACTION,
+    build_reflector,
+    grover_step,
+    worst_case,
+)
 from .pea_reflector import build_pea_reflector
 from .spectral_models import grover_unitary, synth_unitary
 from .state_prep import QftSpec, build_B, prep_qft_spec
@@ -58,14 +65,14 @@ def _build_parser() -> _Parser:
     p_kernel = sub.add_parser("kernel", help="kernel parameters and bounds")
     p_kernel.add_argument("--eps", type=float, required=True)
     p_kernel.add_argument("--gap", type=float, required=True)
-    p_kernel.add_argument("--c", type=float, default=40.0)
-    p_kernel.add_argument("--points", type=int, default=1000)
+    p_kernel.add_argument("--c", type=float, default=DEFAULT_C)
+    p_kernel.add_argument("--points", type=int, default=SUP_POINTS)
     common(p_kernel)
 
     p_prep = sub.add_parser("prep", help="state-preparation chain report")
     p_prep.add_argument("--eps", type=float, required=True)
     p_prep.add_argument("--gap", type=float, required=True)
-    p_prep.add_argument("--c", type=float, default=40.0)
+    p_prep.add_argument("--c", type=float, default=DEFAULT_C)
     p_prep.add_argument("--exact-qft", action="store_true")
     common(p_prep)
 
@@ -80,15 +87,16 @@ def _build_parser() -> _Parser:
                                 "exact worst case over all inputs; removed "
                                 "with the benchmark's use of it (ROADMAP "
                                 "item 2)")
-    p_reflect.add_argument("--c", type=float, default=40.0)
-    p_reflect.add_argument("--kernel-fraction", type=float, default=0.5)
+    p_reflect.add_argument("--c", type=float, default=DEFAULT_C)
+    p_reflect.add_argument("--kernel-fraction", type=float,
+                           default=DEFAULT_KERNEL_FRACTION)
     p_reflect.add_argument("--exact-qft", action="store_true")
     common(p_reflect)
 
     p_cmp = sub.add_parser("compare", help="ancilla/query/gate scaling table")
     p_cmp.add_argument("--eps-grid", default="1e-2,1e-4,1e-8")
     p_cmp.add_argument("--delta-grid", default="0.5,0.1,1e-2")
-    p_cmp.add_argument("--c", type=float, default=40.0)
+    p_cmp.add_argument("--c", type=float, default=DEFAULT_C)
     common(p_cmp)
 
     p_grover = sub.add_parser("grover", help="search-derived benchmark")
@@ -108,7 +116,8 @@ def _build_parser() -> _Parser:
 # report assembly
 
 
-def kernel_report(eps: float, gap: float, c: float, points: int) -> dict:
+def kernel_report(eps: float, gap: float, c: float = DEFAULT_C,
+                  points: int = SUP_POINTS) -> dict:
     if points < 1:
         raise ValueError(f"--points must be at least 1, got {points}")
     params = select_params(eps, gap, c)
@@ -126,7 +135,8 @@ def kernel_report(eps: float, gap: float, c: float, points: int) -> dict:
     }
 
 
-def prep_report(eps: float, gap: float, c: float, exact_qft: bool) -> dict:
+def prep_report(eps: float, gap: float, c: float = DEFAULT_C,
+                exact_qft: bool = False) -> dict:
     params = select_params(eps, gap, c)
     spec = QftSpec.exact_for(params.m) if exact_qft else prep_qft_spec(params)
     b = build_B(params, spec)
@@ -156,7 +166,9 @@ def _ledger(refl) -> dict:
 
 
 def reflect_report(method: str, dim: int, gap: float, eps: float, seed: int,
-                   c: float, kernel_fraction: float, exact_qft: bool) -> dict:
+                   c: float = DEFAULT_C,
+                   kernel_fraction: float = DEFAULT_KERNEL_FRACTION,
+                   exact_qft: bool = False) -> dict:
     """Build the reflector on a seeded instance and check its exact worst
     case, max_j e_j over U's eigenvectors, against 10 eps; reads only the
     instance's eigenphases."""
@@ -183,7 +195,7 @@ def reflect_report(method: str, dim: int, gap: float, eps: float, seed: int,
     }
 
 
-def compare_report(eps_grid, delta_grid, c: float) -> dict:
+def compare_report(eps_grid, delta_grid, c: float = DEFAULT_C) -> dict:
     table = accounting.compare_scaling(eps_grid, delta_grid, c=c)
     return {
         "command": "compare",
@@ -218,6 +230,8 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
 
 
 def suite_report(only) -> dict:
+    # imported here: the suite's checks read this module's report builders
+    from . import suite
     names = set(only.split(",")) if only else None
     results = suite.run_all(names=names)
     return {

@@ -16,7 +16,11 @@ import numpy as np
 from .core_sim import require_memory
 
 DEFAULT_C = 40.0
+SUP_POINTS = 1000  # kernel_sup_on_gap's grid, then its refinement
 REFINE_POINTS = 200
+
+# 2 pi - fl(2 pi), the part of 2 pi that the double 2 * math.pi drops
+_TWO_PI_LO = 2.4492935982947064e-16
 
 # relative slack for float-edge re-validation of the selection inequalities
 _REL_TOL = 1e-9
@@ -111,11 +115,16 @@ def alpha_coeffs(params: KernelParams) -> np.ndarray:
 def trig_poly(coeffs: np.ndarray, lam):
     """sum_l coeffs[l + L] e^{i l lam} over l = -L .. L-1, by direct summation.
 
-    Accepts a scalar or an array of angles.
+    Accepts a scalar or an array of angles. Angles above pi are first
+    moved down by 2 pi, taken as fl(2 pi) plus its remainder, so l lam
+    rounds at the size of the reduced angle: near 2 pi - delta that is
+    delta, not 2 pi.
     """
     half = coeffs.shape[0] // 2
     ls = np.arange(-half, half)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+    lam_arr = np.where(lam_arr > math.pi,
+                       (lam_arr - 2 * math.pi) - _TWO_PI_LO, lam_arr)
     out = np.empty(lam_arr.shape[0], dtype=np.complex128)
     # chunked so large-L parameter sets do not allocate a huge outer product
     step = max(1, (1 << 22) // (2 * half))
@@ -178,7 +187,7 @@ def arc_values(coeffs: np.ndarray, start: float, stop: float,
     return y * np.exp(0.5j * step * k * k)
 
 
-def kernel_sup_on_gap(params: KernelParams, points: int = 1000) -> float:
+def kernel_sup_on_gap(params: KernelParams, points: int = SUP_POINTS) -> float:
     """sup of |kernel_value| over [delta, 2 pi - delta].
 
     One FFT samples the circle at 2 pi k / n, n the next power of two >=

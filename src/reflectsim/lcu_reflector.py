@@ -27,7 +27,7 @@ from .core_sim import (
     apply_batch,
     require_memory,
 )
-from .gaussian_kernel import KernelParams, select_params, trig_poly
+from .gaussian_kernel import DEFAULT_C, KernelParams, select_params, trig_poly
 from .spectral_models import EigenUnitary, GroverInstance, exact_reflection
 from .state_prep import OAA_ANGLE, BOperator, QftSpec, build_B
 
@@ -181,7 +181,7 @@ def build_A(w: CircuitOp, r: CircuitOp, n_ancilla: int) -> CircuitOp:
     ])
 
 
-def lcu_budget(eps: float, gap: float, c: float = 40.0,
+def lcu_budget(eps: float, gap: float, c: float = DEFAULT_C,
                kernel_fraction: float = DEFAULT_KERNEL_FRACTION,
                exact_qft: bool = False) -> tuple[KernelParams, QftSpec]:
     """Split the error budget eps of the LCU route.
@@ -199,7 +199,7 @@ def lcu_budget(eps: float, gap: float, c: float = 40.0,
 
 
 def build_reflector(unitary: EigenUnitary, eps: float, *,
-                    c: float = 40.0,
+                    c: float = DEFAULT_C,
                     kernel_fraction: float = DEFAULT_KERNEL_FRACTION,
                     exact_qft: bool = False) -> ReflectorA:
     """One-stop pipeline from a gapped unitary to the reflector A, with

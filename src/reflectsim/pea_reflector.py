@@ -141,30 +141,29 @@ class PeaReflector:
 
     def eigen_errors(self) -> np.ndarray:
         """e_j = ||A(lambda_j)|0> - r_j|0>|| for every eigenvector j, with
-        r = (1, -1, ..., -1), from two columns of one block.
+        r = (1, -1, ..., -1), from one column of one block.
 
         Every register runs the same block, so W|0>|e_j> = phi^(x q) with
         phi = block|0>. R makes that 2 phi_0^q |0> - phi^(x q) and W'W = 1,
-        so A|0>|e_j> = 2 phi_0^q chi^(x q) - |0> with chi = block'|0>
-        (simulating block' phi instead of using W'W = 1 would only add
-        roundoff, which swamps the gapped e_j below about 1e-15).
-        Subtracting r_j|0> doubles the -|0> on the target (r_0 = 1) and
+        so A|0>|e_j> = 2 phi_0^q chi^(x q) - |0> with chi = block'|0>.
+        The block is unitary, so chi_0 = conj(phi_0) and ||chi|| = ||phi||:
+        with x = |phi_0|^2 and y = ||phi||^2 - x, the all-zero amplitude is
+        2 x^q - 1, and the rest of chi^(x q) has squared norm
+        (x + y)^q - x^q = sum_k C(q, k) x^(q-k) y^k, a sum of non-negative
+        terms (as 1 - x^q it would leave e_0 ~ 2e-8 of roundoff).
+        Subtracting r_j|0> doubles the -1 on the target (r_0 = 1) and
         cancels it elsewhere (r_j = -1).
-        The all-zero amplitude is split off; the rest of chi^(x q) has
-        squared norm (x + y)^q - x^q = sum_k C(q, k) x^(q-k) y^k, with
-        x = |chi_0|^2 and y = ||chi||^2 - x, a sum of non-negative terms.
         """
         block, _ = self.w.steps[0]
         n_prime, q = self.params.n_prime, self.params.q
-        scale = 2 * eigen_profile(block, n_prime)[0] ** q
-        chi = eigen_profile(adjoint(block), n_prime)
-        zero = scale * chi[0] ** q
+        phi = eigen_profile(block, n_prime)
+        x = np.abs(phi[0]) ** 2
+        y = np.sum(np.abs(phi[1:]) ** 2, axis=0)
+        zero = 2 * x ** q
         zero[0] -= 2.0
-        x = np.abs(chi[0]) ** 2
-        y = np.sum(np.abs(chi[1:]) ** 2, axis=0)
         rest = sum(math.comb(q, k) * x ** (q - k) * y ** k
                    for k in range(1, q + 1))
-        return np.sqrt(np.abs(zero) ** 2 + np.abs(scale) ** 2 * rest)
+        return np.sqrt(zero ** 2 + 4 * x ** q * rest)
 
 
 def build_pea_reflector(unitary: EigenUnitary, eps: float, *,

@@ -2,24 +2,33 @@
 
 Each check evaluates one acceptance property end to end and returns a
 CheckResult with the measured numbers; the pytest acceptance module and
-the ``verify-suite`` CLI subcommand both drive these functions.
+the ``verify-suite`` CLI subcommand both drive these functions. What a
+CLI report measures is read from that report, so both share one path:
+the kernel bounds from ``kernel``, the truncated chain and the betas from
+``prep`` (one report per cell and run), the LCU and PEA worst cases from
+``reflect`` and the scaling table from ``compare``. No report measures
+the rest: the exact-transform chain, the OAA algebra, Grover, the
+structural identities, and the PEA leakage and psi0 fix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
+import itertools
 import math
 import time
 
 import numpy as np
 
-from . import accounting
+from . import cli
 from .core_sim import apply_batch, op_matrix, unitarity_defect
 from .gaussian_kernel import (
+    KernelParams,
     alpha_coeffs,
     circle_values,
-    kernel_sup_on_gap,
-    kernel_value,
+    phi_amplitudes,
     poisson_check,
+    psi_amplitudes,
     select_params,
 )
 from .lcu_reflector import (
@@ -51,12 +60,11 @@ from .state_prep import (
 
 EPS_GRID = (1e-1, 1e-2, 1e-3)
 DELTA_GRID = (0.5, 0.1, 0.02)
-KERNEL_C = 40.0
+# the acceptance cells (eps, delta)
+_CELLS = tuple(itertools.product(EPS_GRID, DELTA_GRID))
 
-# the D = 8 instance shared by the end-to-end checks
-_INSTANCE_DIM = 8
-_INSTANCE_GAP = 0.5
-_INSTANCE_SEED = 7
+# the D = 8 instance shared by the end-to-end checks: dimension, gap, seed
+_DIM, _GAP, _SEED = 8, 0.5, 7
 
 
 @dataclass(frozen=True)
@@ -74,70 +82,37 @@ def check_kernel_bounds() -> CheckResult:
     """Value 1 at phase 0 and magnitude <= eps on the gapped region, for
     every (eps, delta) pair on the acceptance grid."""
     t0 = time.perf_counter()
-    worst_zero = 0.0
-    worst_sup = 0.0
-    ok = True
-    for eps in EPS_GRID:
-        for delta in DELTA_GRID:
-            params = select_params(eps, delta, KERNEL_C)
-            at_zero = abs(kernel_value(0.0, params) - 1.0)
-            sup = kernel_sup_on_gap(params, points=1000)
-            worst_zero = max(worst_zero, at_zero / eps)
-            worst_sup = max(worst_sup, sup / eps)
-            ok = ok and at_zero <= eps and sup <= eps
+    reports = [(eps, cli.kernel_report(eps, delta)) for eps, delta in _CELLS]
     seconds = time.perf_counter() - t0
-    ok = ok and seconds < 10.0
+    ok = all(r["passed"] for _, r in reports) and seconds < 10.0
     return CheckResult("kernel_bounds", ok, {
-        "max_zero_defect_over_eps": worst_zero,
-        "max_gap_sup_over_eps": worst_sup,
+        "max_zero_defect_over_eps":
+            max(r["kernel_zero_defect"] / eps for eps, r in reports),
+        "max_gap_sup_over_eps":
+            max(r["kernel_gap_sup"] / eps for eps, r in reports),
     }, seconds)
 
 
-class _Cells:
-    """Each acceptance cell's kernel parameters and B at the default
-    truncation budget, built on first request. ``run_all`` hands one to
-    the state-prep and scalar-LCU checks, so a run builds each B once."""
-
-    def __init__(self):
-        self._built = {}
-
-    def __call__(self, eps: float, delta: float):
-        if (eps, delta) not in self._built:
-            params = select_params(eps, delta, KERNEL_C)
-            self._built[eps, delta] = (
-                params, build_B(params, prep_qft_spec(params)))
-        return self._built[eps, delta]
-
-
-def _centered_phi_vector(params) -> np.ndarray:
-    from .gaussian_kernel import phi_amplitudes
-    vec = np.zeros(2 * params.L, dtype=np.complex128)
-    phi = phi_amplitudes(params)
-    vec[params.L - params.Lstar: params.L + params.Lstar] = phi
-    return vec
-
-
-def check_state_prep_chain(cells: _Cells | None = None) -> CheckResult:
+def check_state_prep_chain(prep=None) -> CheckResult:
     """||psi - Fc phi|| <= eps with the exact transform and
     ||psi - Bhat|0>|| <= 2 eps at the default truncation budget."""
-    from .gaussian_kernel import psi_amplitudes
     t0 = time.perf_counter()
-    cells = _Cells() if cells is None else cells
+    prep = prep or cli.prep_report
     worst_exact = 0.0
     worst_trunc = 0.0
     ok = True
-    for eps in EPS_GRID:
-        for delta in DELTA_GRID:
-            params, b = cells(eps, delta)
-            psi = psi_amplitudes(params)
-            phi_vec = _centered_phi_vector(params)
-            fc = centered_qft(QftSpec.exact_for(params.m))
-            out = apply_batch(fc, phi_vec[:, None], params.m)[:, 0]
-            err_exact = float(np.linalg.norm(psi - out))
-            err_trunc = float(np.linalg.norm(psi - b.bhat_column))
-            worst_exact = max(worst_exact, err_exact / eps)
-            worst_trunc = max(worst_trunc, err_trunc / eps)
-            ok = ok and err_exact <= eps and err_trunc <= 2 * eps
+    for eps, delta in _CELLS:
+        report = prep(eps, delta)
+        params = KernelParams(**report["params"])
+        phi_vec = np.zeros(2 * params.L, dtype=np.complex128)
+        phi_vec[params.L - params.Lstar:params.L + params.Lstar] = \
+            phi_amplitudes(params)
+        fc = centered_qft(QftSpec.exact_for(params.m))
+        out = apply_batch(fc, phi_vec[:, None], params.m)[:, 0]
+        err_exact = float(np.linalg.norm(psi_amplitudes(params) - out))
+        worst_exact = max(worst_exact, err_exact / eps)
+        worst_trunc = max(worst_trunc, report["chain_error"] / eps)
+        ok = ok and err_exact <= eps and report["passed"]
     seconds = time.perf_counter() - t0
     ok = ok and seconds < 30.0
     return CheckResult("state_prep_chain", ok, {
@@ -146,21 +121,21 @@ def check_state_prep_chain(cells: _Cells | None = None) -> CheckResult:
     }, seconds)
 
 
-def check_scalar_lcu(cells: _Cells | None = None) -> CheckResult:
+def check_scalar_lcu(prep=None) -> CheckResult:
     """|sum (alpha_l - |beta_l|/2) e^{i l lam}| <= 10 eps at the 1000 points
     lam = 2 pi k / 1000, with beta extracted from the built B-hat."""
     t0 = time.perf_counter()
-    cells = _Cells() if cells is None else cells
+    prep = prep or cli.prep_report
     worst = 0.0
     ok = True
-    for eps in EPS_GRID:
-        for delta in DELTA_GRID:
-            params, b = cells(eps, delta)
-            betas = b.beta_magnitudes
-            diff = alpha_coeffs(params) - betas[:2 * params.L] / 2
-            sup = float(np.abs(circle_values(diff, 1000)).max())
-            worst = max(worst, sup / eps)
-            ok = ok and sup <= 10 * eps
+    for eps, delta in _CELLS:
+        report = prep(eps, delta)
+        params = KernelParams(**report["params"])
+        betas = np.asarray(report["beta_table"]["values"])
+        diff = alpha_coeffs(params) - betas[:2 * params.L] / 2
+        sup = float(np.abs(circle_values(diff, 1000)).max())
+        worst = max(worst, sup / eps)
+        ok = ok and sup <= 10 * eps
     seconds = time.perf_counter() - t0
     return CheckResult("scalar_lcu_consistency", ok, {
         "max_sup_over_eps": worst,
@@ -168,18 +143,20 @@ def check_scalar_lcu(cells: _Cells | None = None) -> CheckResult:
 
 
 def _instance():
-    return synth_unitary(_INSTANCE_DIM, _INSTANCE_GAP, _INSTANCE_SEED)
+    return synth_unitary(_DIM, _GAP, _SEED)
+
+
+def _worst_error(method: str, eps: float) -> float:
+    """The ``reflect`` report's max_j e_j on the shared instance."""
+    return cli.reflect_report(method, _DIM, _GAP, eps, _SEED)["max_error"]
 
 
 def check_lcu_reflection() -> CheckResult:
     """End-to-end ||A|0>|xi> - |0> R |xi>|| <= 10 eps in the exact worst
     case over all xi, max_j e_j, improving when eps shrinks tenfold."""
     t0 = time.perf_counter()
-    unitary = _instance()
-    refl2 = build_reflector(unitary, 1e-2, c=KERNEL_C)
-    err2 = float(refl2.eigen_errors().max())
-    refl3 = build_reflector(unitary, 1e-3, c=KERNEL_C)
-    err3 = float(refl3.eigen_errors().max())
+    err2 = _worst_error("lcu", 1e-2)
+    err3 = _worst_error("lcu", 1e-3)
     seconds = time.perf_counter() - t0
     ok = err2 <= 10 * 1e-2 and err3 <= 10 * 1e-3 and err3 < err2
     ok = ok and seconds < 120.0
@@ -194,7 +171,7 @@ def check_oaa_algebra() -> CheckResult:
     degree-five sine identity at 1e-12."""
     t0 = time.perf_counter()
     unitary = _instance()
-    refl = build_reflector(unitary, 1e-2, c=KERNEL_C)
+    refl = build_reflector(unitary, 1e-2)
     stats = oaa_expansion_check(refl.w, refl.a, refl.n_ancilla, refl.s)
     s_defect = abs(refl.s - 1 / math.sin(OAA_ANGLE))
     x = math.sin(OAA_ANGLE)
@@ -221,8 +198,7 @@ def check_pea_baseline() -> CheckResult:
     unitary = _instance()
     params, spec = pea_budget(eps, unitary.gap)
     worst_p = float(block_leakage(unitary, params.n_prime, spec)[1:].max())
-    refl = build_pea_reflector(unitary, eps)
-    err = float(refl.eigen_errors().max())
+    err = _worst_error("pea", eps)
     # R psi0 = psi0, so the miss on eigenvector 0 is how far A moves psi0
     exact = build_pea_reflector(unitary, eps, exact_qft=True)
     fix_err = float(exact.eigen_errors()[0])
@@ -240,21 +216,20 @@ def check_pea_baseline() -> CheckResult:
 def check_ancilla_scaling() -> CheckResult:
     """The headline comparison on eps {1e-2, 1e-4, 1e-8} at delta 1e-2."""
     t0 = time.perf_counter()
-    table = accounting.compare_scaling(
-        eps_grid=(1e-2, 1e-4, 1e-8), delta_grid=(1e-2,), c=KERNEL_C)
-    rows = sorted(table.rows, key=lambda r: -r.epsilon)
-    n_lcu = [r.n_lcu for r in rows]
-    qs = [choose_pea_params(r.epsilon, r.delta).q for r in rows]
+    report = cli.compare_report((1e-2, 1e-4, 1e-8), (1e-2,))
+    rows = sorted(report["rows"], key=lambda r: -r["epsilon"])
+    n_lcu = [r["n_lcu"] for r in rows]
+    qs = [choose_pea_params(r["epsilon"], r["delta"]).q for r in rows]
     ok = (
         qs[-1] >= 2 * qs[0]
         and n_lcu[-1] - n_lcu[0] <= 2
-        and all(r.n_lcu <= r.n_pea for r in rows)
-        and table.passed
+        and all(r["n_lcu"] <= r["n_pea"] for r in rows)
+        and report["passed"]
     )
     seconds = time.perf_counter() - t0
     return CheckResult("ancilla_scaling", ok, {
         "n_lcu": tuple(n_lcu),
-        "n_pea": tuple(r.n_pea for r in rows),
+        "n_pea": tuple(r["n_pea"] for r in rows),
         "q": tuple(qs),
     }, seconds)
 
@@ -287,7 +262,7 @@ def check_grover_benchmark() -> CheckResult:
 def _structural_op_zoo():
     """Representative operators capped at 8 qubits for dense unitarity."""
     from .core_sim import cnot, cphase, hadamard, pauli_x, pauli_z, ry, swap_gate
-    params = select_params(0.2, 1.5, KERNEL_C)
+    params = select_params(0.2, 1.5)
     spec = prep_qft_spec(params)
     unitary = synth_unitary(2, 1.0, seed=3)
     b = build_B(params, spec)
@@ -373,7 +348,7 @@ def check_structural() -> CheckResult:
     }, seconds)
 
 
-# the checks that read B on every acceptance cell
+# the checks that read a prep report on every acceptance cell
 _SHARE_CELLS = ("state_prep_chain", "scalar_lcu_consistency")
 
 ALL_CHECKS = (
@@ -396,9 +371,10 @@ def run_all(names=None) -> list[CheckResult]:
         raise ValueError(f"unknown check(s) {', '.join(unknown)}; "
                          f"valid checks: {', '.join(valid)}")
     results = []
-    cells = _Cells()
+    # one prep report, so one B, per cell and run
+    prep = functools.cache(cli.prep_report)
     for name, fn in ALL_CHECKS:
         if names and name not in names:
             continue
-        results.append(fn(cells) if name in _SHARE_CELLS else fn())
+        results.append(fn(prep) if name in _SHARE_CELLS else fn())
     return results

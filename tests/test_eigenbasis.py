@@ -195,6 +195,20 @@ class TestPeaEigenErrors:
         assert got[1:] == pytest.approx(want, rel=1e-10)
         assert got[0] <= 1e-12
 
+    @pytest.mark.parametrize("unitary", [synth_unitary(8, 0.5, seed=7),
+                                         gap_edge_unitary()],
+                             ids=["seed7", "gap_edge"])
+    @pytest.mark.parametrize("eps", (0.2, 1e-2, 1e-3))
+    @QFTS
+    def test_gapped_errors_from_one_column(self, unitary, eps, exact_qft):
+        # the misses read block|0> alone; on gapped eigenvectors they are
+        # 2 |a|^q, a = <0|block|0>, summed phase by phase in the oracle
+        refl = build_pea_reflector(unitary, eps, exact_qft=exact_qft)
+        n_prime, q = refl.params.n_prime, refl.params.q
+        want = [2 * abs(pea_zero_amplitude(lam, n_prime)) ** q
+                for lam in unitary.eigenphases[1:]]
+        assert np.abs(refl.eigen_errors()[1:] - want).max() <= 1e-15
+
 
 # (method, eps, dense tolerance): LCU misses are roundoff at eps = 1e-2 and
 # gap 0.5, not at 0.2; the PEA column at eps = 0.2 and D = 64 is 2^16

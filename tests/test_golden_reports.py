@@ -25,6 +25,7 @@ CASES = {
                          "--eps", "0.2", "--trials", "2"],
     "compare.csv": ["compare", "--format", "csv"],
     "grover.json": ["grover", "--dim", "64", "--eps", "0.02"],
+    "verify_suite.json": ["verify-suite"],
 }
 
 

@@ -145,6 +145,26 @@ class TestKernelValue:
         for i, lam in enumerate(lams):
             assert vec[i] == pytest.approx(kernel_value(float(lam), p))
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("eps,delta", [(1.166e-3, 0.01858),
+                                           (8.371e-4, 0.01822)])
+    def test_long_double_reference_at_both_gap_edges(self, eps, delta):
+        # L = 4096: l lam formed in double near 2 pi - delta errs by 1e-14
+        p = select_params(eps, delta)
+        alphas = alpha_coeffs(p)
+        two_pi = 8 * np.arctan(np.longdouble(1))
+        ls = np.arange(-p.L, p.L).astype(np.longdouble)
+        weights = alphas.astype(np.longdouble)
+        h = 2 * math.pi / (4 * p.L)
+        lo, hi = p.delta, 2 * math.pi - p.delta
+        lams = np.concatenate([np.linspace(lo, lo + 2 * h, 64),
+                               np.linspace(hi - 2 * h, hi, 64)])
+        got = trig_poly(alphas, lams)
+        angles = np.outer(lams.astype(np.longdouble), ls) % two_pi
+        assert np.max(np.abs(got.real - np.cos(angles) @ weights)) <= 1.5e-15
+        assert np.max(np.abs(got.imag - np.sin(angles) @ weights)) <= 1.5e-15
+
     @pytest.mark.parametrize("eps,delta", GRID)
     def test_chernoff_tail_budget(self, eps, delta):
         p = select_params(eps, delta)

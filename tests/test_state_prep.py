@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import reflectsim.cli as cli_mod
 import reflectsim.state_prep as state_prep_mod
+import reflectsim.suite as suite_mod
 from reflectsim.cli import run
 from reflectsim.core_sim import (
     adjoint,
@@ -383,3 +385,20 @@ class TestBHatBuiltOnce:
         assert counts == {"built": 9, "simulated": 9}
         assert run(argv) == 0
         assert counts == {"built": 18, "simulated": 18}
+
+
+def test_suite_run_builds_B_once_per_cell(monkeypatch):
+    # the two checks read one cached prep report per cell, so one run of
+    # both over the nine acceptance cells calls build_B nine times
+    calls = []
+    build = state_prep_mod.build_B
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (cli_mod, suite_mod):
+        monkeypatch.setattr(module, "build_B", counting_build)
+    results = suite_mod.run_all({"state_prep_chain", "scalar_lcu_consistency"})
+    assert all(r.passed for r in results)
+    assert len(calls) == 9
