@@ -16,7 +16,7 @@ import numpy as np
 from .core_sim import require_memory
 
 DEFAULT_C = 40.0
-SUP_POINTS = 1000  # kernel_sup_on_gap's grid, then its refinement
+SUP_POINTS = 1000  # the least grid size of kernel_sup_on_gap
 REFINE_POINTS = 200
 
 # 2 pi - fl(2 pi), the part of 2 pi that the double 2 * math.pi drops
