@@ -56,7 +56,6 @@ from .lcu_reflector import (
     build_reflector,
     build_select,
     oaa_expansion_check,
-    reflection_error,
     worst_case,
 )
 from .pea_reflector import (

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -30,11 +31,11 @@ from .gaussian_kernel import (
 from .lcu_reflector import (
     DEFAULT_KERNEL_FRACTION,
     build_reflector,
-    grover_step,
+    oaa_column,
     worst_case,
 )
 from .pea_reflector import build_pea_reflector
-from .spectral_models import grover_unitary, synth_unitary
+from .spectral_models import exact_reflection, grover_unitary, synth_unitary
 from .state_prep import QftSpec, build_B, prep_qft_spec
 
 USAGE_ERROR = 1
@@ -179,7 +180,7 @@ def reflect_report(method: str, dim: int, gap: float, eps: float, seed: int,
                                exact_qft=exact_qft)
     else:
         refl = build_pea_reflector(unitary, eps, exact_qft=exact_qft)
-    err, worst_phase = worst_case(refl, unitary)
+    err, worst_phase = worst_case(refl)
     return {
         "command": "reflect",
         "method": method,
@@ -206,16 +207,24 @@ def compare_report(eps_grid, delta_grid, c: float = DEFAULT_C) -> dict:
 
 
 def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
-    """Build the search instance, reflect over its target with the LCU
-    route, and report the failure probability of one reflection step."""
+    """Reflect over the search target with the LCU route, from |s>:
+    nu = 1 - |<0, marked|A|0, s>|^2 against 4 (1/sqrt(D) + 10 eps)^2, and
+    the exact reflection's |<s|R|s>|."""
     rng = np.random.default_rng(seed)
     marked = int(rng.integers(dim))
     inst = grover_unitary(dim, marked)
-    s_defect, nu, envelope, refl = grover_step(inst, eps)
+    u = inst.unitary
+    s_defect = float(abs(inst.s_state @ (exact_reflection(u) @ inst.s_state)))
+    refl = build_reflector(u, eps)
+    a0, _ = oaa_column(refl.w_amplitudes())
+    # back to the computational basis for the marked amplitude
+    hit = u.eigenbasis[marked] @ (a0 * u.to_eigenbasis(inst.s_state))
+    nu = float(1 - abs(hit) ** 2)
+    envelope = 4 * (1 / math.sqrt(dim) + 10 * eps) ** 2
     exact_hit = abs(
         (2 * np.outer(inst.psi_tilde, inst.psi_tilde.conj())
          - np.eye(dim)) @ inst.s_state
-    )[inst.marked]
+    )[marked]
     return {
         "command": "grover",
         "dimension": dim, "epsilon": eps, "seed": seed, "marked": marked,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from decimal import Decimal
 import math
 import os
 
@@ -418,12 +419,16 @@ def require_memory(total_qubits: int) -> None:
     """Raise ValueError, with the GiB needed, when working on an array of
     2^total_qubits entries (a state of that many qubits, or a table or grid
     of that length) would not fit in physical memory."""
-    need = working_set_bytes(total_qubits)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
+    # from have's bit length on, 2^total_qubits alone exceeds it, and the
+    # float estimate could overflow
+    if (total_qubits >= have.bit_length()
+            or working_set_bytes(total_qubits) > have):
+        # the size in exact arithmetic: it may be past the float range
+        need = Decimal(WORKING_COPIES) * (16 << total_qubits)
         raise ValueError(
             f"an array of 2^{total_qubits} entries needs about "
-            f"{need / 2 ** 30:.1f} GiB, more than the "
+            f"{need / 2 ** 30:.3g} GiB, more than the "
             f"{have / 2 ** 30:.1f} GiB of physical memory")
 
 

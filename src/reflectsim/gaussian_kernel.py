@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import sys
 
 import numpy as np
 
@@ -92,6 +93,10 @@ def select_params(epsilon: float, delta: float, c: float = DEFAULT_C) -> KernelP
     )
     L = 1
     while not ((L - 1) * dz0 >= need_tail and L * dz0 >= need_prep):
+        # L must stay a finite float
+        if L.bit_length() >= sys.float_info.max_exp:
+            raise ValueError(f"gap {delta!r} is too small: the kernel size "
+                             "L cannot be represented")
         L <<= 1
 
     target = max(need_prep, need_tail * L / (L - 1))

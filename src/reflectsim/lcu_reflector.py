@@ -28,7 +28,7 @@ from .core_sim import (
     require_memory,
 )
 from .gaussian_kernel import DEFAULT_C, KernelParams, select_params, trig_poly
-from .spectral_models import EigenUnitary, GroverInstance, exact_reflection
+from .spectral_models import EigenUnitary
 from .state_prep import OAA_ANGLE, BOperator, QftSpec, build_B
 
 DEFAULT_KERNEL_FRACTION = 0.5
@@ -132,6 +132,11 @@ class ReflectorA:
     system_qubits: int
     qft_spec: QftSpec
 
+    @property
+    def unitary(self) -> EigenUnitary:
+        """The instance the reflector was built on."""
+        return self.select.unitary
+
     def w_amplitudes(self) -> np.ndarray:
         """w_j = <0|W(lambda_j)|0> for every eigenvector j, from B's table.
 
@@ -141,7 +146,7 @@ class ReflectorA:
         the header column's normalisation, not the sum ``self.s``.
         """
         betas, L = self.b.beta_magnitudes, self.params.L
-        body = trig_poly(betas[:2 * L], self.select.unitary.eigenphases)
+        body = trig_poly(betas[:2 * L], self.unitary.eigenphases)
         header = -betas[2 * L] + betas[2 * L + 1] - betas[2 * L + 2]
         return (body + header) * math.sin(OAA_ANGLE)
 
@@ -239,10 +244,9 @@ def eigen_profile(op: CircuitOp, n_ancilla: int) -> np.ndarray:
     return apply_batch(op, lifted, op.num_qubits).reshape(1 << n_ancilla, d)
 
 
-def oaa_expansion_check(w: CircuitOp, a: CircuitOp, n_ancilla: int,
-                        s: float) -> dict:
-    """Compare PAP, simulated densely for the built A = ``build_A(w, ...)``,
-    against ``oaa_column``.
+def oaa_expansion_check(refl: ReflectorA) -> dict:
+    """Compare PAP, simulated densely for the reflector's A, against
+    ``oaa_column``.
 
     Returns the max-norm mismatch of
     P A P = 5 PWP - 20 PWPW'PWP + 16 PWPW'PWPW'PWP
@@ -251,15 +255,15 @@ def oaa_expansion_check(w: CircuitOp, a: CircuitOp, n_ancilla: int,
     blocks are diagonal in U's eigenbasis, so the products are elementwise
     on row 0 of the profiles.
     """
-    m_w = eigen_profile(w, n_ancilla)[0]
-    m_a = eigen_profile(a, n_ancilla)[0]
+    m_w = eigen_profile(refl.w, refl.n_ancilla)[0]
+    m_a = eigen_profile(refl.a, refl.n_ancilla)[0]
     weight = np.abs(m_w) ** 2
     expansion = float(np.abs(m_a - oaa_column(m_w)[0]).max())
 
-    x = 1 / s
+    x = 1 / refl.s
     coeff = abs(1 - 5 * x + 20 * x ** 3 - 16 * x ** 5)
 
-    runitary = float(np.abs(1 - s ** 2 * weight).max())
+    runitary = float(np.abs(1 - refl.s ** 2 * weight).max())
     return {
         "expansion_maxnorm": expansion,
         "coefficient_defect": float(coeff),
@@ -267,51 +271,19 @@ def oaa_expansion_check(w: CircuitOp, a: CircuitOp, n_ancilla: int,
     }
 
 
-def worst_case(reflector, unitary: EigenUnitary) -> tuple[float, float]:
+def worst_case(reflector) -> tuple[float, float]:
     """(max_j e_j, lambda_j at that j): the exact worst case over all
-    inputs of || A |0>|xi> - |0> R_psi0 |xi> ||, and the eigenphase where
-    it sits.
+    inputs of || A |0>|xi> - |0> R_psi0 |xi> ||, and the eigenphase of the
+    reflector's own instance where it sits.
 
-    Works for any reflector exposing ``eigen_errors()``, the
+    Works for either route: the reflector exposes ``eigen_errors()``, the
     per-eigenvector misses e_j = ||A(lambda_j)|0> - r_j|0>|| with
-    r = (1, -1, ..., -1), the sign vector of R_psi0 in U's eigenbasis. An
-    input with eigen-coordinates xi_j misses by sqrt(sum_j |xi_j|^2 e_j^2),
-    at most max_j e_j, with equality on eigenvector argmax. Reads only the
+    r = (1, -1, ..., -1), the sign vector of R_psi0 in U's eigenbasis, and
+    ``unitary``, the instance it was built on. An input with
+    eigen-coordinates xi_j misses by sqrt(sum_j |xi_j|^2 e_j^2), at most
+    max_j e_j, with equality on eigenvector argmax. Reads only the
     eigenphases.
     """
     e = reflector.eigen_errors()
     j = int(np.argmax(e))
-    return float(e[j]), float(unitary.eigenphases[j])
-
-
-def reflection_error(reflector, unitary: EigenUnitary,
-                     states: list[np.ndarray]) -> float:
-    """max over the given system vectors xi (computational basis) of
-    || A |0>|xi> - |0> R_psi0 |xi> || = sqrt(sum_j |xi_j|^2 e_j^2), with
-    xi_j the eigen-coordinates and e_j as in ``worst_case``."""
-    if not states:
-        raise ValueError("need at least one state")
-    columns = np.stack(states, axis=1)
-    if columns.shape[0] != unitary.dimension:
-        raise ValueError("states do not match the system dimension")
-    weights = np.abs(unitary.to_eigenbasis(columns)) ** 2
-    e = reflector.eigen_errors()
-    return float(np.sqrt(((e ** 2) @ weights).max()))
-
-
-def grover_step(inst: GroverInstance, eps: float):
-    """One LCU reflection about the search target, started from |s>.
-
-    Returns (s_defect, nu, envelope, reflector): the exact reflection's
-    |<s|R|s>|, the failure probability nu = 1 - |<0, marked|A|0, s>|^2,
-    its envelope 4 (1/sqrt(D) + 10 eps)^2, and the reflector used.
-    """
-    s_defect = abs(inst.s_state @ (exact_reflection(inst.unitary) @ inst.s_state))
-    refl = build_reflector(inst.unitary, eps)
-    a0, _ = oaa_column(refl.w_amplitudes())
-    # back to the computational basis for the marked amplitude
-    hit = inst.unitary.eigenbasis[inst.marked] @ (
-        a0 * inst.unitary.to_eigenbasis(inst.s_state))
-    nu = 1 - abs(hit) ** 2
-    envelope = 4 * (1 / math.sqrt(inst.dimension) + 10 * eps) ** 2
-    return float(s_defect), float(nu), envelope, refl
+    return float(e[j]), float(reflector.unitary.eigenphases[j])

@@ -10,7 +10,9 @@ so verification simulates one block on n' + s qubits, never the
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
+import sys
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .core_sim import (
     adjoint,
     densify,
     hadamard,
+    require_memory,
 )
 from .lcu_reflector import ancilla_reflection, eigen_profile
 from .spectral_models import EigenUnitary
@@ -58,6 +61,10 @@ def choose_pea_params(epsilon: float, delta: float) -> PeaParams:
         raise ValueError("epsilon must lie in (0, 1/5]")
     if not 0 < delta <= math.pi:
         raise ValueError("delta must lie in (0, pi]")
+    # 2^n' must be a finite float: 4 / sin(delta/2) at most 2^(max_exp - 1)
+    if math.sin(delta / 2) < 2.0 ** (3 - sys.float_info.max_exp):
+        raise ValueError(f"gap {delta!r} is too small: the phase-estimation "
+                         "register 2^n' cannot be represented")
     n_prime = math.ceil(math.log2(4 / math.sin(delta / 2)))
     q = math.ceil(math.log(4 / epsilon ** 2) / math.log(16))
     return PeaParams(n_prime=max(1, n_prime), q=max(1, q),
@@ -89,6 +96,8 @@ def pea_block(unitary: EigenUnitary, n_prime: int,
     if qft_spec.m != n_prime:
         raise ValueError("QFT width must equal n_prime")
     total = n_prime + unitary.system_qubits
+    # the ladder holds 2^n' powers, and verification one 2^(n' + s) column
+    require_memory(total)
     anc = tuple(range(n_prime))
     h_wall = SequenceOp(n_prime, [(hadamard(), (q,)) for q in range(n_prime)])
     iqft = adjoint(qft(qft_spec))
@@ -128,16 +137,35 @@ def build_A_pea(w: CircuitOp, n_total_ancilla: int) -> CircuitOp:
 
 @dataclass(frozen=True)
 class PeaReflector:
-    """Assembled PEA reflector; shares the verification harness with the
-    LCU route through ``eigen_errors``."""
+    """Assembled PEA reflector on ``unitary``, the instance it was built on;
+    shares the verification harness with the LCU route through
+    ``eigen_errors``. Its block column is simulated once, on first use."""
 
     w: CircuitOp
     a: CircuitOp
     params: PeaParams
     qft_spec: QftSpec
     n_ancilla: int
-    system_qubits: int
+    unitary: EigenUnitary
     ledger: ResourceFootprint
+
+    @property
+    def system_qubits(self) -> int:
+        return self.unitary.system_qubits
+
+    @functools.cached_property
+    def block_column(self) -> np.ndarray:
+        """block|0> on every eigenvector, a (2^n', D) array: one simulated
+        column of the first register's block."""
+        block, _ = self.w.steps[0]
+        return eigen_profile(block, self.params.n_prime)
+
+    def block_leakage(self) -> np.ndarray:
+        """|<0|block|0>|^2 on every eigenvector j. It does not depend on
+        the QFT truncation: no controlled phase of the QFT fires on the
+        all-zero register, so the truncated inverse QFT meets |0> as the
+        exact one does."""
+        return np.abs(self.block_column[0]) ** 2
 
     def eigen_errors(self) -> np.ndarray:
         """e_j = ||A(lambda_j)|0> - r_j|0>|| for every eigenvector j, with
@@ -154,11 +182,9 @@ class PeaReflector:
         Subtracting r_j|0> doubles the -1 on the target (r_0 = 1) and
         cancels it elsewhere (r_j = -1).
         """
-        block, _ = self.w.steps[0]
-        n_prime, q = self.params.n_prime, self.params.q
-        phi = eigen_profile(block, n_prime)
-        x = np.abs(phi[0]) ** 2
-        y = np.sum(np.abs(phi[1:]) ** 2, axis=0)
+        q = self.params.q
+        x = self.block_leakage()
+        y = np.sum(np.abs(self.block_column[1:]) ** 2, axis=0)
         zero = 2 * x ** q
         zero[0] -= 2.0
         rest = sum(math.comb(q, k) * x ** (q - k) * y ** k
@@ -172,17 +198,8 @@ def build_pea_reflector(unitary: EigenUnitary, eps: float, *,
     w = build_W_pea(unitary, params, spec)
     a = build_A_pea(w, params.total_ancilla)
     return PeaReflector(w=w, a=a, params=params, qft_spec=spec,
-                        n_ancilla=params.total_ancilla,
-                        system_qubits=unitary.system_qubits,
+                        n_ancilla=params.total_ancilla, unitary=unitary,
                         ledger=a.footprint)
-
-
-def block_leakage(unitary: EigenUnitary, n_prime: int,
-                  qft_spec: QftSpec) -> np.ndarray:
-    """|p_j| = squared ancilla-|0> amplitude of one block on eigenvector j,
-    for every j at once."""
-    block = pea_block(unitary, n_prime, qft_spec)
-    return np.abs(eigen_profile(block, n_prime)[0]) ** 2
 
 
 def leakage_amplitude_bound(n_prime: int, delta: float) -> float:

@@ -6,9 +6,10 @@ the ``verify-suite`` CLI subcommand both drive these functions. What a
 CLI report measures is read from that report, so both share one path:
 the kernel bounds from ``kernel``, the truncated chain and the betas from
 ``prep`` (one report per cell and run), the LCU and PEA worst cases from
-``reflect`` and the scaling table from ``compare``. No report measures
-the rest: the exact-transform chain, the OAA algebra, Grover, the
-structural identities, and the PEA leakage and psi0 fix.
+``reflect``, the scaling table from ``compare`` and the search benchmark
+from ``grover``. No report measures the rest: the exact-transform chain,
+the OAA algebra, the structural identities, and the PEA leakage and psi0
+fix, which the suite reads from one exact-QFT PEA reflector.
 """
 from __future__ import annotations
 
@@ -35,15 +36,9 @@ from .lcu_reflector import (
     ancilla_reflection,
     build_reflector,
     build_select,
-    grover_step,
     oaa_expansion_check,
 )
-from .pea_reflector import (
-    block_leakage,
-    build_pea_reflector,
-    choose_pea_params,
-    pea_budget,
-)
+from .pea_reflector import build_pea_reflector, choose_pea_params
 from .spectral_models import grover_unitary, synth_unitary
 from .state_prep import (
     OAA_ANGLE,
@@ -172,7 +167,7 @@ def check_oaa_algebra() -> CheckResult:
     t0 = time.perf_counter()
     unitary = _instance()
     refl = build_reflector(unitary, 1e-2)
-    stats = oaa_expansion_check(refl.w, refl.a, refl.n_ancilla, refl.s)
+    stats = oaa_expansion_check(refl)
     s_defect = abs(refl.s - 1 / math.sin(OAA_ANGLE))
     x = math.sin(OAA_ANGLE)
     cheb = abs(5 * x - 20 * x ** 3 + 16 * x ** 5 - 1.0)
@@ -192,15 +187,15 @@ def check_oaa_algebra() -> CheckResult:
 def check_pea_baseline() -> CheckResult:
     """Per-block leakage below 1/16 on every gapped eigenvector, end-to-end
     worst-case error max_j e_j <= 10 eps, and exact-QFT invariance of
-    |0>|psi_0> at 1e-10."""
+    |0>|psi_0> at 1e-10. The leakage does not depend on QFT truncation, so
+    the exact-QFT reflector's block column gives it."""
     t0 = time.perf_counter()
     eps = 1e-2
-    unitary = _instance()
-    params, spec = pea_budget(eps, unitary.gap)
-    worst_p = float(block_leakage(unitary, params.n_prime, spec)[1:].max())
     err = _worst_error("pea", eps)
+    exact = build_pea_reflector(_instance(), eps, exact_qft=True)
+    params = exact.params
+    worst_p = float(exact.block_leakage()[1:].max())
     # R psi0 = psi0, so the miss on eigenvector 0 is how far A moves psi0
-    exact = build_pea_reflector(unitary, eps, exact_qft=True)
     fix_err = float(exact.eigen_errors()[0])
     seconds = time.perf_counter() - t0
     ok = worst_p <= 1 / 16 and err <= 10 * eps and fix_err <= 1e-10
@@ -238,23 +233,16 @@ def check_grover_benchmark() -> CheckResult:
     """Search-derived family: failure probability inside the envelope,
     <s|R|s> = 0, and gap scaling ~ D^(-1/2)."""
     t0 = time.perf_counter()
-    eps = 0.02
-    dim = 64
-    s_reflect, nu, envelope, _ = grover_step(grover_unitary(dim, marked=3), eps)
+    report = cli.grover_benchmark(64, 0.02, _SEED)
     gaps = {d: grover_unitary(d, marked=1).gap for d in (16, 64, 256)}
     scaled = [gaps[d] * math.sqrt(d) for d in (16, 64, 256)]
     scaling_ok = max(scaled) <= 2 * min(scaled)
     seconds = time.perf_counter() - t0
-    ok = (
-        nu <= envelope
-        and s_reflect <= 1e-10
-        and scaling_ok
-        and seconds < 120.0
-    )
+    ok = report["passed"] and scaling_ok and seconds < 120.0
     return CheckResult("grover_benchmark", ok, {
-        "nu": nu,
-        "nu_envelope": envelope,
-        "s_reflection_defect": s_reflect,
+        "nu": report["nu"],
+        "nu_envelope": report["nu_envelope"],
+        "s_reflection_defect": report["s_reflection_defect"],
         "gap_times_sqrtD": tuple(scaled),
     }, seconds)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from reflectsim.core_sim import ControlledOp, SequenceOp, apply_batch
 from reflectsim.gaussian_kernel import kernel_value
-from reflectsim.spectral_models import EigenUnitary, synth_unitary
+from reflectsim.spectral_models import EigenUnitary, exact_reflection, synth_unitary
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -138,6 +138,20 @@ def lifted_action(op, n_ancilla: int, columns: np.ndarray) -> np.ndarray:
     """op |0_anc>|xi> for each system column xi, simulated column by column
     in one batch: full-register output columns."""
     return apply_batch(op, lift(columns, n_ancilla), op.num_qubits)
+
+
+def dense_misses(refl, states: np.ndarray) -> np.ndarray:
+    """||A|0>|xi> - |0>R|xi>|| for each computational-basis system column
+    xi of ``states``: A simulated on the whole register in the eigenbasis
+    V of the reflector's instance, minus R = 2|psi0><psi0| - 1 built
+    densely and moved to that basis."""
+    unitary = refl.unitary
+    basis = unitary.eigenbasis
+    xi = basis.conj().T @ np.asarray(states).reshape(unitary.dimension, -1)
+    r = in_eigenbasis(basis, exact_reflection(unitary))
+    miss = (lifted_action(refl.a, refl.n_ancilla, xi)
+            - lift(r @ xi, refl.n_ancilla))
+    return np.linalg.norm(miss, axis=0)
 
 
 def gap_edge_unitary() -> EigenUnitary:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,51 @@ class TestOversizedInstance:
         err = _assert_refused(capsys, argv)
         assert "an array of 2^30 entries needs about" in err
         assert "Traceback" not in err
+
+
+def _tiny_gap_argvs():
+    """Gaps whose kernel size L or PEA register 2^n' is past the float
+    range (or, at 1e-305, whose arrays are 2^1019 entries)."""
+    for gap in ("1e-305", "1e-307", "1e-308", "4e-308", "5e-324"):
+        yield ["kernel", "--eps", "0.1", "--gap", gap]
+        yield ["prep", "--eps", "0.1", "--gap", gap]
+        yield ["reflect", "lcu", "--dim", "2", "--gap", gap, "--eps", "0.1"]
+        yield ["reflect", "pea", "--dim", "2", "--gap", gap, "--eps", "0.1"]
+        if gap != "1e-305":  # compare models L without building it
+            yield ["compare", "--eps-grid", "0.1", "--delta-grid", gap]
+
+
+class TestTinyGap:
+    """Out-of-domain gaps exit 1 with a one-line message, never with a
+    traceback."""
+
+    @pytest.mark.parametrize("argv", list(_tiny_gap_argvs()), ids=" ".join)
+    def test_refused(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        # a readable size, not inf or a 300-digit number
+        assert "inf" not in captured.err
+        assert not re.search(r"\d{20}", captured.err)
+
+    @pytest.mark.parametrize("gap", ["0.01", "1e-11"])
+    def test_pea_ladder_refused_before_allocating(self, capsys, monkeypatch,
+                                                  gap):
+        # a 64 KiB machine: n' = 10 needs a 2^11-amplitude column, n' = 40
+        # a 2^41-amplitude one, and the ladder alone 2^40 entries
+        monkeypatch.setattr("os.sysconf", lambda name: 256)
+        code, peak = _traced(["reflect", "pea", "--dim", "2", "--gap", gap,
+                              "--eps", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "GiB" in captured.err
+        assert "Traceback" not in captured.err
+        assert peak <= 2 ** 20
 
 
 class TestPrepCommand:

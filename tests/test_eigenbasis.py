@@ -18,7 +18,7 @@ from oracles import (
     pea_zero_amplitude,
 )
 from reflectsim.cli import reflect_report
-from reflectsim.core_sim import DenseOp, apply_batch, random_state
+from reflectsim.core_sim import DenseOp, apply_batch
 from reflectsim.gaussian_kernel import select_params
 from reflectsim.lcu_reflector import (
     ancilla_reflection,
@@ -28,7 +28,6 @@ from reflectsim.lcu_reflector import (
     build_W,
     eigen_profile,
     oaa_column,
-    reflection_error,
     worst_case,
 )
 from reflectsim.pea_reflector import build_pea_reflector, pea_block
@@ -247,8 +246,20 @@ class TestWorstCase:
     def test_gap_edge_matches_dense(self, method, eps, tol):
         unitary = gap_edge_unitary()
         refl = _build(method, unitary, eps)
-        self._assert_matches_dense(*worst_case(refl, unitary), unitary, refl,
+        self._assert_matches_dense(*worst_case(refl), unitary, refl,
                                    tol)
+
+    @pytest.mark.parametrize("method", ("lcu", "pea"))
+    def test_reads_own_instance(self, method):
+        # the eigenphase comes from the instance the reflector was built on
+        unitary = synth_unitary(8, 0.5, 7)
+        refl = _build(method, unitary, 0.2)
+        assert refl.unitary is unitary
+        e = refl.eigen_errors()
+        j = int(e.argmax())
+        assert worst_case(refl) == (e[j], unitary.eigenphases[j])
+        other = synth_unitary(8, 0.5, 8)
+        assert worst_case(_build(method, other, 0.2))[1] in other.eigenphases
 
 
 def _traced_peak_mib(build) -> float:
@@ -282,20 +293,8 @@ class TestAllocation:
         unitary = synth_unitary(8, 0.5, 7)
         assert _traced_peak_mib(lambda: build_pea_reflector(unitary, 1e-2)) <= 4
 
-    def test_verification_memory_flat_in_trials(self):
-        # every trial state reads the same one-column profile
-        unitary = synth_unitary(64, 0.5, 3)
-        refl = build_reflector(unitary, 1e-2)
-        rng = np.random.default_rng(5)
-        states = [random_state(unitary.system_qubits, rng) for _ in range(10)]
-        assert unitary.eigenbasis.shape == (64, 64)  # drawn before tracing
-        one = _traced_peak_mib(
-            lambda: reflection_error(refl, unitary, states[:1]))
-        ten = _traced_peak_mib(lambda: reflection_error(refl, unitary, states))
-        assert ten <= 1.5 * one
-
     def test_pea_verification_at_d8(self):
-        # two columns of 2^(n' + s) = 2^8 amplitudes; the dense column of
+        # one column of 2^(n' + s) = 2^8 amplitudes; the dense column of
         # A would be 2^23
         unitary = synth_unitary(8, 0.5, 7)
         refl = build_pea_reflector(unitary, 1e-2)

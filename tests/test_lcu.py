@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import gap_edge_unitary, in_eigenbasis, lift, unit_vector
+from oracles import (
+    dense_misses,
+    gap_edge_unitary,
+    in_eigenbasis,
+    lift,
+    unit_vector,
+)
+from reflectsim.cli import grover_benchmark
 from reflectsim.core_sim import (
     DenseOp,
     apply_batch,
@@ -21,10 +28,8 @@ from reflectsim.lcu_reflector import (
     build_select,
     build_W,
     eigen_profile,
-    grover_step,
     mcx_two_qubit_cost,
     oaa_expansion_check,
-    reflection_error,
     worst_case,
 )
 from reflectsim.spectral_models import exact_reflection, grover_unitary, synth_unitary
@@ -221,7 +226,7 @@ class TestA:
 class TestOaaExpansion:
     def test_expansion_and_coefficients(self, medium):
         unitary, refl = medium
-        stats = oaa_expansion_check(refl.w, refl.a, refl.n_ancilla, refl.s)
+        stats = oaa_expansion_check(refl)
         assert stats["expansion_maxnorm"] <= 1e-10
         assert stats["coefficient_defect"] <= 10 * 1e-2
         assert stats["rtilde_unitarity"] <= 10 * 1e-2
@@ -247,33 +252,30 @@ class TestOaaExpansion:
 class TestVerifyReflection:
     def test_small_instance_bounds(self, medium):
         unitary, refl = medium
-        err, _ = worst_case(refl, unitary)
+        err, _ = worst_case(refl)
         assert err <= 10 * 1e-2
 
     def test_eigenvector_trials(self, medium):
         unitary, refl = medium
-        err = reflection_error(
-            refl, unitary, [unitary.psi0(), unitary.eigenbasis[:, 3]])
-        assert err <= 10 * 1e-2
+        states = np.stack([unitary.psi0(), unitary.eigenbasis[:, 3]], axis=1)
+        misses = dense_misses(refl, states)
+        assert misses.max() <= 10 * 1e-2
+        # the dense misses are e_0 and e_3
+        assert np.abs(misses - refl.eigen_errors()[[0, 3]]).max() <= 1e-13
 
     def test_monotone_in_eps(self):
         unitary = synth_unitary(8, 0.5, seed=7)
         errs = []
         for eps in (1e-1, 1e-2, 1e-3):
             refl = build_reflector(unitary, eps)
-            errs.append(worst_case(refl, unitary)[0])
+            errs.append(worst_case(refl)[0])
         assert errs[0] >= errs[1] >= errs[2]
 
     def test_exact_qft_variant(self):
         unitary = synth_unitary(4, 0.8, seed=5)
         refl = build_reflector(unitary, 1e-2, exact_qft=True)
-        err, _ = worst_case(refl, unitary)
+        err, _ = worst_case(refl)
         assert err <= 10 * 1e-2
-
-    def test_needs_trials(self, medium):
-        unitary, refl = medium
-        with pytest.raises(ValueError, match="at least one state"):
-            reflection_error(refl, unitary, [])
 
 
 class TestGapEdge:
@@ -284,8 +286,7 @@ class TestGapEdge:
     def test_edge_eigenvectors_within_bound(self, eps):
         unitary = gap_edge_unitary()
         refl = build_reflector(unitary, eps)
-        states = [unitary.eigenbasis[:, j] for j in (0, 1, 2)]
-        assert reflection_error(refl, unitary, states) <= 10 * eps
+        assert dense_misses(refl, unitary.eigenbasis[:, :3]).max() <= 10 * eps
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])
     def test_exact_worst_case(self, eps):
@@ -298,13 +299,13 @@ class TestGapEdge:
         assert worst <= 10 * eps
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            haar = [random_state(unitary.system_qubits, rng)
-                    for _ in range(20)]
-            assert reflection_error(refl, unitary, haar) <= worst
+            haar = np.stack([random_state(unitary.system_qubits, rng)
+                             for _ in range(20)], axis=1)
+            assert dense_misses(refl, haar).max() <= worst
         j = int(per_eigenvector.argmax())
-        attained = reflection_error(refl, unitary, [unitary.eigenbasis[:, j]])
-        assert attained == pytest.approx(worst, rel=1e-12)
-        assert worst_case(refl, unitary) == (worst, unitary.eigenphases[j])
+        attained = dense_misses(refl, unitary.eigenbasis[:, j])[0]
+        assert attained == pytest.approx(worst, rel=0, abs=1e-13)
+        assert worst_case(refl) == (worst, unitary.eigenphases[j])
 
 
 class TestMemoryPreflight:
@@ -320,20 +321,15 @@ class TestMemoryPreflight:
         with pytest.raises(ValueError, match="GiB"):
             eigen_profile(refl.a, refl.n_ancilla)
 
-    def test_rejects_wrong_system_width(self, medium):
-        unitary, refl = medium
-        short = np.ones(unitary.dimension // 2) / 2
-        with pytest.raises(ValueError, match="system dimension"):
-            reflection_error(refl, unitary, [short])
-
 
 class TestGroverStep:
     @pytest.mark.parametrize("dim", [16, 64])
     def test_nu_matches_exact_reflection(self, dim):
-        inst = grover_unitary(dim, marked=3)
-        _, nu, _, _ = grover_step(inst, 0.02)
+        report = grover_benchmark(dim, 0.02, 7)
+        inst = grover_unitary(dim, report["marked"])
         hit = (exact_reflection(inst.unitary) @ inst.s_state)[inst.marked]
-        assert nu == pytest.approx(1 - abs(hit) ** 2, rel=0, abs=1e-13)
+        assert report["nu"] == pytest.approx(1 - abs(hit) ** 2, rel=0,
+                                             abs=1e-13)
 
 
 class TestReflectorLedger:
@@ -361,7 +357,7 @@ class TestHamiltonianFrontEnd:
         unitary = hamiltonian_unitary(h, -0.5)
         assert unitary.gap == pytest.approx(0.4)
         refl = build_reflector(unitary, 1e-2)
-        err, _ = worst_case(refl, unitary)
+        err, _ = worst_case(refl)
         assert err <= 10 * 1e-2
 
     def test_step_cost_scales_select_charge(self):

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import lift, unit_vector
+from oracles import dense_misses, gap_edge_unitary, lift, unit_vector
 from reflectsim.core_sim import apply_batch, op_matrix, unitarity_defect
-from reflectsim.lcu_reflector import reflection_error, worst_case
+from reflectsim.lcu_reflector import worst_case
 from reflectsim.pea_reflector import (
-    block_leakage,
+    PeaParams,
+    PeaReflector,
+    build_A_pea,
     build_pea_reflector,
     build_W_pea,
     choose_pea_params,
@@ -81,9 +83,7 @@ class TestPeaBlock:
 
     def test_generic_phase_leakage_below_bound(self):
         u = synth_unitary(8, 0.5, seed=7)
-        p = choose_pea_params(1e-2, 0.5)
-        spec = QftSpec.for_budget(p.n_prime, 0.05)
-        leak = block_leakage(u, p.n_prime, spec)
+        leak = build_pea_reflector(u, 1e-2).block_leakage()
         assert leak.shape == (8,)
         assert leak[1:].max() <= 1 / 16
 
@@ -99,7 +99,6 @@ class TestPeaBlock:
 
 class TestWPea:
     def test_single_round_reduces_to_block(self):
-        from reflectsim.pea_reflector import PeaParams
         u = synth_unitary(4, 0.8, seed=2)
         params = PeaParams(n_prime=4, q=1, epsilon=0.2, delta=0.8)
         spec = QftSpec.for_budget(params.n_prime, 0.05)
@@ -120,7 +119,10 @@ class TestWPea:
         state = lift(unit_vector(8, j), n_prime * q)
         out = apply_batch(w, state, w.num_qubits)
         weight = float(np.sum(np.abs(out[:8]) ** 2))
-        single = block_leakage(u, n_prime, spec)[j]
+        # the default budget at eps 1e-2 builds the same n' = 5 block
+        block_refl = build_pea_reflector(u, 1e-2)
+        assert block_refl.qft_spec == spec
+        single = block_refl.block_leakage()[j]
         # ancilla-zero weight multiplies across registers on an eigenvector
         assert weight == pytest.approx(single ** q, abs=1e-10)
 
@@ -171,8 +173,7 @@ class TestAPea:
     def test_gapped_expectation_value(self, setup):
         u, eps, refl = setup
         j = 4
-        spec = refl.qft_spec
-        p_single = block_leakage(u, refl.params.n_prime, spec)[j]
+        p_single = refl.block_leakage()[j]
         state = lift(unit_vector(8, j), refl.n_ancilla)
         out = apply_batch(refl.a, state, refl.a.num_qubits)
         val = complex(np.vdot(state, out))
@@ -182,12 +183,60 @@ class TestAPea:
 
     def test_shared_verification_harness(self, setup):
         u, eps, refl = setup
-        # every eigenvector, through the same harness as the LCU route
-        err = reflection_error(refl, u, list(u.eigenbasis.T))
-        assert err <= 10 * eps
-        assert err == pytest.approx(worst_case(refl, u)[0], rel=1e-12)
+        # every eigenvector, simulated densely, against the harness the
+        # LCU route shares
+        misses = dense_misses(refl, u.eigenbasis)
+        assert misses.max() <= 10 * eps
+        assert misses.max() == pytest.approx(worst_case(refl)[0], rel=0,
+                                             abs=1e-13)
 
     def test_query_ledger(self, setup):
         u, eps, refl = setup
         m_dim = 1 << refl.params.n_prime
         assert refl.ledger.queries_u == 2 * refl.params.q * (m_dim - 1)
+
+
+def _reflector_with_spec(u, params, spec):
+    """The PEA reflector of ``params`` with every register's inverse QFT
+    built from ``spec``."""
+    w = build_W_pea(u, params, spec)
+    a = build_A_pea(w, params.total_ancilla)
+    return PeaReflector(w=w, a=a, params=params, qft_spec=spec,
+                        n_ancilla=params.total_ancilla, unitary=u,
+                        ledger=a.footprint)
+
+
+class TestBlockLeakage:
+    """<0|block|0> meets the inverse QFT only through F|0>, which no
+    controlled phase changes: the leakage is the same, bit for bit, at every
+    truncation."""
+
+    @pytest.mark.parametrize("u", [synth_unitary(8, 0.5, seed=7),
+                                   gap_edge_unitary()],
+                             ids=["seed7", "gap_edge"])
+    def test_independent_of_truncation(self, u):
+        params = choose_pea_params(1e-2, u.gap)
+        n_prime = params.n_prime
+        exact = _reflector_with_spec(u, params, QftSpec.exact_for(n_prime))
+        want = exact.block_leakage()
+        for b in range(1, n_prime + 1):
+            refl = _reflector_with_spec(u, params, QftSpec(n_prime, b))
+            assert np.array_equal(refl.block_leakage(), want), b
+
+    def test_independent_of_budget_truncation_past_dense_width(self):
+        # n' = 11: the inverse QFT is simulated gate by gate, and the
+        # budget drops its phases below cutoff 10
+        u = synth_unitary(2, 0.006, seed=7)
+        refl = build_pea_reflector(u, 0.2)
+        assert refl.params.n_prime == 11 and not refl.qft_spec.exact
+        exact = build_pea_reflector(u, 0.2, exact_qft=True)
+        assert np.array_equal(refl.block_leakage(), exact.block_leakage())
+
+    def test_column_simulated_once(self, setup, monkeypatch):
+        u, eps, _ = setup
+        refl = build_pea_reflector(u, eps)
+        first = refl.eigen_errors()
+        monkeypatch.setattr("reflectsim.pea_reflector.eigen_profile",
+                            lambda *args: pytest.fail("resimulated"))
+        assert np.array_equal(refl.eigen_errors(), first)
+        assert refl.block_leakage().shape == (8,)
