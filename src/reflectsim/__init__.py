@@ -7,8 +7,8 @@ in U's eigenbasis and verified against the exact rank-one reflection, with
 resource ledgers for ancilla, query and gate counts. The LCU route is
 verified in the two-dimensional subspace that oblivious amplitude
 amplification keeps, from the scalar <0|W|0> on each eigenvector; the PEA
-route from one block of n' + s qubits, since its q registers stay a
-product state.
+route from the Fejer kernel of each eigenphase, since its q registers stay
+a product state. Both routes give their miss as ``miss(refl, lambdas)``.
 """
 
 from .core_sim import (
@@ -55,6 +55,7 @@ from .lcu_reflector import (
     build_W,
     build_reflector,
     build_select,
+    miss,
     oaa_expansion_check,
     worst_case,
 )

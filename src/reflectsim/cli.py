@@ -31,7 +31,6 @@ from .gaussian_kernel import (
 from .lcu_reflector import (
     DEFAULT_KERNEL_FRACTION,
     build_reflector,
-    oaa_column,
     worst_case,
 )
 from .pea_reflector import build_pea_reflector
@@ -216,7 +215,7 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     u = inst.unitary
     s_defect = float(abs(inst.s_state @ (exact_reflection(u) @ inst.s_state)))
     refl = build_reflector(u, eps)
-    a0, _ = oaa_column(refl.w_amplitudes())
+    a0, _ = refl.a_column(u.eigenphases)
     # back to the computational basis for the marked amplitude
     hit = u.eigenbasis[marked] @ (a0 * u.to_eigenbasis(inst.s_state))
     nu = float(1 - abs(hit) ** 2)

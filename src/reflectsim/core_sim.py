@@ -148,7 +148,7 @@ class EigenPowersOp(CircuitOp):
         if k.ndim != 1 or (1 << n_anc) != k.shape[0] or sg.shape != k.shape:
             raise ValueError("powers and signs need one entry per ancilla value")
         if lam.ndim != 1 or (1 << n_sys) != lam.shape[0]:
-            raise ValueError("eigenphase count must be a power of two")
+            raise ValueError("system dimension is not a power of two")
         if not np.all(np.abs(sg) == 1):
             raise ValueError("signs must be +1 or -1")
         self.powers = k

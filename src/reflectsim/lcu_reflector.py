@@ -129,7 +129,6 @@ class ReflectorA:
     select: SelectU
     s: float
     n_ancilla: int
-    system_qubits: int
     qft_spec: QftSpec
 
     @property
@@ -137,8 +136,12 @@ class ReflectorA:
         """The instance the reflector was built on."""
         return self.select.unitary
 
-    def w_amplitudes(self) -> np.ndarray:
-        """w_j = <0|W(lambda_j)|0> for every eigenvector j, from B's table.
+    @property
+    def system_qubits(self) -> int:
+        return self.unitary.system_qubits
+
+    def w_amplitudes(self, lambdas: np.ndarray) -> np.ndarray:
+        """w(lambda) = <0|W(lambda)|0> at each eigenphase, from B's table.
 
         <0|W|0> = sum_a |b_a|^2 sign_a U^(k_a) with b = B|0>: the body
         weights |beta_l| / s on U^l and the header weights, whose signs
@@ -146,17 +149,13 @@ class ReflectorA:
         the header column's normalisation, not the sum ``self.s``.
         """
         betas, L = self.b.beta_magnitudes, self.params.L
-        body = trig_poly(betas[:2 * L], self.unitary.eigenphases)
+        body = trig_poly(betas[:2 * L], lambdas)
         header = -betas[2 * L] + betas[2 * L + 1] - betas[2 * L + 2]
         return (body + header) * math.sin(OAA_ANGLE)
 
-    def eigen_errors(self) -> np.ndarray:
-        """e_j = ||A(lambda_j)|0> - r_j|0>|| for every eigenvector j, with
-        r = (1, -1, ..., -1), from ``oaa_column``."""
-        a0, perp = oaa_column(self.w_amplitudes())
-        r = np.full(a0.shape[0], -1.0)
-        r[0] = 1.0
-        return np.sqrt(np.abs(a0 - r) ** 2 + perp ** 2)
+    def a_column(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A(lambda)|0> as (<0|A|0>, <perp|A|0>) at each eigenphase."""
+        return oaa_column(self.w_amplitudes(lambdas))
 
 
 def oaa_column(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,18 +208,14 @@ def build_reflector(unitary: EigenUnitary, eps: float, *,
                     exact_qft: bool = False) -> ReflectorA:
     """One-stop pipeline from a gapped unitary to the reflector A, with
     the error budget split by ``lcu_budget``."""
-    system_qubits = unitary.system_qubits
     params, spec = lcu_budget(eps, unitary.gap, c, kernel_fraction, exact_qft)
     b = build_B(params, spec)
     sel = build_select(params, unitary)
     w = build_W(b, sel)
     r = ancilla_reflection(b.n)
     a = build_A(w, r, b.n)
-    return ReflectorA(
-        w=w, r=r, a=a, params=params, ledger=a.footprint, b=b, select=sel,
-        s=b.s, n_ancilla=b.n, system_qubits=system_qubits,
-        qft_spec=spec,
-    )
+    return ReflectorA(w=w, r=r, a=a, params=params, ledger=a.footprint, b=b,
+                      select=sel, s=b.s, n_ancilla=b.n, qft_spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +266,26 @@ def oaa_expansion_check(refl: ReflectorA) -> dict:
     }
 
 
+def miss(reflector, lambdas: np.ndarray) -> np.ndarray:
+    """e(lambda) = ||A(lambda)|0> - r(lambda)|0>|| at each eigenphase, for
+    either route, from its ``a_column`` (a0, b): A(lambda)|0> = a0|0> + b|v>
+    with |v> a unit vector orthogonal to |0>. R_psi0 is r = +1 on the
+    target, the one eigenphase exactly 0, and -1 elsewhere."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    a0, rest = reflector.a_column(lambdas)
+    r = np.where(lambdas == 0, 1.0, -1.0)
+    return np.sqrt(np.abs(a0 - r) ** 2 + rest ** 2)
+
+
 def worst_case(reflector) -> tuple[float, float]:
     """(max_j e_j, lambda_j at that j): the exact worst case over all
     inputs of || A |0>|xi> - |0> R_psi0 |xi> ||, and the eigenphase of the
-    reflector's own instance where it sits.
-
-    Works for either route: the reflector exposes ``eigen_errors()``, the
-    per-eigenvector misses e_j = ||A(lambda_j)|0> - r_j|0>|| with
-    r = (1, -1, ..., -1), the sign vector of R_psi0 in U's eigenbasis, and
-    ``unitary``, the instance it was built on. An input with
-    eigen-coordinates xi_j misses by sqrt(sum_j |xi_j|^2 e_j^2), at most
-    max_j e_j, with equality on eigenvector argmax. Reads only the
-    eigenphases.
-    """
-    e = reflector.eigen_errors()
+    reflector's own instance where it sits. Works for either route: e_j
+    is ``miss`` at the eigenphases of ``unitary``, the instance the
+    reflector was built on. An input with eigen-coordinates xi_j misses by
+    sqrt(sum_j |xi_j|^2 e_j^2), at most max_j e_j, with equality on
+    eigenvector argmax."""
+    phases = reflector.unitary.eigenphases
+    e = miss(reflector, phases)
     j = int(np.argmax(e))
-    return float(e[j]), float(reflector.unitary.eigenphases[j])
+    return float(e[j]), float(phases[j])

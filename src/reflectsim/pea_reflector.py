@@ -4,13 +4,12 @@ A = W' R W.
 
 Blocks are applied sequentially to a shared system register, in U's
 eigenbasis. On an eigenvector the q registers stay a product state until R,
-so verification simulates one block on n' + s qubits, never the
-2^(q n' + s) register of A.
+and each register's all-zero amplitude is the Fejer kernel of lambda, so
+verification is a closed form in the eigenphases and simulates nothing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 import math
 import sys
 
@@ -26,7 +25,7 @@ from .core_sim import (
     hadamard,
     require_memory,
 )
-from .lcu_reflector import ancilla_reflection, eigen_profile
+from .lcu_reflector import ancilla_reflection
 from .spectral_models import EigenUnitary
 from .state_prep import QftSpec, qft
 
@@ -89,19 +88,19 @@ def pea_block(unitary: EigenUnitary, n_prime: int,
     In U's eigenbasis the ladder is one ``EigenPowersOp``, exp(i a lambda_j)
     on ancilla value a and eigenvector j, charging the 2^n' - 1 queries of
     its legs. The ancilla-local layers (the Hadamard wall and the inverse QFT)
-    are collapsed to dense matrices when narrow enough; this changes nothing
-    semantically, halves the cost of verifying a block, and keeps the dense
-    whole-register reference simulation affordable.
+    are collapsed to dense matrices, at most 2^8 x 2^8, when n' <= 8; this
+    changes nothing semantically and keeps the dense whole-register
+    reference simulation of small reflectors affordable.
     """
     if qft_spec.m != n_prime:
         raise ValueError("QFT width must equal n_prime")
     total = n_prime + unitary.system_qubits
-    # the ladder holds 2^n' powers, and verification one 2^(n' + s) column
-    require_memory(total)
+    # the ladder holds 2^n' powers
+    require_memory(n_prime)
     anc = tuple(range(n_prime))
     h_wall = SequenceOp(n_prime, [(hadamard(), (q,)) for q in range(n_prime)])
     iqft = adjoint(qft(qft_spec))
-    if n_prime <= 10:
+    if n_prime <= 8:
         h_wall = densify(h_wall)
         iqft = densify(iqft)
     ladder = EigenPowersOp(
@@ -135,11 +134,25 @@ def build_A_pea(w: CircuitOp, n_total_ancilla: int) -> CircuitOp:
     return SequenceOp(total, [(w, every), (r, anc), (adjoint(w), every)])
 
 
+def fejer(lambdas: np.ndarray, n_prime: int) -> np.ndarray:
+    """|<0|block(lambda)|0>|^2 = sin^2(N lambda/2) / (N sin(lambda/2))^2,
+    N = 2^n', the Fejer kernel, at each eigenphase; 1 at lambda = 0.
+
+    The inverse QFT meets <0| as <0|H^(x n'), the uniform bra, at every
+    truncation: no controlled phase of the QFT fires on |0...0>. N lambda/2
+    is exact, and ``np.sin`` reduces it exactly, so angles are not moved
+    below pi first (that would round lambda - 2 pi)."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    n = float(1 << n_prime)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (np.sin(n * lambdas / 2) / (n * np.sin(lambdas / 2))) ** 2
+    return np.where(lambdas == 0, 1.0, x)
+
+
 @dataclass(frozen=True)
 class PeaReflector:
     """Assembled PEA reflector on ``unitary``, the instance it was built on;
-    shares the verification harness with the LCU route through
-    ``eigen_errors``. Its block column is simulated once, on first use."""
+    ``miss`` reads its ``a_column``, as it does the LCU reflector's."""
 
     w: CircuitOp
     a: CircuitOp
@@ -153,43 +166,18 @@ class PeaReflector:
     def system_qubits(self) -> int:
         return self.unitary.system_qubits
 
-    @functools.cached_property
-    def block_column(self) -> np.ndarray:
-        """block|0> on every eigenvector, a (2^n', D) array: one simulated
-        column of the first register's block."""
-        block, _ = self.w.steps[0]
-        return eigen_profile(block, self.params.n_prime)
+    def block_leakage(self, lambdas: np.ndarray) -> np.ndarray:
+        """x = |<0|block|0>|^2 at each eigenphase, at any QFT truncation."""
+        return fejer(lambdas, self.params.n_prime)
 
-    def block_leakage(self) -> np.ndarray:
-        """|<0|block|0>|^2 on every eigenvector j. It does not depend on
-        the QFT truncation: no controlled phase of the QFT fires on the
-        all-zero register, so the truncated inverse QFT meets |0> as the
-        exact one does."""
-        return np.abs(self.block_column[0]) ** 2
+    def a_column(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A(lambda)|0> as (<0|A|0>, norm of the rest) at each eigenphase.
 
-    def eigen_errors(self) -> np.ndarray:
-        """e_j = ||A(lambda_j)|0> - r_j|0>|| for every eigenvector j, with
-        r = (1, -1, ..., -1), from one column of one block.
-
-        Every register runs the same block, so W|0>|e_j> = phi^(x q) with
-        phi = block|0>. R makes that 2 phi_0^q |0> - phi^(x q) and W'W = 1,
-        so A|0>|e_j> = 2 phi_0^q chi^(x q) - |0> with chi = block'|0>.
-        The block is unitary, so chi_0 = conj(phi_0) and ||chi|| = ||phi||:
-        with x = |phi_0|^2 and y = ||phi||^2 - x, the all-zero amplitude is
-        2 x^q - 1, and the rest of chi^(x q) has squared norm
-        (x + y)^q - x^q = sum_k C(q, k) x^(q-k) y^k, a sum of non-negative
-        terms (as 1 - x^q it would leave e_0 ~ 2e-8 of roundoff).
-        Subtracting r_j|0> doubles the -1 on the target (r_0 = 1) and
-        cancels it elsewhere (r_j = -1).
-        """
-        q = self.params.q
-        x = self.block_leakage()
-        y = np.sum(np.abs(self.block_column[1:]) ** 2, axis=0)
-        zero = 2 * x ** q
-        zero[0] -= 2.0
-        rest = sum(math.comb(q, k) * x ** (q - k) * y ** k
-                   for k in range(1, q + 1))
-        return np.sqrt(zero ** 2 + 4 * x ** q * rest)
+        Every register runs the same block, phi = block|0>, so W|0> is
+        phi^(x q) and A|0> = W' R W|0> = 2 phi_0^q W'|0> - |0>: its all-zero
+        amplitude is 2 x^q - 1, x = |phi_0|^2, and it is a unit vector."""
+        xq = self.block_leakage(lambdas) ** self.params.q
+        return 2 * xq - 1, 2 * np.sqrt(xq * (1 - xq))
 
 
 def build_pea_reflector(unitary: EigenUnitary, eps: float, *,

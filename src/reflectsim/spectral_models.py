@@ -61,6 +61,9 @@ class EigenUnitary:
             others.min() < gap - tol or others.max() > 2 * math.pi - gap + tol
         ):
             raise ValueError("gapped eigenphases must lie in [gap, 2 pi - gap]")
+        # the tolerance must not admit a second target, where r would be +1
+        if np.any((others == 0.0) | (others == 2 * math.pi)):
+            raise ValueError("only the target eigenphase may be 0 or 2 pi")
         phases.setflags(write=False)
         for name, value in (("dimension", dimension), ("eigenphases", phases),
                             ("gap", gap), ("step_cost", step_cost)):

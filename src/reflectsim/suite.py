@@ -9,7 +9,8 @@ the kernel bounds from ``kernel``, the truncated chain and the betas from
 ``reflect``, the scaling table from ``compare`` and the search benchmark
 from ``grover``. No report measures the rest: the exact-transform chain,
 the OAA algebra, the structural identities, and the PEA leakage and psi0
-fix, which the suite reads from one exact-QFT PEA reflector.
+fix, which the suite reads from one simulated exact-QFT PEA block column,
+the library's only PEA simulation outside tests.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from .lcu_reflector import (
     ancilla_reflection,
     build_reflector,
     build_select,
+    eigen_profile,
     oaa_expansion_check,
 )
 from .pea_reflector import build_pea_reflector, choose_pea_params
@@ -187,18 +189,22 @@ def check_oaa_algebra() -> CheckResult:
 def check_pea_baseline() -> CheckResult:
     """Per-block leakage below 1/16 on every gapped eigenvector, end-to-end
     worst-case error max_j e_j <= 10 eps, and exact-QFT invariance of
-    |0>|psi_0> at 1e-10. The leakage does not depend on QFT truncation, so
-    the exact-QFT reflector's block column gives it."""
+    |0>|psi_0> at 1e-10, read off one simulated exact-QFT block column,
+    whose leakage |phi_0|^2 must also match ``block_leakage`` at 1e-14."""
     t0 = time.perf_counter()
     eps = 1e-2
     err = _worst_error("pea", eps)
     exact = build_pea_reflector(_instance(), eps, exact_qft=True)
     params = exact.params
-    worst_p = float(exact.block_leakage()[1:].max())
-    # R psi0 = psi0, so the miss on eigenvector 0 is how far A moves psi0
-    fix_err = float(exact.eigen_errors()[0])
+    column = eigen_profile(exact.w.steps[0][0], params.n_prime)
+    leakage = np.abs(column[0]) ** 2
+    worst_p = float(leakage[1:].max())
+    closed_form = float(np.abs(
+        leakage - exact.block_leakage(exact.unitary.eigenphases)).max())
+    fix_err = float(np.linalg.norm(column[:, 0] - np.eye(len(column))[0]))
     seconds = time.perf_counter() - t0
-    ok = worst_p <= 1 / 16 and err <= 10 * eps and fix_err <= 1e-10
+    ok = (worst_p <= 1 / 16 and err <= 10 * eps and fix_err <= 1e-10
+          and closed_form <= 1e-14)
     return CheckResult("pea_baseline", ok, {
         "max_block_leakage": worst_p,
         "max_err": err,

@@ -7,16 +7,12 @@ import os
 import re
 import tracemalloc
 
-import numpy as np
 import pytest
 
 import reflectsim.suite as suite_mod
 from reflectsim import cli
 from reflectsim.cli import _build_parser, reflect_report, run
-from reflectsim.core_sim import apply_batch, working_set_bytes
-from reflectsim.lcu_reflector import build_reflector
-from reflectsim.pea_reflector import build_pea_reflector
-from reflectsim.spectral_models import synth_unitary
+from reflectsim.core_sim import working_set_bytes
 from reflectsim.suite import CheckResult
 
 
@@ -156,8 +152,8 @@ class TestTinyGap:
     @pytest.mark.parametrize("gap", ["0.01", "1e-11"])
     def test_pea_ladder_refused_before_allocating(self, capsys, monkeypatch,
                                                   gap):
-        # a 64 KiB machine: n' = 10 needs a 2^11-amplitude column, n' = 40
-        # a 2^41-amplitude one, and the ladder alone 2^40 entries
+        # a 64 KiB machine: the ladder holds 2^10 entries at n' = 10 and
+        # 2^40 at n' = 40
         monkeypatch.setattr("os.sysconf", lambda name: 256)
         code, peak = _traced(["reflect", "pea", "--dim", "2", "--gap", gap,
                               "--eps", "0.1"])
@@ -287,33 +283,6 @@ class TestReflectCommand:
                   "params", "n_ancilla", "max_error", "worst_eigenphase",
                   "error_bound", "ledger", "passed"}
         assert shared <= set(rep_l) and shared <= set(rep_p)
-
-
-class TestTraceProbePaths:
-    """The benchmark's traced mode applies each layer of the reflectors that
-    ``reflect`` builds, reached through these attribute paths."""
-
-    @staticmethod
-    def _apply_layers(refl, layers):
-        total = refl.n_ancilla + refl.system_qubits
-        cols = np.zeros((1 << total, 1), dtype=np.complex128)
-        cols[0] = 1.0
-        for op, targets in layers:
-            out = apply_batch(op, cols, total, targets)
-            assert out.shape == cols.shape
-
-    def test_lcu_layers(self):
-        refl = build_reflector(synth_unitary(2, 1.0, seed=3), 0.2)
-        anc = tuple(range(refl.n_ancilla))
-        self._apply_layers(refl, [(refl.b.op, anc), (refl.select.op, None),
-                                  (refl.w, None), (refl.r, anc), (refl.a, None)])
-
-    def test_pea_layers(self):
-        refl = build_pea_reflector(synth_unitary(2, 1.0, seed=3), 0.2)
-        assert not hasattr(refl, "select")
-        block, targets = refl.w.steps[0]
-        self._apply_layers(refl, [(block, targets), (refl.w, None),
-                                  (refl.a, None)])
 
 
 class TestCompareCommand:

@@ -18,6 +18,7 @@ from oracles import (
     pea_zero_amplitude,
 )
 from reflectsim.cli import reflect_report
+from reflectsim import core_sim, lcu_reflector
 from reflectsim.core_sim import DenseOp, apply_batch
 from reflectsim.gaussian_kernel import select_params
 from reflectsim.lcu_reflector import (
@@ -27,7 +28,7 @@ from reflectsim.lcu_reflector import (
     build_select,
     build_W,
     eigen_profile,
-    oaa_column,
+    miss,
     worst_case,
 )
 from reflectsim.pea_reflector import build_pea_reflector, pea_block
@@ -130,6 +131,11 @@ class TestBlockDiagonality:
         assert _profile_mismatch(a, 1, 4) > 1e-2
 
 
+def _own_misses(refl) -> np.ndarray:
+    """``miss`` at the eigenphases of the reflector's own instance."""
+    return miss(refl, refl.unitary.eigenphases)
+
+
 def _dense_eigen_errors(refl) -> np.ndarray:
     """||A(lambda_j)|0> - r_j|0>|| for every j, read off the dense column
     of the whole 2^(n + s) register."""
@@ -145,9 +151,9 @@ class TestLcuEigenErrors:
     @staticmethod
     def _assert_matches_dense(refl):
         dense_a0 = eigen_profile(refl.a, refl.n_ancilla)[0]
-        a0, _ = oaa_column(refl.w_amplitudes())
+        a0, _ = refl.a_column(refl.unitary.eigenphases)
         assert np.abs(a0 - dense_a0).max() <= 1e-13
-        assert np.abs(refl.eigen_errors()
+        assert np.abs(_own_misses(refl)
                       - _dense_eigen_errors(refl)).max() <= 1e-13
 
     @pytest.mark.parametrize("dim", DIMS)
@@ -159,6 +165,18 @@ class TestLcuEigenErrors:
     @pytest.mark.parametrize("eps", (1e-2, 1e-3))
     def test_matches_dense_column_on_gap_edge(self, eps):
         self._assert_matches_dense(build_reflector(gap_edge_unitary(), eps))
+
+    @pytest.mark.parametrize("eps", (0.2, 1e-2))
+    def test_depends_on_lambda_alone(self, eps):
+        # a reflector built on one instance, evaluated at another's phases,
+        # misses as that instance's own reflector does
+        a = synth_unitary(8, 0.5, seed=7)
+        b = synth_unitary(64, 0.5, seed=3)
+        on_a = build_reflector(a, eps)
+        on_b = build_reflector(b, eps)
+        assert on_a.params == on_b.params
+        assert np.abs(miss(on_a, b.eigenphases)
+                      - _own_misses(on_b)).max() <= 1e-15
 
 
 QFTS = pytest.mark.parametrize("exact_qft", [True, False],
@@ -176,7 +194,7 @@ class TestPeaEigenErrors:
     def test_matches_dense_column(self, dim, eps, exact_qft):
         unitary = synth_unitary(dim, 0.5, seed=dim)
         refl = build_pea_reflector(unitary, eps, exact_qft=exact_qft)
-        got = refl.eigen_errors()
+        got = _own_misses(refl)
         assert np.abs(got - _dense_eigen_errors(refl)).max() <= 1e-14
 
     @pytest.mark.parametrize("eps", (1e-3, 1e-4))
@@ -190,7 +208,7 @@ class TestPeaEigenErrors:
         n_prime, q = refl.params.n_prime, refl.params.q
         want = [2 * abs(pea_zero_amplitude(lam, n_prime)) ** q
                 for lam in unitary.eigenphases[1:]]
-        got = refl.eigen_errors()
+        got = _own_misses(refl)
         assert got[1:] == pytest.approx(want, rel=1e-10)
         assert got[0] <= 1e-12
 
@@ -200,13 +218,14 @@ class TestPeaEigenErrors:
     @pytest.mark.parametrize("eps", (0.2, 1e-2, 1e-3))
     @QFTS
     def test_gapped_errors_from_one_column(self, unitary, eps, exact_qft):
-        # the misses read block|0> alone; on gapped eigenvectors they are
-        # 2 |a|^q, a = <0|block|0>, summed phase by phase in the oracle
+        # the misses read the Fejer kernel x = |<0|block|0>|^2 alone; on
+        # gapped eigenvectors they are 2 |a|^q, a = <0|block|0>, summed
+        # phase by phase in the oracle
         refl = build_pea_reflector(unitary, eps, exact_qft=exact_qft)
         n_prime, q = refl.params.n_prime, refl.params.q
         want = [2 * abs(pea_zero_amplitude(lam, n_prime)) ** q
                 for lam in unitary.eigenphases[1:]]
-        assert np.abs(refl.eigen_errors()[1:] - want).max() <= 1e-15
+        assert np.abs(_own_misses(refl)[1:] - want).max() <= 1e-15
 
 
 # (method, eps, dense tolerance): LCU misses are roundoff at eps = 1e-2 and
@@ -255,11 +274,25 @@ class TestWorstCase:
         unitary = synth_unitary(8, 0.5, 7)
         refl = _build(method, unitary, 0.2)
         assert refl.unitary is unitary
-        e = refl.eigen_errors()
+        e = _own_misses(refl)
         j = int(e.argmax())
         assert worst_case(refl) == (e[j], unitary.eigenphases[j])
         other = synth_unitary(8, 0.5, 8)
         assert worst_case(_build(method, other, 0.2))[1] in other.eigenphases
+
+    def test_simulates_nothing(self, monkeypatch):
+        # once built, neither route applies an operator to verify
+        unitary = synth_unitary(8, 0.5, 7)
+        refls = [_build(method, unitary, 1e-2) for method in ("lcu", "pea")]
+        want = [worst_case(refl) for refl in refls]
+
+        def fail(*args, **kwargs):
+            pytest.fail("verification simulated a state")
+
+        for module in (core_sim, lcu_reflector):
+            monkeypatch.setattr(module, "apply_batch", fail)
+        monkeypatch.setattr(lcu_reflector, "eigen_profile", fail)
+        assert [worst_case(refl) for refl in refls] == want
 
 
 def _traced_peak_mib(build) -> float:
@@ -274,9 +307,8 @@ def _traced_peak_mib(build) -> float:
 class TestAllocation:
     """No D x D power matrix, no 2^n diagonal for R and no 2^(n + s)
     diagonal for select or the PEA ladder: what a build allocates is
-    B|0> and the ancilla-local layers. LCU verification reads B's table
-    and the eigenphases; PEA verification simulates one block, never the
-    whole ancilla register."""
+    B|0> and the ancilla-local layers. Verification simulates nothing: LCU
+    reads B's table and the eigenphases, PEA the eigenphases alone."""
 
     def test_lcu_build_at_d1024(self):
         unitary = synth_unitary(1024, 0.5, 1)
@@ -286,7 +318,7 @@ class TestAllocation:
         # the dense column of A would be 2^(12 + 10) amplitudes
         unitary = synth_unitary(1024, 0.5, 1)
         peak = _traced_peak_mib(
-            lambda: build_reflector(unitary, 1e-2).eigen_errors())
+            lambda: worst_case(build_reflector(unitary, 1e-2)))
         assert peak <= 16
 
     def test_pea_build_at_d8(self):
@@ -294,9 +326,18 @@ class TestAllocation:
         assert _traced_peak_mib(lambda: build_pea_reflector(unitary, 1e-2)) <= 4
 
     def test_pea_verification_at_d8(self):
-        # one column of 2^(n' + s) = 2^8 amplitudes; the dense column of
-        # A would be 2^23
+        # the dense column of A would be 2^23 amplitudes
         unitary = synth_unitary(8, 0.5, 7)
         refl = build_pea_reflector(unitary, 1e-2)
-        peak = _traced_peak_mib(refl.eigen_errors)
+        peak = _traced_peak_mib(lambda: worst_case(refl))
+        assert peak <= 4
+
+    def test_pea_report_at_d1024(self):
+        # n' = 10, q = 6: a block column would be 2^20 amplitudes, 16 MiB,
+        # and the dense H wall and inverse QFT 16 MiB each
+        report = {}
+        peak = _traced_peak_mib(lambda: report.update(reflect_report(
+            "pea", 1024, 1e-2, 1e-3, 7, 40.0, 0.5, False)))
+        assert (report["params"]["n_prime"], report["params"]["q"]) == (10, 6)
+        assert report["passed"] is True
         assert peak <= 4

@@ -28,6 +28,7 @@ from reflectsim.lcu_reflector import (
     build_select,
     build_W,
     eigen_profile,
+    miss,
     mcx_two_qubit_cost,
     oaa_expansion_check,
     worst_case,
@@ -261,7 +262,8 @@ class TestVerifyReflection:
         misses = dense_misses(refl, states)
         assert misses.max() <= 10 * 1e-2
         # the dense misses are e_0 and e_3
-        assert np.abs(misses - refl.eigen_errors()[[0, 3]]).max() <= 1e-13
+        assert np.abs(misses - miss(refl, unitary.eigenphases)[[0, 3]]
+                      ).max() <= 1e-13
 
     def test_monotone_in_eps(self):
         unitary = synth_unitary(8, 0.5, seed=7)
@@ -294,7 +296,7 @@ class TestGapEdge:
         # and is attained on eigenvector argmax
         unitary = gap_edge_unitary()
         refl = build_reflector(unitary, eps)
-        per_eigenvector = refl.eigen_errors()
+        per_eigenvector = miss(refl, unitary.eigenphases)
         worst = per_eigenvector.max()
         assert worst <= 10 * eps
         for seed in range(3):

@@ -4,9 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_misses, gap_edge_unitary, lift, unit_vector
+from oracles import (
+    dense_misses,
+    gap_edge_unitary,
+    lift,
+    pea_zero_amplitude,
+    unit_vector,
+)
 from reflectsim.core_sim import apply_batch, op_matrix, unitarity_defect
-from reflectsim.lcu_reflector import worst_case
+from reflectsim.lcu_reflector import eigen_profile, worst_case
 from reflectsim.pea_reflector import (
     PeaParams,
     PeaReflector,
@@ -14,6 +20,7 @@ from reflectsim.pea_reflector import (
     build_pea_reflector,
     build_W_pea,
     choose_pea_params,
+    fejer,
     leakage_amplitude_bound,
     pea_block,
     pea_budget,
@@ -83,7 +90,7 @@ class TestPeaBlock:
 
     def test_generic_phase_leakage_below_bound(self):
         u = synth_unitary(8, 0.5, seed=7)
-        leak = build_pea_reflector(u, 1e-2).block_leakage()
+        leak = build_pea_reflector(u, 1e-2).block_leakage(u.eigenphases)
         assert leak.shape == (8,)
         assert leak[1:].max() <= 1 / 16
 
@@ -122,7 +129,7 @@ class TestWPea:
         # the default budget at eps 1e-2 builds the same n' = 5 block
         block_refl = build_pea_reflector(u, 1e-2)
         assert block_refl.qft_spec == spec
-        single = block_refl.block_leakage()[j]
+        single = block_refl.block_leakage(u.eigenphases)[j]
         # ancilla-zero weight multiplies across registers on an eigenvector
         assert weight == pytest.approx(single ** q, abs=1e-10)
 
@@ -173,7 +180,7 @@ class TestAPea:
     def test_gapped_expectation_value(self, setup):
         u, eps, refl = setup
         j = 4
-        p_single = refl.block_leakage()[j]
+        p_single = refl.block_leakage(u.eigenphases)[j]
         state = lift(unit_vector(8, j), refl.n_ancilla)
         out = apply_batch(refl.a, state, refl.a.num_qubits)
         val = complex(np.vdot(state, out))
@@ -206,10 +213,18 @@ def _reflector_with_spec(u, params, spec):
                         ledger=a.footprint)
 
 
+def _simulated_leakage(refl) -> np.ndarray:
+    """|<0|block|0>|^2 on every eigenvector, read off the simulated column
+    of the reflector's first block."""
+    block, _ = refl.w.steps[0]
+    return np.abs(eigen_profile(block, refl.params.n_prime)[0]) ** 2
+
+
 class TestBlockLeakage:
     """<0|block|0> meets the inverse QFT only through F|0>, which no
-    controlled phase changes: the leakage is the same, bit for bit, at every
-    truncation."""
+    controlled phase changes: the simulated leakage is the same, bit for
+    bit, at every truncation. That is what the closed form ``fejer`` rests
+    on, and the simulated column must match it."""
 
     @pytest.mark.parametrize("u", [synth_unitary(8, 0.5, seed=7),
                                    gap_edge_unitary()],
@@ -218,10 +233,12 @@ class TestBlockLeakage:
         params = choose_pea_params(1e-2, u.gap)
         n_prime = params.n_prime
         exact = _reflector_with_spec(u, params, QftSpec.exact_for(n_prime))
-        want = exact.block_leakage()
+        want = _simulated_leakage(exact)
         for b in range(1, n_prime + 1):
             refl = _reflector_with_spec(u, params, QftSpec(n_prime, b))
-            assert np.array_equal(refl.block_leakage(), want), b
+            assert np.array_equal(_simulated_leakage(refl), want), b
+        assert np.abs(exact.block_leakage(u.eigenphases)
+                      - want).max() <= 1e-14
 
     def test_independent_of_budget_truncation_past_dense_width(self):
         # n' = 11: the inverse QFT is simulated gate by gate, and the
@@ -230,13 +247,51 @@ class TestBlockLeakage:
         refl = build_pea_reflector(u, 0.2)
         assert refl.params.n_prime == 11 and not refl.qft_spec.exact
         exact = build_pea_reflector(u, 0.2, exact_qft=True)
-        assert np.array_equal(refl.block_leakage(), exact.block_leakage())
+        want = _simulated_leakage(exact)
+        assert np.array_equal(_simulated_leakage(refl), want)
+        # the gate-by-gate column returns 1 - 3.6e-15 on the target
+        assert np.abs(refl.block_leakage(u.eigenphases)
+                      - want).max() <= 1e-14
 
-    def test_column_simulated_once(self, setup, monkeypatch):
-        u, eps, _ = setup
-        refl = build_pea_reflector(u, eps)
-        first = refl.eigen_errors()
-        monkeypatch.setattr("reflectsim.pea_reflector.eigen_profile",
-                            lambda *args: pytest.fail("resimulated"))
-        assert np.array_equal(refl.eigen_errors(), first)
-        assert refl.block_leakage().shape == (8,)
+
+def _gap_region_grid(gap: float) -> np.ndarray:
+    """Both gap edges, 64 points across the gap region, and points from
+    1e-12 to 1e-3 inside the upper edge 2 pi - gap."""
+    edge = 2 * math.pi - gap
+    return np.concatenate([[gap, edge], np.linspace(gap, edge, 64),
+                           edge - np.logspace(-12, -3, 28)])
+
+
+class TestFejer:
+    """The closed-form leakage of one register against the phase sum
+    2^-n' sum_a e^{i a lambda}, and against a 50-digit reference."""
+
+    @pytest.mark.parametrize("n_prime,gap", [(1, 0.5), (5, 0.5), (5, 0.02),
+                                             (11, 0.006), (11, 0.5)])
+    def test_matches_phase_sum(self, n_prime, gap):
+        lams = _gap_region_grid(gap)
+        want = [abs(pea_zero_amplitude(lam, n_prime)) ** 2 for lam in lams]
+        # the phase sum rounds a lambda at the size of 2^n' lambda
+        tol = 2e-15 + (1 << n_prime) * 1e-18
+        assert np.abs(fejer(lams, n_prime) - want).max() <= tol
+
+    @pytest.mark.parametrize("n_prime", (1, 5, 11))
+    def test_relative_to_high_precision(self, n_prime):
+        # N lambda/2 is exact and np.sin reduces it exactly, so x keeps its
+        # relative accuracy even near the kernel's zeros and at 2 pi - gap
+        mpmath = pytest.importorskip("mpmath")
+        lams = _gap_region_grid(0.006)
+        with mpmath.workdps(50):
+            big_n = 2 ** n_prime
+            want = np.array([float((mpmath.sin(big_n * mpmath.mpf(lam) / 2)
+                                    / (big_n * mpmath.sin(mpmath.mpf(lam) / 2)))
+                                   ** 2) for lam in lams])
+        got = fejer(lams, n_prime)
+        assert np.abs(got - want).max() <= 1e-15 * want.max()
+        assert (np.abs(got - want) / want).max() <= 4e-15
+
+    def test_target_is_fixed_exactly(self):
+        assert fejer(np.array([0.0, 0.5]), 5)[0] == 1.0
+        refl = build_pea_reflector(synth_unitary(8, 0.5, seed=7), 1e-2)
+        a0, rest = refl.a_column(np.array([0.0]))
+        assert (a0[0], rest[0]) == (1.0, 0.0)

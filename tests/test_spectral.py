@@ -9,7 +9,7 @@ import scipy.linalg
 from reflectsim import spectral_models
 from reflectsim.core_sim import DiagonalOp, apply_batch, working_set_bytes
 from reflectsim.gaussian_kernel import select_params
-from reflectsim.lcu_reflector import build_reflector, build_select
+from reflectsim.lcu_reflector import build_reflector, build_select, worst_case
 from reflectsim.pea_reflector import build_pea_reflector, pea_block
 from reflectsim.spectral_models import (
     EigenUnitary,
@@ -39,7 +39,7 @@ class TestSynthUnitary:
         monkeypatch.setattr(spectral_models, "_haar_basis", counted)
         u = synth_unitary(64, 0.5, seed=3)
         for refl in (build_reflector(u, 1e-2), build_pea_reflector(u, 0.2)):
-            refl.eigen_errors()
+            worst_case(refl)
         assert draws == []
         assert u.eigenbasis is u.eigenbasis
         assert np.array_equal(u.psi0(), u.eigenbasis[:, 0])
@@ -90,6 +90,13 @@ class TestSynthUnitary:
             synth_unitary(1, 0.5, seed=0)
         with pytest.raises(ValueError):
             synth_unitary(4, 3.5, seed=0)
+
+    @pytest.mark.parametrize("second", [0.0, 2 * math.pi])
+    def test_target_phase_unique(self, second):
+        # within the gap tolerance, but a second eigenphase equal to the
+        # target's would make the reflection's sign vector +1 twice
+        with pytest.raises(ValueError, match="only the target"):
+            EigenUnitary(2, [0.0, second], np.eye(2), 1e-10)
 
     def test_fixes_target(self):
         for seed in (0, 1, 2):
