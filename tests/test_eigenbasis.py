@@ -17,8 +17,8 @@ from oracles import (
     lifted_action,
     pea_zero_amplitude,
 )
-from reflectsim.cli import reflect_report
 from reflectsim import core_sim, lcu_reflector
+from reflectsim.cli import reflect_report
 from reflectsim.core_sim import DenseOp, apply_batch
 from reflectsim.gaussian_kernel import select_params
 from reflectsim.lcu_reflector import (
