@@ -86,7 +86,7 @@ def _build_parser() -> _Parser:
                            help="accepted and ignored: the report gives the "
                                 "exact worst case over all inputs; removed "
                                 "with the benchmark's use of it (ROADMAP "
-                                "item 2)")
+                                "item 1)")
     p_reflect.add_argument("--c", type=float, default=DEFAULT_C)
     p_reflect.add_argument("--kernel-fraction", type=float,
                            default=DEFAULT_KERNEL_FRACTION)
@@ -289,9 +289,45 @@ def _to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+_CONTAINERS = (dict, list, tuple)
+_LEAVES = json.JSONEncoder(separators=("\n", ":"))
+
+
+def _to_json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a value nested at
+    ``indent``. The indented encoder is pure Python, one call per leaf;
+    here the leaves of each dict or list go through the C encoder in one
+    call, which matters for a long alpha table."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value and all(type(k) is str
+                                                 for k in value):
+        parts = _encoded([*value, *value.values()], inner)
+        body = ",\n".join(f"{inner}{k}: {v}" for k, v in
+                          zip(parts[:len(value)], parts[len(value):]))
+        return "{\n" + body + "\n" + indent + "}"
+    if isinstance(value, list) and value:
+        items = (",\n" + inner).join(_encoded(value, inner))
+        return "[\n" + inner + items + "\n" + indent + "]"
+    if isinstance(value, _CONTAINERS):
+        # empty, a tuple, or a dict with keys that json turns into strings
+        return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+    return json.dumps(value)
+
+
+def _encoded(values, indent: str) -> list[str]:
+    """Each of ``values`` as JSON text at ``indent``: the containers one by
+    one, every other value in one compact call. JSON text holds no raw
+    newline, so a newline separator splits that call's output exactly."""
+    leaves = [v for v in values if not isinstance(v, _CONTAINERS)]
+    text = _LEAVES.encode(leaves)[1:-1]
+    encoded = iter(text.split("\n"))
+    return [_to_json(v, indent) if isinstance(v, _CONTAINERS)
+            else next(encoded) for v in values]
+
+
 def _emit(report: dict, out: str | None, fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = _to_json(report) + "\n"
     else:
         text = _to_csv(report)
     if out:

@@ -2,6 +2,8 @@
 
 Operator kinds with their declared footprints, one entry point that applies
 an operator to column arrays (``apply_batch``), and the memory preflight.
+The kinds are dense, diagonal, eigen-powers, the layered (banded) QFT
+``QftOp``, permutation, zero reflection, controlled and sequence.
 
 Conventions used by every module in this package:
 
@@ -163,6 +165,61 @@ class EigenPowersOp(CircuitOp):
         batch = block.shape[1]
         rows = block.reshape(self.powers.shape[0], -1, batch)
         return (phases[:, :, None] * rows).reshape(self.dim, batch)
+
+
+class QftOp(CircuitOp):
+    """The m-qubit QFT, kernel exp(+2 pi i jk / 2**m), with the controlled
+    phases below 2 pi / 2**cutoff_b left out (Coppersmith's banded QFT),
+    or its inverse.
+
+    The textbook circuit gives qubit j a Hadamard, then the phases
+    2 pi / 2**k from qubit j + k - 1 for k = 2..cutoff_b, then reverses the
+    qubits. The banded QFT's matrix is symmetric (whether it keeps the phase
+    between an input bit and an output bit depends on the sum of their
+    weights), so it equals that circuit transposed, which is applied here:
+    one axis reversal, then m layers from the last qubit to the first, each
+    one multiply of qubit j's |1> half by its kept phases and one Hadamard
+    butterfly. The inverse conjugates the phases. Every cutoff takes this
+    one arithmetic path, so amplitudes that meet only unit phases come out
+    bit for bit the same at every cutoff. No table is stored: layer j's
+    phases, which depend only on the next min(cutoff_b - 1, m - 1 - j)
+    qubits, are a strided slice of one root-of-unity table made per
+    application.
+    """
+
+    def __init__(self, num_qubits: int, cutoff_b: int,
+                 footprint: ResourceFootprint, inverse: bool = False):
+        if num_qubits < 1:
+            raise ValueError("num_qubits must be >= 1")
+        if cutoff_b < 1:
+            raise ValueError("cutoff_b must be >= 1")
+        self.num_qubits = num_qubits
+        self.cutoff_b = cutoff_b
+        self.footprint = footprint
+        self.inverse = inverse
+
+    def _transform(self, block):
+        m = self.num_qubits
+        batch = block.shape[1]
+        tensor = (2,) * m + (batch,)
+        # the swap network, with the 2^(-m/2) of the m Hadamards, in one copy
+        out = np.empty(block.shape, dtype=np.complex128)
+        np.multiply(block.reshape(tensor).transpose(*range(m - 1, -1, -1), m),
+                    2.0 ** (-m / 2), out=out.reshape(tensor))
+        top = min(self.cutoff_b - 1, m - 1)
+        sign = -1j if self.inverse else 1j
+        root = np.exp(sign * (math.pi / (1 << top)) * np.arange(1 << top))
+        work = np.empty(out.size // 2, dtype=np.complex128)
+        for j in range(m - 1, -1, -1):
+            keep = min(top, m - 1 - j)
+            phases = root[::1 << (top - keep)][:, None]
+            pair = out.reshape(1 << j, 2, 1 << keep, -1)
+            low, high = pair[:, 0], pair[:, 1]
+            kicked = work.reshape(low.shape)
+            np.multiply(high, phases, out=kicked)
+            np.subtract(low, kicked, out=high)
+            np.add(low, kicked, out=low)
+        return out
 
 
 class PermutationOp(CircuitOp):
@@ -370,14 +427,17 @@ def adjoint(op: CircuitOp) -> CircuitOp:
     """Inverse operator; same declared footprint.
 
     The inverse of a checked operator is exact (a conjugate transpose, a
-    conjugate, an inverse permutation, reversed steps on the same targets),
-    so it is built without re-running the constructors' checks."""
+    conjugate, negated powers, conjugated QFT phases, an inverse
+    permutation, reversed steps on the same targets), so it is built
+    without re-running the constructors' checks."""
     if isinstance(op, DenseOp):
         return _like(op, matrix=op.matrix.conj().T)
     if isinstance(op, DiagonalOp):
         return _like(op, diagonal=op.diagonal.conj())
     if isinstance(op, EigenPowersOp):
         return _like(op, powers=-op.powers)
+    if isinstance(op, QftOp):
+        return _like(op, inverse=not op.inverse)
     if isinstance(op, PermutationOp):
         inv = np.empty_like(op.perm)
         inv[op.perm] = np.arange(op.perm.shape[0])

@@ -16,17 +16,15 @@ from .core_sim import (
     CircuitOp,
     ControlledOp,
     DenseOp,
+    QftOp,
     ResourceFootprint,
     SequenceOp,
     adjoint,
     apply_batch,
     cnot,
-    cphase,
-    hadamard,
     pauli_x,
     pauli_z,
     require_memory,
-    swap_gate,
 )
 from .gaussian_kernel import KernelParams, phi_amplitudes
 
@@ -195,21 +193,15 @@ def prep_qft_spec(params: KernelParams) -> QftSpec:
 
 
 def qft(spec: QftSpec) -> CircuitOp:
-    """Textbook circuit: H plus kept controlled phases, then reversal swaps.
+    """The textbook circuit, H plus kept controlled phases, then reversal
+    swaps, as one layered ``QftOp`` charged that circuit's gates.
 
     Matches the DFT with kernel exp(+2 pi i jk / 2**m) when exact.
     """
-    m = spec.m
-    steps = []
-    for j in range(m):
-        steps.append((hadamard(), (j,)))
-        for j2 in range(j + 1, m):
-            k = j2 - j + 1
-            if k <= spec.cutoff_b:
-                steps.append((cphase(2 * math.pi / (1 << k)), (j2, j)))
-    for i in range(m // 2):
-        steps.append((swap_gate(), (i, m - 1 - i)))
-    return SequenceOp(m, steps)
+    cost = ResourceFootprint(
+        two_qubit_gates=qft_two_qubit_count(spec.m, spec.cutoff_b),
+        one_qubit_gates=spec.m)
+    return QftOp(spec.m, spec.cutoff_b, cost)
 
 
 def qft_two_qubit_count(m: int, cutoff_b: int) -> int:

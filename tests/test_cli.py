@@ -14,6 +14,7 @@ from reflectsim import cli
 from reflectsim.cli import _build_parser, reflect_report, run
 from reflectsim.core_sim import working_set_bytes
 from reflectsim.suite import CheckResult
+from test_golden_reports import CASES as GOLDEN_CASES
 
 
 def _capture(capsys, argv):
@@ -390,6 +391,35 @@ class TestContract:
                      ["grover", "--dim", "16", "--eps", "0.05"]):
             _, out = _capture(capsys, argv)
             assert json.loads(out)
+
+
+# the golden invocations, each with JSON output
+JSON_CASES = {name: [a for a in argv if a not in ("--format", "csv")]
+              for name, argv in GOLDEN_CASES.items()}
+
+
+class TestJsonWriter:
+    """The report writer gives the bytes of ``json.dumps(report, indent=2)``."""
+
+    @pytest.mark.parametrize("name", sorted(JSON_CASES))
+    def test_golden_reports(self, capsys, monkeypatch, name):
+        reports = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit",
+                            lambda r, *rest: (reports.append(r), emit(r, *rest)))
+        code, out = _capture(capsys, JSON_CASES[name])
+        assert code == 0
+        assert out == json.dumps(reports[0], indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        math.nan, [math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-300, 3],
+        [], {}, [[]], {"a": {}, "b": []}, [True, False, 1, 2.5], [None],
+        {"x": [1, [2.5, [3]], "a, b", ["c, d", 4]]}, "s, t", None, True,
+        (1, 2), {"k": (1, [2.0])}, {1: 2, "1.5": [1]}, {"a": {2: [1.5]}},
+        {"deep": [{"values": [1.0, 2]}, {"name": "é\n"}]},
+    ])
+    def test_special_values(self, value):
+        assert cli._to_json(value) == json.dumps(value, indent=2)
 
 
 BUILTIN_LEAVES = (bool, int, float, str, type(None))

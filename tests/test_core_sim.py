@@ -10,6 +10,7 @@ from reflectsim.core_sim import (
     DiagonalOp,
     EigenPowersOp,
     PermutationOp,
+    QftOp,
     ResourceFootprint,
     SequenceOp,
     ZeroReflectionOp,
@@ -114,6 +115,7 @@ class TestApply:
                PermutationOp(np.array([3, 0, 1, 2])), ZeroReflectionOp(2),
                EigenPowersOp(np.array([1, -2]), np.array([1, -1]),
                              np.array([0.0, 0.3])),
+               QftOp(2, 2, ResourceFootprint()),
                SequenceOp(2, [(hadamard(), (1,)), (swap_gate(), (0, 1))]),
                pauli_x(), swap_gate(),
                ControlledOp(SequenceOp(1, [(pauli_x(), (0,)),

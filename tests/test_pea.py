@@ -241,15 +241,15 @@ class TestBlockLeakage:
                       - want).max() <= 1e-14
 
     def test_independent_of_budget_truncation_past_dense_width(self):
-        # n' = 11: the inverse QFT is simulated gate by gate, and the
-        # budget drops its phases below cutoff 10
+        # n' = 11: the inverse QFT is simulated layer by layer, not as a
+        # dense matrix, and the budget drops its phases below cutoff 10
         u = synth_unitary(2, 0.006, seed=7)
         refl = build_pea_reflector(u, 0.2)
         assert refl.params.n_prime == 11 and not refl.qft_spec.exact
         exact = build_pea_reflector(u, 0.2, exact_qft=True)
         want = _simulated_leakage(exact)
         assert np.array_equal(_simulated_leakage(refl), want)
-        # the gate-by-gate column returns 1 - 3.6e-15 on the target
+        # the layered column returns 1 - 1.6e-15 on the target
         assert np.abs(refl.block_leakage(u.eigenphases)
                       - want).max() <= 1e-14
 

@@ -9,6 +9,8 @@ import reflectsim.state_prep as state_prep_mod
 import reflectsim.suite as suite_mod
 from reflectsim.cli import run
 from reflectsim.core_sim import (
+    QftOp,
+    SequenceOp,
     adjoint,
     apply_batch,
     cphase,
@@ -201,9 +203,10 @@ def _stored_exact(m: int, eps_qft: float) -> bool:
     return math.ceil(math.log2(m / eps_qft)) + 2 > m
 
 
-def _former_qft_gates(m: int, cutoff_b: int, exact: bool) -> list:
-    """The gates ``qft`` placed when it read a stored ``exact`` flag: every
-    controlled phase when exact, else those with k <= cutoff_b."""
+def _former_qft_gates(m: int, cutoff_b: int, exact: bool) -> SequenceOp:
+    """The gate circuit ``qft`` built when it read a stored ``exact`` flag:
+    every controlled phase when exact, else those with k <= cutoff_b. The
+    reference oracle for the layered ``QftOp``."""
     gates = []
     for j in range(m):
         gates.append((hadamard(), (j,)))
@@ -213,12 +216,7 @@ def _former_qft_gates(m: int, cutoff_b: int, exact: bool) -> list:
                 gates.append((cphase(2 * math.pi / (1 << k)), (j2, j)))
     for i in range(m // 2):
         gates.append((swap_gate(), (i, m - 1 - i)))
-    return gates
-
-
-def _gate_list(steps) -> list:
-    return [(type(op).__name__, targets, op_matrix(op).tobytes())
-            for op, targets in steps]
+    return SequenceOp(m, gates)
 
 
 class TestQftSpecExact:
@@ -240,11 +238,39 @@ class TestQftSpecExact:
         (QftSpec(m=6, cutoff_b=3), False),
         (QftSpec(m=8, cutoff_b=4), False),
         (QftSpec(m=5, cutoff_b=5), False),
+        # every cutoff from 1 to past exact, on every width up to 9
+        *[(QftSpec(m, b), b > m) for m in range(1, 10)
+          for b in range(1, m + 3)],
     ])
     def test_qft_keeps_former_gates(self, spec, stored):
-        got = _gate_list(qft(spec).steps)
-        want = _gate_list(_former_qft_gates(spec.m, spec.cutoff_b, stored))
-        assert got == want
+        # the layered op and its inverse against the gate circuit; the
+        # butterfly layers round differently, so equal within 1e-14
+        op = qft(spec)
+        former = _former_qft_gates(spec.m, spec.cutoff_b, stored)
+        assert np.abs(op_matrix(op) - op_matrix(former)).max() <= 1e-14
+        assert np.abs(op_matrix(adjoint(op))
+                      - op_matrix(adjoint(former))).max() <= 1e-14
+        assert op.footprint == former.footprint
+
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_footprint_is_former_gates(self, m):
+        for b in range(1, m + 3):
+            former = _former_qft_gates(m, b, b > m)
+            assert qft(QftSpec(m, b)).footprint == former.footprint, b
+
+    def test_holds_no_array(self):
+        # layer phases are made per application, never stored
+        op = qft(QftSpec.exact_for(12))
+        for each in (op, adjoint(op)):
+            assert not any(isinstance(v, np.ndarray)
+                           for v in vars(each).values())
+
+    def test_rejects_empty_register_and_cutoff(self):
+        footprint = qft(QftSpec.exact_for(2)).footprint
+        with pytest.raises(ValueError):
+            QftOp(0, 1, footprint)
+        with pytest.raises(ValueError):
+            QftOp(2, 0, footprint)
 
 
 class TestCenteredQft:
