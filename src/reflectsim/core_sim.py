@@ -201,11 +201,11 @@ class QftOp(CircuitOp):
     def _transform(self, block):
         m = self.num_qubits
         batch = block.shape[1]
-        tensor = (2,) * m + (batch,)
+        axes = (2,) * m + (batch,)
         # the swap network, with the 2^(-m/2) of the m Hadamards, in one copy
         out = np.empty(block.shape, dtype=np.complex128)
-        np.multiply(block.reshape(tensor).transpose(*range(m - 1, -1, -1), m),
-                    2.0 ** (-m / 2), out=out.reshape(tensor))
+        np.multiply(block.reshape(axes).transpose(*range(m - 1, -1, -1), m),
+                    2.0 ** (-m / 2), out=out.reshape(axes))
         top = min(self.cutoff_b - 1, m - 1)
         sign = -1j if self.inverse else 1j
         root = np.exp(sign * (math.pi / (1 << top)) * np.arange(1 << top))
