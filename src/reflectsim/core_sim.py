@@ -216,9 +216,12 @@ class QftOp(CircuitOp):
             pair = out.reshape(1 << j, 2, 1 << keep, -1)
             low, high = pair[:, 0], pair[:, 1]
             kicked = work.reshape(low.shape)
-            np.multiply(high, phases, out=kicked)
-            np.subtract(low, kicked, out=high)
-            np.add(low, kicked, out=low)
+            # numpy runs its inner loop over the contiguous rows: at two
+            # amplitudes a row, looping down the columns is 2.5-5x faster
+            order = "F" if kicked[0].size == 2 else "K"
+            np.multiply(high, phases, out=kicked, order=order)
+            np.subtract(low, kicked, out=high, order=order)
+            np.add(low, kicked, out=low, order=order)
         return out
 
 

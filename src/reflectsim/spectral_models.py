@@ -9,8 +9,9 @@ the eigenphases; system vectors enter and leave through
 draws its D x D Haar basis on demand, the first time something reads
 ``eigenbasis`` (``psi0``, ``power_matrix``, ``to_eigenbasis``,
 ``exact_reflection``), so building and verifying a reflector on it never
-holds a D x D array. Grover and Hamiltonian instances get their bases
-from a diagonalisation, at construction.
+holds a D x D array. A Grover instance's eigensystem is known in closed
+form and written down at construction; a Hamiltonian instance's comes from
+``numpy.linalg.eigh``.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
 
 from .core_sim import require_memory
 
@@ -75,16 +74,17 @@ class EigenUnitary:
         raise AttributeError(f"EigenUnitary is immutable: cannot set {name}")
 
     def _checked_basis(self, eigenbasis: np.ndarray) -> np.ndarray:
-        basis = np.asarray(eigenbasis, dtype=np.complex128).copy()
+        basis = np.asarray(eigenbasis)
         if basis.shape != (self.dimension, self.dimension):
             raise ValueError("eigenbasis shape does not match dimension")
-        # one triangle of the Gram matrix, conj(V^H V), from the F-ordered
-        # V^T; the unset triangle is zero, like the identity's
-        gram = scipy.linalg.blas.zherk(1.0, basis.T)
+        # V^H V in the given dtype: a real basis (Grover's) takes the real
+        # product, a quarter of the complex one's work
+        gram = basis.conj().T @ basis
         gram[np.diag_indices(self.dimension)] -= 1.0
         defect = np.abs(gram).max()
         if defect > _BASIS_ATOL:
             raise ValueError(f"eigenbasis is not unitary (defect {defect:.3e})")
+        basis = basis.astype(np.complex128)
         basis.setflags(write=False)
         return basis
 
@@ -176,18 +176,28 @@ def _require_square(dimension: int) -> None:
     require_memory((dimension * dimension - 1).bit_length())
 
 
-def _schur_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal eigensystem of a (normal) unitary via complex Schur."""
-    t, q = scipy.linalg.schur(u, output="complex")
-    return np.diag(t), q
-
-
 def grover_unitary(dimension: int, marked: int) -> GroverInstance:
     """The search-derived unitary with a unique eigenvalue-1 eigenvector.
 
-    U = -exp(-i arccos(1 - 2/D)) V^dagger R_s R_t V with
-    V = 1 + (i - 1)|s><s|. The global phase is rotated so the eigenvalue
-    nearest 1 becomes exactly 1; the gap is measured from the spectrum.
+    U = -exp(-i theta) V^dagger R_s R_t V with theta = arccos(1 - 2/D),
+    V = 1 + (i - 1)|s><s|, R_s = 2|s><s| - 1 and R_t = 2|t><t| - 1 for the
+    marked state |t>. Its eigensystem is known in closed form, so U is
+    never formed:
+
+    - On span{|t>, |s>}, with a = <t|s> = 1/sqrt(D), b = sqrt(1 - a^2) and
+      |s_perp> = (|s> - a|t>)/b, R_s R_t is -exp(-+i theta) on
+      (|t> -+ i|s_perp>)/sqrt(2). So U is 1 on V^dagger (|t> + i|s_perp>)
+      / sqrt(2) and exp(-2 i theta) on V^dagger (|t> - i|s_perp>)/sqrt(2).
+      Up to unit phases these are the real vectors
+      (a + b, a (b - a)/b, ...)/sqrt(2) and (b - a, -a (a + b)/b, ...)
+      / sqrt(2), marked entry first; their overlaps with |s> are
+      1/sqrt(2) and -1/sqrt(2).
+    - On the complement V = 1 and R_s = R_t = -1, so U = -exp(-i theta)
+      there. The Helmert basis spans it: over the unmarked indices,
+      column k is (1, ..., 1, -k, 0, ..., 0)/sqrt(k (k + 1)), k ones.
+
+    The eigenphases are 0, 2 pi - 2 theta and pi - theta (D - 2 times),
+    and the gap is 2 theta: pi - theta >= 2 theta for D >= 4.
     """
     if dimension < 4 or (dimension & (dimension - 1)) != 0:
         raise ValueError("dimension must be a power of two >= 4")
@@ -195,22 +205,27 @@ def grover_unitary(dimension: int, marked: int) -> GroverInstance:
         raise ValueError("marked index out of range")
     _require_square(dimension)
     d = dimension
-    s = np.full(d, 1 / math.sqrt(d))
-    v = np.eye(d, dtype=np.complex128) + (1j - 1) * np.outer(s, s)
-    r_s = 2 * np.outer(s, s) - np.eye(d)
-    r_t = -np.eye(d)
-    r_t[marked, marked] = 1.0
     theta = math.acos(1 - 2 / d)
-    u = -np.exp(-1j * theta) * v.conj().T @ r_s @ r_t @ v
-
-    eigvals, basis = _schur_eigensystem(u)
-    i0 = int(np.argmin(np.abs(eigvals - 1)))
-    phases, basis, gap = _target_first(np.angle(eigvals), basis, i0)
+    a = 1 / math.sqrt(d)
+    b = math.sqrt(1 - 1 / d)
+    basis = np.zeros((d, d))
+    basis[:, 0] = a * (b - a) / b
+    basis[marked, 0] = a + b
+    basis[:, 1] = -a * (a + b) / b
+    basis[marked, 1] = b - a
+    basis[:, :2] /= math.sqrt(2)
+    k = np.arange(1.0, d - 1)
+    norms = 1 / np.sqrt(k * (k + 1))
+    helmert = np.triu(np.ones((d - 1, d - 2))) * norms
+    helmert[np.arange(1, d - 1), np.arange(d - 2)] = -k * norms
+    basis[np.arange(d) != marked, 2:] = helmert
+    phases = np.full(d, math.pi - theta)
+    phases[0] = 0.0
+    phases[1] = 2 * math.pi - 2 * theta
     unitary = EigenUnitary(dimension=d, eigenphases=phases, eigenbasis=basis,
-                           gap=gap)
-    psi_tilde = (s + _basis_vec(d, marked)) / math.sqrt(
-        2 * (1 + 1 / math.sqrt(d))
-    )
+                           gap=2 * theta)
+    s = np.full(d, a)
+    psi_tilde = (s + _basis_vec(d, marked)) / math.sqrt(2 * (1 + a))
     return GroverInstance(dimension=d, marked=marked, unitary=unitary,
                           s_state=s, psi_tilde=psi_tilde)
 

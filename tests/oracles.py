@@ -123,6 +123,21 @@ def pea_zero_amplitude(lam: float, n_prime: int) -> complex:
     return total / (1 << n_prime)
 
 
+def grover_matrix(dimension: int, marked: int) -> np.ndarray:
+    """The search-derived unitary built densely, as the library once did:
+    -exp(-i theta) V^dagger R_s R_t V with theta = arccos(1 - 2/D),
+    V = 1 + (i - 1)|s><s|, R_s = 2|s><s| - 1 and R_t = 2|t><t| - 1."""
+    d = dimension
+    s = np.full(d, 1 / math.sqrt(d))
+    v = np.eye(d, dtype=np.complex128) + (1j - 1) * np.outer(s, s)
+    r_s = 2 * np.outer(s, s) - np.eye(d)
+    r_t = -np.ones(d)
+    r_t[marked] = 1.0
+    theta = math.acos(1 - 2 / d)
+    # R_t is diagonal: R_s R_t scales R_s's columns
+    return -np.exp(-1j * theta) * v.conj().T @ (r_s * r_t) @ v
+
+
 def lift(system: np.ndarray, n_ancilla: int, ancilla_index: int = 0) -> np.ndarray:
     """|ancilla_index>|xi> for each column xi of ``system`` (a vector is one
     column): a (2^n_ancilla d, batch) array, the ancilla on the most

@@ -5,7 +5,10 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -310,6 +313,48 @@ class TestGroverCommand:
         assert report["nu"] <= report["nu_envelope"]
         assert report["s_reflection_defect"] <= 1e-10
         assert report["exact_target_fidelity"] == pytest.approx(1.0, abs=1e-10)
+
+
+    @pytest.mark.parametrize("dim", [4, 16, 64, 256, 1024])
+    def test_report_accuracy(self, dim):
+        for seed in range(1, 11):
+            report = cli.grover_benchmark(dim, 0.02, seed)
+            assert report["s_reflection_defect"] <= 1e-13
+            assert report["exact_target_fidelity"] == pytest.approx(
+                1.0, rel=0, abs=1e-13)
+            assert report["gap"] == pytest.approx(
+                2 * math.acos(1 - 2 / dim), rel=1e-15, abs=0)
+
+
+# every subcommand on small inputs, in a process that imports nothing else
+_NUMPY_ONLY = """
+import contextlib, io, json, sys
+import reflectsim, reflectsim.cli, reflectsim.suite
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert reflectsim.cli.run(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+class TestNumpyOnly:
+    def test_no_scipy_module_loaded(self):
+        argvs = [
+            ["kernel", "--eps", "1e-1", "--gap", "0.8"],
+            ["prep", "--eps", "1e-2", "--gap", "0.5"],
+            ["reflect", "lcu", "--dim", "8", "--gap", "0.5", "--eps", "1e-2"],
+            ["reflect", "pea", "--dim", "8", "--gap", "0.5", "--eps", "1e-2"],
+            ["grover", "--dim", "16", "--eps", "0.05"],
+            ["compare"],
+            ["verify-suite"],
+        ]
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_ONLY, json.dumps(argvs)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
 
 class TestContract:

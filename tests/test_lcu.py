@@ -333,6 +333,20 @@ class TestGroverStep:
         assert report["nu"] == pytest.approx(1 - abs(hit) ** 2, rel=0,
                                              abs=1e-13)
 
+    @pytest.mark.parametrize("dim", [16, 64, 256])
+    def test_defect_and_fidelity_match_dense_reflections(self, dim):
+        # the report's O(D) forms against the D x D reflections
+        report = grover_benchmark(dim, 0.02, 7)
+        inst = grover_unitary(dim, report["marked"])
+        s = inst.s_state
+        defect = abs(s @ exact_reflection(inst.unitary) @ s)
+        assert report["s_reflection_defect"] == pytest.approx(
+            defect, rel=0, abs=1e-14)
+        tilde = inst.psi_tilde
+        r = 2 * np.outer(tilde, tilde) - np.eye(dim)
+        assert report["exact_target_fidelity"] == pytest.approx(
+            (r @ s)[inst.marked] ** 2, rel=0, abs=1e-14)
+
 
 class TestReflectorLedger:
     def test_query_accounting(self, medium):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from reflectsim import spectral_models
 from reflectsim.core_sim import DiagonalOp, apply_batch, working_set_bytes
 from reflectsim.gaussian_kernel import select_params
@@ -191,6 +192,56 @@ class TestGrover:
         with pytest.raises(ValueError):
             grover_unitary(12, 0)
 
+    @pytest.mark.parametrize("d", [4, 16, 64, 256, 1024])
+    def test_closed_form_diagonalises_dense_matrix(self, d):
+        for marked in sorted({0, d // 2 + 1, d - 1}):
+            inst = grover_unitary(d, marked)
+            basis = inst.unitary.eigenbasis
+            u = oracles.grover_matrix(d, marked)
+            residual = u @ basis - basis * np.exp(1j * inst.unitary.eigenphases)
+            assert np.abs(residual).max() <= 1e-13, marked
+            gram = basis.conj().T @ basis - np.eye(d)
+            assert np.abs(gram).max() <= 1e-13, marked
+
+    @pytest.mark.parametrize("d", [4, 16, 64, 256])
+    def test_phases_match_schur_spectrum(self, d):
+        inst = grover_unitary(d, d - 3)
+        t = scipy.linalg.schur(oracles.grover_matrix(d, d - 3),
+                               output="complex")[0]
+        # angles in (-pi, pi]: no eigenvalue sits near -1
+        closed = np.angle(np.exp(1j * inst.unitary.eigenphases))
+        assert np.sort(np.angle(np.diag(t))) == pytest.approx(
+            np.sort(closed), rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("d", [4, 16, 64, 256, 1024])
+    def test_eigenphases_are_exact(self, d):
+        theta = math.acos(1 - 2 / d)
+        phases = grover_unitary(d, d // 2).unitary.eigenphases
+        assert phases[0] == 0.0
+        assert phases[1] == 2 * math.pi - 2 * theta
+        assert np.all(phases[2:] == math.pi - theta)
+
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_gap_does_not_depend_on_marked(self, d):
+        gaps = {grover_unitary(d, marked).gap for marked in range(d)}
+        assert gaps == {2 * math.acos(1 - 2 / d)}
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_corrupted_column_rejected(self, real):
+        inst = grover_unitary(64, 5)
+        basis = inst.unitary.eigenbasis.real if real else inst.unitary.eigenbasis
+        phases = inst.unitary.eigenphases
+        for col in (0, 1, 40):
+            # the 1e-10 tolerance: a column scaled by 1 + 2e-11 passes
+            # (Gram defect 4e-11), one scaled by 1 + 1e-10 does not
+            ok = basis.copy()
+            ok[:, col] *= 1 + 2e-11
+            EigenUnitary(64, phases, ok, gap=inst.gap)
+            bad = basis.copy()
+            bad[:, col] *= 1 + 1e-10
+            with pytest.raises(ValueError, match="eigenbasis is not unitary"):
+                EigenUnitary(64, phases, bad, gap=inst.gap)
+
     def test_s_reflection_is_zero(self):
         inst = grover_unitary(64, 3)
         val = inst.s_state @ (exact_reflection(inst.unitary) @ inst.s_state)
@@ -201,7 +252,7 @@ class TestGrover:
         scaled = [gaps[d] * math.sqrt(d) for d in (16, 64, 256)]
         assert max(scaled) <= 2 * min(scaled)
         for d, g in gaps.items():
-            # closed form: the 2D invariant subspace gives gap 2 arccos(1-2/D)
+            # the 2D invariant subspace gives gap 2 arccos(1-2/D)
             assert g == pytest.approx(2 * math.acos(1 - 2 / d), abs=1e-10)
 
     def test_overlap_with_exact_target(self):
