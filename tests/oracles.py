@@ -124,7 +124,7 @@ def pea_zero_amplitude(lam: float, n_prime: int) -> complex:
 
 
 def grover_matrix(dimension: int, marked: int) -> np.ndarray:
-    """The search-derived unitary built densely, as the library once did:
+    """The search-derived unitary built densely:
     -exp(-i theta) V^dagger R_s R_t V with theta = arccos(1 - 2/D),
     V = 1 + (i - 1)|s><s|, R_s = 2|s><s| - 1 and R_t = 2|t><t| - 1."""
     d = dimension

@@ -314,7 +314,6 @@ class TestGroverCommand:
         assert report["s_reflection_defect"] <= 1e-10
         assert report["exact_target_fidelity"] == pytest.approx(1.0, abs=1e-10)
 
-
     @pytest.mark.parametrize("dim", [4, 16, 64, 256, 1024])
     def test_report_accuracy(self, dim):
         for seed in range(1, 11):

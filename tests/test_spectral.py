@@ -252,7 +252,7 @@ class TestGrover:
         scaled = [gaps[d] * math.sqrt(d) for d in (16, 64, 256)]
         assert max(scaled) <= 2 * min(scaled)
         for d, g in gaps.items():
-            # the 2D invariant subspace gives gap 2 arccos(1-2/D)
+            # closed form: the 2D invariant subspace gives gap 2 arccos(1-2/D)
             assert g == pytest.approx(2 * math.acos(1 - 2 / d), abs=1e-10)
 
     def test_overlap_with_exact_target(self):
