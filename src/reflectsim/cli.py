@@ -209,7 +209,13 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     """Reflect over the search target with the LCU route, from |s>:
     nu = 1 - |<0, marked|A|0, s>|^2 against 4 (1/sqrt(D) + 10 eps)^2, and
     the exact reflection's |<s|R|s>| = |2 |<psi0|s>|^2 - 1|, both without
-    a D x D matrix."""
+    a D x D matrix.
+
+    |s> lies in the plane of U's first two eigenvectors, with overlaps
+    1/sqrt(2) and -1/sqrt(2), and their marked entries are (a + b)/sqrt(2)
+    and (b - a)/sqrt(2), a = 1/sqrt(D), b = sqrt(1 - 1/D) (see
+    ``grover_unitary``). So the marked amplitude of A|0, s> reads
+    <0|A|0> at two eigenphases only, 0 and 2 pi - 2 theta."""
     rng = np.random.default_rng(seed)
     marked = int(rng.integers(dim))
     inst = grover_unitary(dim, marked)
@@ -218,9 +224,10 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     # pairwise sums: s is uniform, so a running sum's roundoff grows with D
     s_defect = float(abs(2 * abs(np.sum(u.psi0().conj() * s)) ** 2 - 1))
     refl = build_reflector(u, eps)
-    a0, _ = refl.a_column(u.eigenphases)
-    # back to the computational basis for the marked amplitude
-    hit = u.eigenbasis[marked] @ (a0 * u.to_eigenbasis(s))
+    a0, _ = refl.a_column(u.eigenphases[:2])
+    a = 1 / math.sqrt(dim)
+    b = math.sqrt(1 - 1 / dim)
+    hit = ((a + b) * a0[0] - (b - a) * a0[1]) / 2
     nu = float(1 - abs(hit) ** 2)
     envelope = 4 * (1 / math.sqrt(dim) + 10 * eps) ** 2
     # <marked|(2|psi~><psi~| - 1)|s>
@@ -291,40 +298,38 @@ def _to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-_CONTAINERS = (dict, list, tuple)
-_LEAVES = json.JSONEncoder(separators=("\n", ":"))
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def _to_json(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for a value nested at
-    ``indent``. The indented encoder is pure Python, one call per leaf;
-    here the leaves of each dict or list go through the C encoder in one
-    call, which matters for a long alpha table."""
+    ``indent``. The indented encoder is pure Python and yields every
+    bracket, separator and leaf as its own string through nested
+    generators; here each container is one join and the common leaves
+    (exact str, finite float, int, bool and None) are written directly."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
     inner = indent + "  "
     if isinstance(value, dict) and value and all(type(k) is str
                                                  for k in value):
-        parts = _encoded([*value, *value.values()], inner)
-        body = ",\n".join(f"{inner}{k}: {v}" for k, v in
-                          zip(parts[:len(value)], parts[len(value):]))
+        body = ",\n".join([f"{inner}{_encode_str(k)}: {_to_json(v, inner)}"
+                           for k, v in value.items()])
         return "{\n" + body + "\n" + indent + "}"
-    if isinstance(value, list) and value:
-        items = (",\n" + inner).join(_encoded(value, inner))
+    if isinstance(value, (list, tuple)) and value:
+        items = (",\n" + inner).join([_to_json(v, inner) for v in value])
         return "[\n" + inner + items + "\n" + indent + "]"
-    if isinstance(value, _CONTAINERS):
-        # empty, a tuple, or a dict with keys that json turns into strings
-        return json.dumps(value, indent=2).replace("\n", "\n" + indent)
-    return json.dumps(value)
-
-
-def _encoded(values, indent: str) -> list[str]:
-    """Each of ``values`` as JSON text at ``indent``: the containers one by
-    one, every other value in one compact call. JSON text holds no raw
-    newline, so a newline separator splits that call's output exactly."""
-    leaves = [v for v in values if not isinstance(v, _CONTAINERS)]
-    text = _LEAVES.encode(leaves)[1:-1]
-    encoded = iter(text.split("\n"))
-    return [_to_json(v, indent) if isinstance(v, _CONTAINERS)
-            else next(encoded) for v in values]
+    # non-finite floats, subclasses, empty containers and dicts with keys
+    # that json turns into strings
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
 def _emit(report: dict, out: str | None, fmt: str) -> None:

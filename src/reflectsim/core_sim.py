@@ -2,8 +2,11 @@
 
 Operator kinds with their declared footprints, one entry point that applies
 an operator to column arrays (``apply_batch``), and the memory preflight.
-The kinds are dense, diagonal, eigen-powers, the layered (banded) QFT
-``QftOp``, permutation, zero reflection, controlled and sequence.
+The kinds are dense, deferred dense (``densify``: the matrix is made on
+first application), diagonal, eigen-powers, the layered (banded) QFT
+``QftOp``, permutation, zero reflection, controlled and sequence. The
+fixed elementary gates (``HADAMARD``, ``PAULI_X``, ``PAULI_Z``, ``CNOT``,
+``SWAP``) are shared constants with read-only tables, built at import.
 
 Conventions used by every module in this package:
 
@@ -109,6 +112,37 @@ class DenseOp(CircuitOp):
         self.matrix = mat
         self.num_qubits = n
         self.footprint = footprint
+
+    def _transform(self, block):
+        return self.matrix @ block
+
+
+class DeferredDenseOp(CircuitOp):
+    """The dense matrix of ``source``, made on first application and kept.
+
+    Building one runs nothing: ``op_matrix(source)`` and ``DenseOp``'s
+    unitarity check run when the operator is first applied, so an operator
+    tree that is only counted, never simulated, holds no matrix. With
+    ``inverse`` (what ``adjoint`` builds), ``source`` is the deferred
+    operator being inverted, and the matrix is the conjugate transpose of
+    its matrix: the two share one ``op_matrix``.
+    """
+
+    def __init__(self, source: CircuitOp, inverse: bool = False):
+        self.source = source
+        self.inverse = inverse
+        self.num_qubits = source.num_qubits
+        self.footprint = source.footprint
+        self._matrix = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            if self.inverse:
+                self._matrix = self.source.matrix.conj().T
+            else:
+                self._matrix = DenseOp(op_matrix(self.source)).matrix
+        return self._matrix
 
     def _transform(self, block):
         return self.matrix @ block
@@ -412,12 +446,13 @@ def op_matrix(op: CircuitOp) -> np.ndarray:
     return op._transform(np.eye(op.dim, dtype=np.complex128))
 
 
-def densify(op: CircuitOp) -> DenseOp:
+def densify(op: CircuitOp) -> DeferredDenseOp:
     """Collapse a narrow operator to one dense matrix with the same
-    footprint. Purely a simulation speedup: the matrix is the exact product
-    of the member gates, so semantics (including any QFT truncation) are
-    unchanged."""
-    return DenseOp(op_matrix(op), op.footprint)
+    footprint, made on the operator's first application and kept (see
+    ``DeferredDenseOp``). Purely a simulation speedup: the matrix is the
+    exact product of the member gates, so semantics (including any QFT
+    truncation) are unchanged, and building costs nothing."""
+    return DeferredDenseOp(op)
 
 
 def unitarity_defect(op: CircuitOp) -> float:
@@ -432,9 +467,14 @@ def adjoint(op: CircuitOp) -> CircuitOp:
     The inverse of a checked operator is exact (a conjugate transpose, a
     conjugate, negated powers, conjugated QFT phases, an inverse
     permutation, reversed steps on the same targets), so it is built
-    without re-running the constructors' checks."""
+    without re-running the constructors' checks. A deferred dense
+    operator's inverse stays deferred, and the inverse of that inverse is
+    the operator itself. A sequence inverts each distinct member once and
+    reuses that inverse wherever the member repeats."""
     if isinstance(op, DenseOp):
         return _like(op, matrix=op.matrix.conj().T)
+    if isinstance(op, DeferredDenseOp):
+        return op.source if op.inverse else DeferredDenseOp(op, inverse=True)
     if isinstance(op, DiagonalOp):
         return _like(op, diagonal=op.diagonal.conj())
     if isinstance(op, EigenPowersOp):
@@ -450,8 +490,14 @@ def adjoint(op: CircuitOp) -> CircuitOp:
     if isinstance(op, ControlledOp):
         return _like(op, sub=adjoint(op.sub))
     if isinstance(op, SequenceOp):
-        return _like(op, steps=tuple((adjoint(o), tg)
-                                     for o, tg in reversed(op.steps)))
+        # keyed by identity: op.steps keeps every member alive meanwhile
+        inverses = {}
+        steps = []
+        for o, tg in reversed(op.steps):
+            if id(o) not in inverses:
+                inverses[id(o)] = adjoint(o)
+            steps.append((inverses[id(o)], tg))
+        return _like(op, steps=tuple(steps))
     raise TypeError(f"cannot invert {type(op).__name__}")
 
 
@@ -498,22 +544,23 @@ def require_memory(total_qubits: int) -> None:
 # ---------------------------------------------------------------------------
 # elementary gates
 
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-
 _ONE_Q = ResourceFootprint(one_qubit_gates=1)
 _TWO_Q = ResourceFootprint(two_qubit_gates=1)
 
 
-def hadamard() -> CircuitOp:
-    return DenseOp(_H, _ONE_Q)
+def _frozen(op: CircuitOp, table: str) -> CircuitOp:
+    """``op`` with its table made read-only, so one instance can be shared
+    by every circuit."""
+    getattr(op, table).flags.writeable = False
+    return op
 
 
-def pauli_x() -> CircuitOp:
-    return PermutationOp(np.array([1, 0]), _ONE_Q)
-
-
-def pauli_z() -> CircuitOp:
-    return DiagonalOp(np.array([1.0, -1.0]), _ONE_Q)
+HADAMARD = _frozen(DenseOp(np.array([[1, 1], [1, -1]], dtype=np.complex128)
+                           / math.sqrt(2), _ONE_Q), "matrix")
+PAULI_X = _frozen(PermutationOp(np.array([1, 0]), _ONE_Q), "perm")
+PAULI_Z = _frozen(DiagonalOp(np.array([1.0, -1.0]), _ONE_Q), "diagonal")
+CNOT = ControlledOp(PAULI_X, 1, pattern=1, footprint=_TWO_Q)
+SWAP = _frozen(PermutationOp(np.array([0, 2, 1, 3]), _TWO_Q), "perm")
 
 
 def ry(theta: float) -> CircuitOp:
@@ -521,14 +568,6 @@ def ry(theta: float) -> CircuitOp:
     return DenseOp(np.array([[c, -s], [s, c]]), _ONE_Q)
 
 
-def cnot() -> CircuitOp:
-    return ControlledOp(pauli_x(), 1, pattern=1, footprint=_TWO_Q)
-
-
 def cphase(angle: float) -> CircuitOp:
     """Symmetric controlled phase: e^{i angle} on |11>."""
     return DiagonalOp(np.array([1.0, 1.0, 1.0, np.exp(1j * angle)]), _TWO_Q)
-
-
-def swap_gate() -> CircuitOp:
-    return PermutationOp(np.array([0, 2, 1, 3]), _TWO_Q)

@@ -6,6 +6,9 @@ Blocks are applied sequentially to a shared system register, in U's
 eigenbasis. On an eigenvector the q registers stay a product state until R,
 and each register's all-zero amplitude is the Fejer kernel of lambda, so
 verification is a closed form in the eigenphases and simulates nothing.
+Building the operator tree makes no dense matrix either: the densified
+layers of a block are made on first application, for the dense reference
+simulation only.
 """
 from __future__ import annotations
 
@@ -16,13 +19,13 @@ import sys
 import numpy as np
 
 from .core_sim import (
+    HADAMARD,
     CircuitOp,
     EigenPowersOp,
     ResourceFootprint,
     SequenceOp,
     adjoint,
     densify,
-    hadamard,
     require_memory,
 )
 from .lcu_reflector import ancilla_reflection
@@ -87,10 +90,12 @@ def pea_block(unitary: EigenUnitary, n_prime: int,
 
     In U's eigenbasis the ladder is one ``EigenPowersOp``, exp(i a lambda_j)
     on ancilla value a and eigenvector j, charging the 2^n' - 1 queries of
-    its legs. The ancilla-local layers (the Hadamard wall and the inverse QFT)
-    are collapsed to dense matrices, at most 2^8 x 2^8, when n' <= 8; this
-    changes nothing semantically and keeps the dense whole-register
-    reference simulation of small reflectors affordable.
+    its legs. When n' <= 8 the ancilla-local layers (the Hadamard wall and
+    the inverse QFT) are ``densify``-ed: each becomes one dense matrix, at
+    most 2^8 x 2^8, made on its first application and kept. Building
+    computes no matrix, since verification reads only the eigenphases; the
+    dense whole-register reference simulation of small reflectors, which
+    applies the block q times in W and again in W', makes each matrix once.
     """
     if qft_spec.m != n_prime:
         raise ValueError("QFT width must equal n_prime")
@@ -98,7 +103,7 @@ def pea_block(unitary: EigenUnitary, n_prime: int,
     # the ladder holds 2^n' powers
     require_memory(n_prime)
     anc = tuple(range(n_prime))
-    h_wall = SequenceOp(n_prime, [(hadamard(), (q,)) for q in range(n_prime)])
+    h_wall = SequenceOp(n_prime, [(HADAMARD, (q,)) for q in range(n_prime)])
     iqft = adjoint(qft(qft_spec))
     if n_prime <= 8:
         h_wall = densify(h_wall)
@@ -126,7 +131,8 @@ def build_W_pea(unitary: EigenUnitary, params: PeaParams,
 
 
 def build_A_pea(w: CircuitOp, n_total_ancilla: int) -> CircuitOp:
-    """A = W' R W with R the multiply-controlled ancilla reflection."""
+    """A = W' R W with R the multiply-controlled ancilla reflection. W holds
+    q copies of one block, so W' holds q copies of one inverse block."""
     total = w.num_qubits
     r = ancilla_reflection(n_total_ancilla)
     anc = tuple(range(n_total_ancilla))

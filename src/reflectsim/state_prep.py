@@ -13,6 +13,9 @@ import math
 import numpy as np
 
 from .core_sim import (
+    CNOT,
+    PAULI_X,
+    PAULI_Z,
     CircuitOp,
     ControlledOp,
     DenseOp,
@@ -21,9 +24,6 @@ from .core_sim import (
     SequenceOp,
     adjoint,
     apply_batch,
-    cnot,
-    pauli_x,
-    pauli_z,
     require_memory,
 )
 from .gaussian_kernel import KernelParams, phi_amplitudes
@@ -140,8 +140,8 @@ def centering_circuit(k: int, m: int) -> CircuitOp:
     steps = []
     for width in range(k, m):
         top = m - width          # current top data qubit; qubit top-1 is appended
-        steps.append((cnot(), (top, top - 1)))
-        steps.append((pauli_x(), (top,)))
+        steps.append((CNOT, (top, top - 1)))
+        steps.append((PAULI_X, (top,)))
     return SequenceOp(m, steps)
 
 
@@ -221,7 +221,7 @@ def centered_qft(spec: QftSpec) -> CircuitOp:
     """
     f = qft(spec)
     f_inv = adjoint(f)
-    sz = pauli_z()
+    sz = PAULI_Z
     m = spec.m
     lsq = (m - 1,)
     every = tuple(range(m))

@@ -255,7 +255,7 @@ def check_grover_benchmark() -> CheckResult:
 
 def _structural_op_zoo():
     """Representative operators capped at 8 qubits for dense unitarity."""
-    from .core_sim import cnot, cphase, hadamard, pauli_x, pauli_z, ry, swap_gate
+    from .core_sim import CNOT, HADAMARD, PAULI_X, PAULI_Z, SWAP, cphase, ry
     params = select_params(0.2, 1.5)
     spec = prep_qft_spec(params)
     unitary = synth_unitary(2, 1.0, seed=3)
@@ -268,12 +268,12 @@ def _structural_op_zoo():
     amps = np.abs(rng.normal(size=16)) + 0.01
     amps /= np.linalg.norm(amps)
     return [
-        ("hadamard", hadamard()),
-        ("pauli_x", pauli_x()),
-        ("pauli_z", pauli_z()),
-        ("cnot", cnot()),
+        ("hadamard", HADAMARD),
+        ("pauli_x", PAULI_X),
+        ("pauli_z", PAULI_Z),
+        ("cnot", CNOT),
         ("cphase", cphase(0.3)),
-        ("swap", swap_gate()),
+        ("swap", SWAP),
         ("ry", ry(1.1)),
         ("qft_exact_m5", qft(QftSpec.exact_for(5))),
         ("qft_trunc_m8", qft(QftSpec(m=8, cutoff_b=4))),

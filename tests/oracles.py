@@ -138,6 +138,16 @@ def grover_matrix(dimension: int, marked: int) -> np.ndarray:
     return -np.exp(-1j * theta) * v.conj().T @ (r_s * r_t) @ v
 
 
+def grover_hit_via_basis(instance, refl) -> complex:
+    """<0, marked|A|0, s> through the D x D eigenbasis, the form ``grover``
+    read before the two-eigenvector one: <0|A|0> at every eigenphase times
+    |s> in the eigenbasis, then the marked row of the basis."""
+    u = instance.unitary
+    a0, _ = refl.a_column(u.eigenphases)
+    return complex(u.eigenbasis[instance.marked]
+                   @ (a0 * u.to_eigenbasis(instance.s_state)))
+
+
 def lift(system: np.ndarray, n_ancilla: int, ancilla_index: int = 0) -> np.ndarray:
     """|ancilla_index>|xi> for each column xi of ``system`` (a vector is one
     column): a (2^n_ancilla d, batch) array, the ancilla on the most

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from reflectsim.core_sim import (
+    CNOT,
+    HADAMARD,
+    PAULI_X,
+    PAULI_Z,
+    SWAP,
+    CircuitOp,
     ControlledOp,
+    DeferredDenseOp,
     DenseOp,
     DiagonalOp,
     EigenPowersOp,
@@ -16,16 +23,11 @@ from reflectsim.core_sim import (
     ZeroReflectionOp,
     adjoint,
     apply_batch,
-    cnot,
     cphase,
     densify,
-    hadamard,
     op_matrix,
-    pauli_x,
-    pauli_z,
     random_state,
     ry,
-    swap_gate,
     unitarity_defect,
 )
 from oracles import embed_moveaxis, kron_chain
@@ -50,11 +52,11 @@ def _random_unitary(num_qubits: int, seed: int) -> np.ndarray:
 
 class TestApply:
     def test_x_flips(self):
-        out = apply_batch(pauli_x(), _basis(1, 0), 1)
+        out = apply_batch(PAULI_X, _basis(1, 0), 1)
         assert abs(out[1, 0] - 1) < 1e-15
 
     def test_hadamard_plus_state(self):
-        out = apply_batch(hadamard(), _basis(1, 0), 1)
+        out = apply_batch(HADAMARD, _basis(1, 0), 1)
         assert np.allclose(out[:, 0], [1 / math.sqrt(2)] * 2)
 
     def test_qft_roundtrip_random_state(self):
@@ -67,12 +69,12 @@ class TestApply:
             assert np.abs(back[:, c] - cols[:, c]).max() < 1e-12
 
     def test_targets_embedding_matches_kron(self):
-        h = op_matrix(hadamard())
-        x = op_matrix(pauli_x())
+        h = op_matrix(HADAMARD)
+        x = op_matrix(PAULI_X)
         eye = np.eye(2)
         cols = _random_columns(3, 3, seed=2)
-        out = apply_batch(hadamard(), cols, 3, targets=(1,))
-        out2 = apply_batch(pauli_x(), cols, 3, targets=(2,))
+        out = apply_batch(HADAMARD, cols, 3, targets=(1,))
+        out2 = apply_batch(PAULI_X, cols, 3, targets=(2,))
         for c in range(cols.shape[1]):
             expect = kron_chain(eye, h, eye) @ cols[:, c]
             assert np.abs(out[:, c] - expect).max() < 1e-14
@@ -81,7 +83,7 @@ class TestApply:
 
     def test_two_qubit_reversed_targets(self):
         cols = _random_columns(2, 3, seed=3)
-        out = apply_batch(cnot(), cols, 2, targets=(1, 0))
+        out = apply_batch(CNOT, cols, 2, targets=(1, 0))
         for c in range(cols.shape[1]):
             # control on qubit 1 (LSB), target qubit 0
             expect = cols[[0, 3, 2, 1], c]
@@ -89,38 +91,38 @@ class TestApply:
 
     def test_norm_preserved(self):
         state = _random_columns(4, 1, seed=4)
-        out = apply_batch(swap_gate(), state, 4, targets=(0, 3))
+        out = apply_batch(SWAP, state, 4, targets=(0, 3))
         assert abs(np.linalg.norm(out) - 1) < 1e-10
 
     def test_errors(self):
         state = _basis(2)
         with pytest.raises(ValueError):
-            apply_batch(cnot(), state, 2, targets=(0, 0))
+            apply_batch(CNOT, state, 2, targets=(0, 0))
         with pytest.raises(ValueError):
-            apply_batch(cnot(), state, 2, targets=(0, 2))
+            apply_batch(CNOT, state, 2, targets=(0, 2))
         with pytest.raises(ValueError):
-            apply_batch(cnot(), state, 2, targets=(0,))
+            apply_batch(CNOT, state, 2, targets=(0,))
         # columns must be a (2**num_qubits, batch) array
         with pytest.raises(ValueError):
-            apply_batch(cnot(), np.ones((3, 1)), 2)
+            apply_batch(CNOT, np.ones((3, 1)), 2)
         with pytest.raises(ValueError):
-            apply_batch(cnot(), np.ones(4), 2)
+            apply_batch(CNOT, np.ones(4), 2)
 
     @pytest.mark.parametrize("targets", [(0, 1), (2, 0)])
     def test_input_columns_unchanged(self, targets):
         # states are plain arrays: no op kind may write its input or hand
         # it back as its output. X and SWAP return views of their input,
         # and two X's in a row give back the input's own layout.
-        ops = (DenseOp(op_matrix(swap_gate())), cphase(0.4), cnot(),
+        ops = (DenseOp(op_matrix(SWAP)), cphase(0.4), CNOT,
                PermutationOp(np.array([3, 0, 1, 2])), ZeroReflectionOp(2),
                EigenPowersOp(np.array([1, -2]), np.array([1, -1]),
                              np.array([0.0, 0.3])),
                QftOp(2, 2, ResourceFootprint()),
-               SequenceOp(2, [(hadamard(), (1,)), (swap_gate(), (0, 1))]),
-               pauli_x(), swap_gate(),
-               ControlledOp(SequenceOp(1, [(pauli_x(), (0,)),
-                                           (hadamard(), (0,))]), 1, 1),
-               SequenceOp(1, [(pauli_x(), (0,)), (pauli_x(), (0,))]))
+               SequenceOp(2, [(HADAMARD, (1,)), (SWAP, (0, 1))]),
+               PAULI_X, SWAP,
+               ControlledOp(SequenceOp(1, [(PAULI_X, (0,)),
+                                           (HADAMARD, (0,))]), 1, 1),
+               SequenceOp(1, [(PAULI_X, (0,)), (PAULI_X, (0,))]))
         cols = _random_columns(3, 3, seed=9)
         before = cols.copy()
         for op in ops:
@@ -148,17 +150,17 @@ _TARGETS = {1: [(0,), (3,), (2,)],
 def _kernel_cases():
     cases = [pytest.param(_phases(k, seed=k), id=f"diag{k}")
              for k in (1, 2, 3)]
-    cases += [pytest.param(pauli_x(), id="x"),
-              pytest.param(swap_gate(), id="swap")]
+    cases += [pytest.param(PAULI_X, id="x"),
+              pytest.param(SWAP, id="swap")]
     for controls in (1, 2):
         for pattern in range(1 << controls):
-            for name, sub in (("x", pauli_x()), ("ry", ry(0.7)),
+            for name, sub in (("x", PAULI_X), ("ry", ry(0.7)),
                               ("diag", _phases(1, seed=5))):
                 cases.append(pytest.param(
                     ControlledOp(sub, controls, pattern),
                     id=f"c{controls}p{pattern}-{name}"))
-    body = SequenceOp(2, [(hadamard(), (1,)), (cphase(0.9), (1, 0)),
-                          (swap_gate(), (0, 1)), (pauli_x(), (0,))])
+    body = SequenceOp(2, [(HADAMARD, (1,)), (cphase(0.9), (1, 0)),
+                          (SWAP, (0, 1)), (PAULI_X, (0,))])
     cases.append(pytest.param(ControlledOp(body, 1, 0), id="c1p0-sequence"))
     return cases
 
@@ -174,7 +176,7 @@ class TestKernelsMatchMoveaxis:
             got = apply_batch(op, cols, 4, targets)
             assert np.array_equal(got, embed_moveaxis(op, cols, 4, targets))
             # the same step inside a sequence, between two generic steps
-            seq = SequenceOp(4, [(hadamard(), (2,)), (op, targets),
+            seq = SequenceOp(4, [(HADAMARD, (2,)), (op, targets),
                                  (ry(0.3), (0,))])
             assert np.array_equal(apply_batch(seq, cols, 4),
                                   embed_moveaxis(seq, cols, 4))
@@ -210,7 +212,7 @@ class TestOperatorKinds:
             PermutationOp(np.array([0, 0]))
 
     def test_controlled_pattern(self):
-        op = ControlledOp(pauli_x(), num_controls=2, pattern=2)
+        op = ControlledOp(PAULI_X, num_controls=2, pattern=2)
         mat = op_matrix(op)
         # fires only on control value 2 = |10>
         state = np.zeros(8)
@@ -222,32 +224,96 @@ class TestOperatorKinds:
     def test_sequence_equals_member_composition(self):
         state = _random_columns(3, 1, seed=8)
         phase = DiagonalOp(np.array([1.0, np.exp(0.7j)]))
-        seq = SequenceOp(3, [(hadamard(), (0,)), (cnot(), (0, 2)),
+        seq = SequenceOp(3, [(HADAMARD, (0,)), (CNOT, (0, 2)),
                              (phase, (2,))])
         out = apply_batch(seq, state, 3)
-        step = apply_batch(hadamard(), state, 3, targets=(0,))
-        step = apply_batch(cnot(), step, 3, targets=(0, 2))
+        step = apply_batch(HADAMARD, state, 3, targets=(0,))
+        step = apply_batch(CNOT, step, 3, targets=(0, 2))
         step = apply_batch(phase, step, 3, targets=(2,))
         assert np.array_equal(out, step)
 
     def test_sequence_footprint_sums(self):
-        seq = SequenceOp(2, [(hadamard(), (0,)), (cnot(), (0, 1)),
-                             (cnot(), (1, 0))])
+        seq = SequenceOp(2, [(HADAMARD, (0,)), (CNOT, (0, 1)),
+                             (CNOT, (1, 0))])
         assert seq.footprint.two_qubit_gates == 2
         assert seq.footprint.one_qubit_gates == 1
 
     def test_densify_matches(self):
-        seq = SequenceOp(2, [(hadamard(), (0,)), (cnot(), (0, 1))])
+        seq = SequenceOp(2, [(HADAMARD, (0,)), (CNOT, (0, 1))])
         dense = densify(seq)
         assert np.abs(op_matrix(dense) - op_matrix(seq)).max() < 1e-15
         assert dense.footprint == seq.footprint
 
 
+class TestDeferredDense:
+    """``densify`` makes its matrix on first application, bit for bit the
+    eager ``DenseOp``'s, and keeps it."""
+
+    @staticmethod
+    def _source():
+        return SequenceOp(3, [(HADAMARD, (0,)), (CNOT, (0, 2)),
+                              (ry(0.7), (1,)), (cphase(0.4), (2, 1)),
+                              (QftOp(2, 2, ResourceFootprint()), (1, 2))])
+
+    def test_matrix_matches_eager_dense(self):
+        source = self._source()
+        deferred = densify(source)
+        assert isinstance(deferred, DeferredDenseOp)
+        assert deferred.footprint == source.footprint
+        eager = DenseOp(op_matrix(source)).matrix
+        assert np.array_equal(deferred.matrix, eager)
+        assert deferred.matrix is deferred.matrix
+        cols = _random_columns(3, 4, seed=2)
+        assert np.array_equal(apply_batch(deferred, cols, 3), eager @ cols)
+
+    @pytest.mark.parametrize("applied_first", [False, True])
+    def test_adjoint_is_conjugate_transpose(self, applied_first):
+        source = self._source()
+        deferred = densify(source)
+        if applied_first:
+            apply_batch(deferred, _random_columns(3, 1, seed=1), 3)
+        inv = adjoint(deferred)
+        assert isinstance(inv, DeferredDenseOp)
+        assert inv.footprint == source.footprint
+        eager = DenseOp(op_matrix(source)).matrix
+        assert np.array_equal(inv.matrix, eager.conj().T)
+        assert adjoint(inv) is deferred
+
+    def test_unitarity_checked_on_first_application(self):
+        class Doubling(CircuitOp):
+            num_qubits = 1
+            footprint = ResourceFootprint()
+
+            def _transform(self, block):
+                return 2 * block
+
+        deferred = densify(Doubling())
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_batch(deferred, _basis(1), 1)
+
+
+class TestSharedGates:
+    @pytest.mark.parametrize("gate,table", [
+        (HADAMARD, "matrix"), (PAULI_X, "perm"), (PAULI_Z, "diagonal"),
+        (SWAP, "perm")])
+    def test_tables_read_only(self, gate, table):
+        values = getattr(gate, table)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = values[1]
+
+    def test_cnot_controls_the_shared_x(self):
+        assert CNOT.sub is PAULI_X
+        assert not CNOT.sub.perm.flags.writeable
+
+
 class TestAdjoint:
     @pytest.mark.parametrize("op_factory", [
-        hadamard, pauli_x, pauli_z, cnot, swap_gate,
+        *(pytest.param(lambda gate=gate: gate, id=name) for name, gate in (
+            ("hadamard", HADAMARD), ("pauli_x", PAULI_X), ("pauli_z", PAULI_Z),
+            ("cnot", CNOT), ("swap_gate", SWAP))),
         lambda: DiagonalOp(np.array([1.0, np.exp(0.3j)])), lambda: ry(1.2), lambda: cphase(0.9),
-        lambda: SequenceOp(2, [(hadamard(), (0,)), (cnot(), (0, 1))]),
+        lambda: SequenceOp(2, [(HADAMARD, (0,)), (CNOT, (0, 1))]),
         lambda: ControlledOp(ry(0.4), 1, 1),
         lambda: EigenPowersOp(np.array([1, -3]), np.array([-1, 1]),
                               np.array([0.0, 1.3])),
@@ -263,8 +329,8 @@ class TestAdjoint:
         lambda: ControlledOp(ControlledOp(DenseOp(_random_unitary(1, 2)), 1, 0),
                              2, 2, ResourceFootprint(two_qubit_gates=9)),
         lambda: ControlledOp(
-            SequenceOp(2, [(hadamard(), (1,)), (cphase(0.3), (0, 1))]), 1, 0),
-        lambda: SequenceOp(2, [(pauli_x(), (1,)), (swap_gate(), (1, 0))]),
+            SequenceOp(2, [(HADAMARD, (1,)), (cphase(0.3), (0, 1))]), 1, 0),
+        lambda: SequenceOp(2, [(PAULI_X, (1,)), (SWAP, (1, 0))]),
     ])
     def test_adjoint_inverts(self, op_factory):
         op = op_factory()
@@ -285,17 +351,28 @@ class TestAdjoint:
         assert np.array_equal(inv.powers, [-2, 1])
         assert np.array_equal(inv.signs, op.signs)
 
+    def test_sequence_inverts_each_distinct_member_once(self):
+        shared = SequenceOp(2, [(HADAMARD, (0,)), (CNOT, (0, 1))])
+        seq = SequenceOp(3, [(shared, (0, 1)), (ry(0.2), (2,)),
+                             (shared, (1, 2)), (shared, (2, 0))])
+        inv = adjoint(seq)
+        ops = [op for op, _ in inv.steps]
+        assert ops[0] is ops[1] is ops[3]
+        assert ops[0] is not shared
+        diff = op_matrix(inv) - op_matrix(seq).conj().T
+        assert np.abs(diff).max() <= 1e-15
+
     def test_adjoint_preserves_footprint(self):
-        seq = SequenceOp(2, [(hadamard(), (0,)), (cnot(), (0, 1))])
+        seq = SequenceOp(2, [(HADAMARD, (0,)), (CNOT, (0, 1))])
         assert adjoint(seq).footprint == seq.footprint
 
     def test_nested_sequence_reverses_exact_steps(self):
         seq = SequenceOp(4, [
-            (hadamard(), (2,)),
+            (HADAMARD, (2,)),
             (ControlledOp(DenseOp(_random_unitary(2, 5)), 1, 1), (3, 0, 2)),
-            (SequenceOp(2, [(swap_gate(), (0, 1)), (ry(1.1), (1,))]), (1, 3)),
+            (SequenceOp(2, [(SWAP, (0, 1)), (ry(1.1), (1,))]), (1, 3)),
             (DiagonalOp(np.exp(0.3j * np.arange(4.0))), (0, 2)),
-            (ControlledOp(pauli_x(), 2, 3), (1, 2, 0)),
+            (ControlledOp(PAULI_X, 2, 3), (1, 2, 0)),
         ])
         inv = adjoint(seq)
         assert inv.footprint == seq.footprint
@@ -318,6 +395,6 @@ class TestFootprint:
         assert a.merge(b).merge(c) == a.merge(b.merge(c))
 
     def test_unitarity_of_gates(self):
-        for op in (hadamard(), pauli_x(), pauli_z(), cnot(), swap_gate(),
+        for op in (HADAMARD, PAULI_X, PAULI_Z, CNOT, SWAP,
                    cphase(1.1), ry(0.2)):
             assert unitarity_defect(op) <= 1e-10

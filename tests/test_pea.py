@@ -11,7 +11,15 @@ from oracles import (
     pea_zero_amplitude,
     unit_vector,
 )
-from reflectsim.core_sim import apply_batch, op_matrix, unitarity_defect
+import reflectsim.core_sim as core_sim
+from reflectsim.cli import reflect_report
+from reflectsim.core_sim import (
+    DeferredDenseOp,
+    adjoint,
+    apply_batch,
+    op_matrix,
+    unitarity_defect,
+)
 from reflectsim.lcu_reflector import eigen_profile, worst_case
 from reflectsim.pea_reflector import (
     PeaParams,
@@ -295,3 +303,73 @@ class TestFejer:
         refl = build_pea_reflector(synth_unitary(8, 0.5, seed=7), 1e-2)
         a0, rest = refl.a_column(np.array([0.0]))
         assert (a0[0], rest[0]) == (1.0, 0.0)
+
+
+class TestNoDenseWorkAtBuild:
+    """Building a PEA reflector, or its report, makes no dense matrix: the
+    densified block layers are made on first application."""
+
+    @pytest.fixture
+    def dense_calls(self, monkeypatch):
+        calls = {"op_matrix": 0, "DenseOp": 0}
+        op_matrix_ = core_sim.op_matrix
+        dense_init = core_sim.DenseOp.__init__
+
+        def counted_op_matrix(op):
+            calls["op_matrix"] += 1
+            return op_matrix_(op)
+
+        def counted_init(self, *args, **kwargs):
+            calls["DenseOp"] += 1
+            dense_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(core_sim, "op_matrix", counted_op_matrix)
+        monkeypatch.setattr(core_sim.DenseOp, "__init__", counted_init)
+        return calls
+
+    @pytest.mark.parametrize("exact_qft", [False, True])
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_report_builds_no_matrix(self, dense_calls, dim, exact_qft):
+        report = reflect_report("pea", dim, 0.5, 1e-2, 3, exact_qft=exact_qft)
+        assert report["passed"]
+        assert dense_calls == {"op_matrix": 0, "DenseOp": 0}
+
+    def test_first_application_makes_each_matrix_once(self, dense_calls):
+        refl = build_pea_reflector(synth_unitary(2, 1.0, 4), 0.2)
+        assert refl.params.n_prime <= 8
+        assert dense_calls == {"op_matrix": 0, "DenseOp": 0}
+        total = refl.n_ancilla + refl.system_qubits
+        cols = lift(np.eye(2), refl.n_ancilla)
+        first = apply_batch(refl.a, cols, total)
+        # the Hadamard wall and the inverse QFT of the one shared block;
+        # the inverse block takes their conjugate transposes
+        assert dense_calls == {"op_matrix": 2, "DenseOp": 2}
+        assert np.array_equal(apply_batch(refl.a, cols, total), first)
+        assert dense_calls == {"op_matrix": 2, "DenseOp": 2}
+
+
+class TestAdjointSharesBlocks:
+    def test_one_inverse_per_distinct_block(self):
+        refl = build_pea_reflector(synth_unitary(2, 1.0, 4), 0.2)
+        w, w_inv = refl.w, refl.a.steps[2][0]
+        assert refl.params.q == len(w.steps) == len(w_inv.steps) == 2
+        block = w.steps[0][0]
+        assert all(op is block for op, _ in w.steps)
+        inverse = w_inv.steps[0][0]
+        assert all(op is inverse for op, _ in w_inv.steps)
+        assert inverse is not block
+        # inside the inverse block, each densified layer's inverse is
+        # deferred and made from that layer's matrix
+        layers = [op for op, _ in block.steps]
+        inv_layers = [op for op, _ in inverse.steps]
+        for layer, inv_layer in ((layers[0], inv_layers[2]),
+                                 (layers[2], inv_layers[0])):
+            assert isinstance(layer, DeferredDenseOp)
+            assert isinstance(inv_layer, DeferredDenseOp)
+            assert inv_layer.source is layer and inv_layer.inverse
+
+    def test_inverse_matrix_is_conjugate_transpose(self):
+        refl = build_pea_reflector(synth_unitary(2, 1.0, 4), 0.2)
+        w_mat = op_matrix(refl.w)
+        diff = op_matrix(adjoint(refl.w)) - w_mat.conj().T
+        assert np.abs(diff).max() <= 1e-14

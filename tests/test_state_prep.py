@@ -9,14 +9,14 @@ import reflectsim.state_prep as state_prep_mod
 import reflectsim.suite as suite_mod
 from reflectsim.cli import run
 from reflectsim.core_sim import (
+    HADAMARD,
+    SWAP,
     QftOp,
     SequenceOp,
     adjoint,
     apply_batch,
     cphase,
-    hadamard,
     op_matrix,
-    swap_gate,
     unitarity_defect,
 )
 from reflectsim.gaussian_kernel import (
@@ -209,13 +209,13 @@ def _former_qft_gates(m: int, cutoff_b: int, exact: bool) -> SequenceOp:
     reference oracle for the layered ``QftOp``."""
     gates = []
     for j in range(m):
-        gates.append((hadamard(), (j,)))
+        gates.append((HADAMARD, (j,)))
         for j2 in range(j + 1, m):
             k = j2 - j + 1
             if exact or k <= cutoff_b:
                 gates.append((cphase(2 * math.pi / (1 << k)), (j2, j)))
     for i in range(m // 2):
-        gates.append((swap_gate(), (i, m - 1 - i)))
+        gates.append((SWAP, (i, m - 1 - i)))
     return SequenceOp(m, gates)
 
 
