@@ -31,7 +31,6 @@ from .gaussian_kernel import (
 from .spectral_models import (
     EigenUnitary,
     GroverInstance,
-    exact_reflection,
     grover_unitary,
     hamiltonian_unitary,
     synth_unitary,

@@ -2,9 +2,8 @@
 
 Operator kinds with their declared footprints, one entry point that applies
 an operator to column arrays (``apply_batch``), and the memory preflight.
-The kinds are dense, deferred dense (``densify``: the matrix is made on
-first application), diagonal, eigen-powers, the layered (banded) QFT
-``QftOp``, permutation, zero reflection, controlled and sequence. The
+The eight kinds are dense, diagonal, eigen-powers, the layered (banded)
+QFT ``QftOp``, permutation, zero reflection, controlled and sequence. The
 fixed elementary gates (``HADAMARD``, ``PAULI_X``, ``PAULI_Z``, ``CNOT``,
 ``SWAP``) are shared constants with read-only tables, built at import.
 
@@ -73,14 +72,7 @@ ZERO_COST = ResourceFootprint()
 
 
 # ---------------------------------------------------------------------------
-# states and operator kinds
-
-
-def random_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state: a normalized complex Gaussian vector."""
-    dim = 1 << num_qubits
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+# operator kinds
 
 
 class CircuitOp:
@@ -112,37 +104,6 @@ class DenseOp(CircuitOp):
         self.matrix = mat
         self.num_qubits = n
         self.footprint = footprint
-
-    def _transform(self, block):
-        return self.matrix @ block
-
-
-class DeferredDenseOp(CircuitOp):
-    """The dense matrix of ``source``, made on first application and kept.
-
-    Building one runs nothing: ``op_matrix(source)`` and ``DenseOp``'s
-    unitarity check run when the operator is first applied, so an operator
-    tree that is only counted, never simulated, holds no matrix. With
-    ``inverse`` (what ``adjoint`` builds), ``source`` is the deferred
-    operator being inverted, and the matrix is the conjugate transpose of
-    its matrix: the two share one ``op_matrix``.
-    """
-
-    def __init__(self, source: CircuitOp, inverse: bool = False):
-        self.source = source
-        self.inverse = inverse
-        self.num_qubits = source.num_qubits
-        self.footprint = source.footprint
-        self._matrix = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            if self.inverse:
-                self._matrix = self.source.matrix.conj().T
-            else:
-                self._matrix = DenseOp(op_matrix(self.source)).matrix
-        return self._matrix
 
     def _transform(self, block):
         return self.matrix @ block
@@ -446,15 +407,6 @@ def op_matrix(op: CircuitOp) -> np.ndarray:
     return op._transform(np.eye(op.dim, dtype=np.complex128))
 
 
-def densify(op: CircuitOp) -> DeferredDenseOp:
-    """Collapse a narrow operator to one dense matrix with the same
-    footprint, made on the operator's first application and kept (see
-    ``DeferredDenseOp``). Purely a simulation speedup: the matrix is the
-    exact product of the member gates, so semantics (including any QFT
-    truncation) are unchanged, and building costs nothing."""
-    return DeferredDenseOp(op)
-
-
 def unitarity_defect(op: CircuitOp) -> float:
     """max-norm of Op^dagger.Op - I, computed densely."""
     mat = op_matrix(op)
@@ -467,14 +419,11 @@ def adjoint(op: CircuitOp) -> CircuitOp:
     The inverse of a checked operator is exact (a conjugate transpose, a
     conjugate, negated powers, conjugated QFT phases, an inverse
     permutation, reversed steps on the same targets), so it is built
-    without re-running the constructors' checks. A deferred dense
-    operator's inverse stays deferred, and the inverse of that inverse is
-    the operator itself. A sequence inverts each distinct member once and
-    reuses that inverse wherever the member repeats."""
+    without re-running the constructors' checks. A sequence inverts each
+    distinct member once and reuses that inverse wherever the member
+    repeats."""
     if isinstance(op, DenseOp):
         return _like(op, matrix=op.matrix.conj().T)
-    if isinstance(op, DeferredDenseOp):
-        return op.source if op.inverse else DeferredDenseOp(op, inverse=True)
     if isinstance(op, DiagonalOp):
         return _like(op, diagonal=op.diagonal.conj())
     if isinstance(op, EigenPowersOp):

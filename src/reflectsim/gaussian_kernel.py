@@ -216,19 +216,6 @@ def kernel_sup_on_gap(params: KernelParams, points: int = SUP_POINTS) -> float:
     return max(float(vals.max()), float(edges.max()), float(fine.max()))
 
 
-def chernoff_tail(params: KernelParams) -> tuple[float, float]:
-    """(directly summed |l| >= L tail, Chernoff bound 2 exp(-((L-1)dz)^2/2)).
-
-    The direct sum runs to 8L terms, far past where the Gaussian underflows.
-    """
-    ls = np.arange(params.L, 8 * params.L)
-    tail = 2 * (params.dz / math.sqrt(2 * math.pi)) * float(
-        np.sum(np.exp(-((ls * params.dz) ** 2) / 2))
-    )
-    bound = 2 * math.exp(-(((params.L - 1) * params.dz) ** 2) / 2)
-    return tail, bound
-
-
 def poisson_check(lam: float, dz: float, K: int) -> tuple[float, complex]:
     """Both sides of the Gaussian Poisson-summation identity, truncated.
 

@@ -124,12 +124,21 @@ class ReflectorA:
     r: CircuitOp
     a: CircuitOp
     params: KernelParams
-    ledger: ResourceFootprint
     b: BOperator
     select: SelectU
-    s: float
-    n_ancilla: int
     qft_spec: QftSpec
+
+    @property
+    def ledger(self) -> ResourceFootprint:
+        return self.a.footprint
+
+    @property
+    def s(self) -> float:
+        return self.b.s
+
+    @property
+    def n_ancilla(self) -> int:
+        return self.b.n
 
     @property
     def unitary(self) -> EigenUnitary:
@@ -214,8 +223,8 @@ def build_reflector(unitary: EigenUnitary, eps: float, *,
     w = build_W(b, sel)
     r = ancilla_reflection(b.n)
     a = build_A(w, r, b.n)
-    return ReflectorA(w=w, r=r, a=a, params=params, ledger=a.footprint, b=b,
-                      select=sel, s=b.s, n_ancilla=b.n, qft_spec=spec)
+    return ReflectorA(w=w, r=r, a=a, params=params, b=b, select=sel,
+                      qft_spec=spec)
 
 
 # ---------------------------------------------------------------------------

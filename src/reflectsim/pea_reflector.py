@@ -6,9 +6,9 @@ Blocks are applied sequentially to a shared system register, in U's
 eigenbasis. On an eigenvector the q registers stay a product state until R,
 and each register's all-zero amplitude is the Fejer kernel of lambda, so
 verification is a closed form in the eigenphases and simulates nothing.
-Building the operator tree makes no dense matrix either: the densified
-layers of a block are made on first application, for the dense reference
-simulation only.
+Building the operator tree makes no dense matrix either: every layer of a
+block is applied gate by gate (the Hadamard wall) or layer by layer (the
+inverse QFT), at every n'.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .core_sim import (
     ResourceFootprint,
     SequenceOp,
     adjoint,
-    densify,
     require_memory,
 )
 from .lcu_reflector import ancilla_reflection
@@ -57,8 +56,12 @@ class PeaParams:
 
 def choose_pea_params(epsilon: float, delta: float) -> PeaParams:
     """n' = ceil(log2(4 / sin(delta/2))) caps the per-register ancilla-zero
-    amplitude at 1/4 on the gapped region; q = ceil(log16(4/eps^2)) then
-    forces 2 (1/4)^q <= eps."""
+    amplitude at 1/4 on the gapped region; q, the least integer with
+    2 (1/4)^q <= eps (16^q eps^2 >= 4), then bounds the miss by eps.
+
+    q is exact and never forms eps^2, which underflows below about 1e-154:
+    with eps = m 2^e, 1/2 <= m < 1, it needs the integer 2q - 1 + e to be
+    at least log2(1/m), which lies in (0, 1], so 2q >= 2 - e."""
     if not 0 < epsilon <= 0.2:
         raise ValueError("epsilon must lie in (0, 1/5]")
     if not 0 < delta <= math.pi:
@@ -68,9 +71,9 @@ def choose_pea_params(epsilon: float, delta: float) -> PeaParams:
         raise ValueError(f"gap {delta!r} is too small: the phase-estimation "
                          "register 2^n' cannot be represented")
     n_prime = math.ceil(math.log2(4 / math.sin(delta / 2)))
-    q = math.ceil(math.log(4 / epsilon ** 2) / math.log(16))
-    return PeaParams(n_prime=max(1, n_prime), q=max(1, q),
-                     epsilon=epsilon, delta=delta)
+    q = (3 - math.frexp(epsilon)[1]) // 2
+    return PeaParams(n_prime=max(1, n_prime), q=q, epsilon=epsilon,
+                     delta=delta)
 
 
 def pea_budget(eps: float, gap: float,
@@ -90,12 +93,9 @@ def pea_block(unitary: EigenUnitary, n_prime: int,
 
     In U's eigenbasis the ladder is one ``EigenPowersOp``, exp(i a lambda_j)
     on ancilla value a and eigenvector j, charging the 2^n' - 1 queries of
-    its legs. When n' <= 8 the ancilla-local layers (the Hadamard wall and
-    the inverse QFT) are ``densify``-ed: each becomes one dense matrix, at
-    most 2^8 x 2^8, made on its first application and kept. Building
-    computes no matrix, since verification reads only the eigenphases; the
-    dense whole-register reference simulation of small reflectors, which
-    applies the block q times in W and again in W', makes each matrix once.
+    its legs. The Hadamard wall is a sequence of the shared ``HADAMARD``
+    and the inverse QFT one layered ``QftOp``, at every n', so building
+    computes no matrix: verification reads only the eigenphases.
     """
     if qft_spec.m != n_prime:
         raise ValueError("QFT width must equal n_prime")
@@ -105,9 +105,6 @@ def pea_block(unitary: EigenUnitary, n_prime: int,
     anc = tuple(range(n_prime))
     h_wall = SequenceOp(n_prime, [(HADAMARD, (q,)) for q in range(n_prime)])
     iqft = adjoint(qft(qft_spec))
-    if n_prime <= 8:
-        h_wall = densify(h_wall)
-        iqft = densify(iqft)
     ladder = EigenPowersOp(
         np.arange(1 << n_prime), np.ones(1 << n_prime), unitary.eigenphases,
         ResourceFootprint(queries_u=((1 << n_prime) - 1) * unitary.step_cost))
@@ -164,9 +161,15 @@ class PeaReflector:
     a: CircuitOp
     params: PeaParams
     qft_spec: QftSpec
-    n_ancilla: int
     unitary: EigenUnitary
-    ledger: ResourceFootprint
+
+    @property
+    def ledger(self) -> ResourceFootprint:
+        return self.a.footprint
+
+    @property
+    def n_ancilla(self) -> int:
+        return self.params.total_ancilla
 
     @property
     def system_qubits(self) -> int:
@@ -192,11 +195,4 @@ def build_pea_reflector(unitary: EigenUnitary, eps: float, *,
     w = build_W_pea(unitary, params, spec)
     a = build_A_pea(w, params.total_ancilla)
     return PeaReflector(w=w, a=a, params=params, qft_spec=spec,
-                        n_ancilla=params.total_ancilla, unitary=unitary,
-                        ledger=a.footprint)
-
-
-def leakage_amplitude_bound(n_prime: int, delta: float) -> float:
-    """Geometric-series bound 1 / (2^n' sin(delta/2)) on the per-register
-    ancilla-zero amplitude over the gapped region."""
-    return 1 / ((1 << n_prime) * math.sin(delta / 2))
+                        unitary=unitary)

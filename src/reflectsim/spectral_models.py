@@ -7,8 +7,8 @@ eigenbasis, where every controlled power of U is diagonal, and read only
 the eigenphases; system vectors enter and leave through
 ``EigenUnitary.to_eigenbasis`` and ``eigenbasis``. A synthetic instance
 draws its D x D Haar basis on demand, the first time something reads
-``eigenbasis`` (``psi0``, ``power_matrix``, ``to_eigenbasis``,
-``exact_reflection``), so building and verifying a reflector on it never
+``eigenbasis`` (``psi0``, ``power_matrix``, ``to_eigenbasis``), so
+building and verifying a reflector on it never
 holds a D x D array. A Grover instance's eigensystem is known in closed
 form and written down at construction; a Hamiltonian instance's comes from
 ``numpy.linalg.eigh``.
@@ -105,9 +105,6 @@ class EigenUnitary:
 
     def psi0(self) -> np.ndarray:
         return self.eigenbasis[:, 0].copy()
-
-    def matrix(self) -> np.ndarray:
-        return self.power_matrix(1)
 
     def power_matrix(self, k: int) -> np.ndarray:
         """U^k in the computational basis (exact for any signed integer k);
@@ -271,10 +268,3 @@ def hamiltonian_unitary(hamiltonian: np.ndarray, lambda0: float) -> EigenUnitary
     phases, basis, gap = _target_first(evals, evecs, int(near[0]))
     return EigenUnitary(dimension=h.shape[0], eigenphases=phases,
                         eigenbasis=basis, gap=gap)
-
-
-def exact_reflection(unitary: EigenUnitary) -> np.ndarray:
-    """2|psi0><psi0| - 1 as a dense computational-basis matrix; in U's
-    eigenbasis it is the sign vector (1, -1, ..., -1)."""
-    psi = unitary.psi0()
-    return 2 * np.outer(psi, psi.conj()) - np.eye(unitary.dimension)

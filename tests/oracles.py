@@ -1,24 +1,67 @@
 """Independent reference computations used as test oracles.
 
 Everything here is built from first principles (numpy primitives, explicit
-summation), never from the library's own circuit machinery. Two exceptions:
-``lifted_action``, the per-column simulation that the library's one-column
-eigen profile replaced, kept to guard the profile's precondition; and
-``embed_moveaxis``, the gate embedding that ``apply_batch``'s view and
-broadcast kernels replaced, which only calls the operators' own
-whole-block transforms.
+summation), never from the library's own circuit machinery. Three
+exceptions: ``lifted_action``, the per-column simulation that the
+library's one-column eigen profile replaced, kept to guard the profile's
+precondition; ``embed_moveaxis``, the gate embedding that ``apply_batch``'s
+view and broadcast kernels replaced, which only calls the operators' own
+whole-block transforms; and ``dense_layers``, a PEA reflector rebuilt with
+each block's ancilla-local layers as dense matrices, which makes the
+whole-register reference simulation fast.
 States are plain (2^n, batch) column arrays, as in the library; ``lift``
 places system columns on one ancilla basis state.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-from reflectsim.core_sim import ControlledOp, SequenceOp, apply_batch
-from reflectsim.gaussian_kernel import kernel_value
-from reflectsim.spectral_models import EigenUnitary, exact_reflection, synth_unitary
+from reflectsim.core_sim import (
+    ControlledOp,
+    DenseOp,
+    SequenceOp,
+    apply_batch,
+    op_matrix,
+)
+from reflectsim.gaussian_kernel import KernelParams, kernel_value
+from reflectsim.pea_reflector import PeaReflector, build_A_pea
+from reflectsim.spectral_models import EigenUnitary, synth_unitary
+
+
+def random_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random pure state: a normalized complex Gaussian vector."""
+    dim = 1 << num_qubits
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def exact_reflection(unitary: EigenUnitary) -> np.ndarray:
+    """2|psi0><psi0| - 1 as a dense computational-basis matrix; in U's
+    eigenbasis it is the sign vector (1, -1, ..., -1)."""
+    psi = unitary.psi0()
+    return 2 * np.outer(psi, psi.conj()) - np.eye(unitary.dimension)
+
+
+def chernoff_tail(params: KernelParams) -> tuple[float, float]:
+    """(directly summed |l| >= L tail, Chernoff bound 2 exp(-((L-1)dz)^2/2)).
+
+    The direct sum runs to 8L terms, far past where the Gaussian underflows.
+    """
+    ls = np.arange(params.L, 8 * params.L)
+    tail = 2 * (params.dz / math.sqrt(2 * math.pi)) * float(
+        np.sum(np.exp(-((ls * params.dz) ** 2) / 2))
+    )
+    bound = 2 * math.exp(-(((params.L - 1) * params.dz) ** 2) / 2)
+    return tail, bound
+
+
+def leakage_amplitude_bound(n_prime: int, delta: float) -> float:
+    """Geometric-series bound 1 / (2^n' sin(delta/2)) on the per-register
+    ancilla-zero amplitude over the gapped region."""
+    return 1 / ((1 << n_prime) * math.sin(delta / 2))
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -215,3 +258,18 @@ def _block_transform(op, block: np.ndarray) -> np.ndarray:
         out[op.pattern] = _block_transform(op.sub, out[op.pattern])
         return out.reshape(block.shape)
     return op._transform(block)
+
+
+def dense_layers(refl: PeaReflector) -> PeaReflector:
+    """``refl`` with W and A rebuilt from its block, whose Hadamard wall and
+    inverse QFT each become one dense matrix with the layer's footprint.
+    The matrices are the products of the production layers, so this is the
+    same operator; simulating the whole register then takes one product
+    per layer instead of one pass per gate or per QFT layer."""
+    block = refl.w.steps[0][0]
+    (wall, anc), ladder, (iqft, _) = block.steps
+    dense = SequenceOp(block.num_qubits, [
+        (DenseOp(op_matrix(wall), wall.footprint), anc), ladder,
+        (DenseOp(op_matrix(iqft), iqft.footprint), anc)])
+    w = SequenceOp(refl.w.num_qubits, [(dense, tg) for _, tg in refl.w.steps])
+    return dataclasses.replace(refl, w=w, a=build_A_pea(w, refl.n_ancilla))

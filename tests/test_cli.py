@@ -175,6 +175,29 @@ class TestTinyGap:
         assert peak <= 2 ** 20
 
 
+class TestTinyEps:
+    """eps whose square underflows runs: q is exact without forming eps^2.
+    n' is 5 at gap 0.5, so the PEA route holds 5 q ancilla."""
+
+    def test_reflect_pea(self, capsys):
+        code, out = _capture(capsys, ["reflect", "pea", "--dim", "8",
+                                      "--gap", "0.5", "--eps", "1e-160"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert report["params"]["q"] == 267
+        assert report["n_ancilla"] == 5 * 267
+
+    @pytest.mark.parametrize("eps,q", [("1e-160", 267), ("1e-300", 499)])
+    def test_compare(self, capsys, eps, q):
+        code, out = _capture(capsys, ["compare", "--eps-grid", eps,
+                                      "--delta-grid", "0.5"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert [row["n_pea"] for row in report["rows"]] == [5 * q]
+
+
 class TestPrepCommand:
     def test_prep_passes(self, capsys):
         code, out = _capture(capsys, ["prep", "--eps", "1e-1", "--gap", "0.8"])

@@ -10,9 +10,7 @@ from reflectsim.core_sim import (
     PAULI_X,
     PAULI_Z,
     SWAP,
-    CircuitOp,
     ControlledOp,
-    DeferredDenseOp,
     DenseOp,
     DiagonalOp,
     EigenPowersOp,
@@ -24,13 +22,11 @@ from reflectsim.core_sim import (
     adjoint,
     apply_batch,
     cphase,
-    densify,
     op_matrix,
-    random_state,
     ry,
     unitarity_defect,
 )
-from oracles import embed_moveaxis, kron_chain
+from oracles import embed_moveaxis, kron_chain, random_state
 
 
 def _basis(num_qubits: int, index: int = 0) -> np.ndarray:
@@ -237,59 +233,6 @@ class TestOperatorKinds:
                              (CNOT, (1, 0))])
         assert seq.footprint.two_qubit_gates == 2
         assert seq.footprint.one_qubit_gates == 1
-
-    def test_densify_matches(self):
-        seq = SequenceOp(2, [(HADAMARD, (0,)), (CNOT, (0, 1))])
-        dense = densify(seq)
-        assert np.abs(op_matrix(dense) - op_matrix(seq)).max() < 1e-15
-        assert dense.footprint == seq.footprint
-
-
-class TestDeferredDense:
-    """``densify`` makes its matrix on first application, bit for bit the
-    eager ``DenseOp``'s, and keeps it."""
-
-    @staticmethod
-    def _source():
-        return SequenceOp(3, [(HADAMARD, (0,)), (CNOT, (0, 2)),
-                              (ry(0.7), (1,)), (cphase(0.4), (2, 1)),
-                              (QftOp(2, 2, ResourceFootprint()), (1, 2))])
-
-    def test_matrix_matches_eager_dense(self):
-        source = self._source()
-        deferred = densify(source)
-        assert isinstance(deferred, DeferredDenseOp)
-        assert deferred.footprint == source.footprint
-        eager = DenseOp(op_matrix(source)).matrix
-        assert np.array_equal(deferred.matrix, eager)
-        assert deferred.matrix is deferred.matrix
-        cols = _random_columns(3, 4, seed=2)
-        assert np.array_equal(apply_batch(deferred, cols, 3), eager @ cols)
-
-    @pytest.mark.parametrize("applied_first", [False, True])
-    def test_adjoint_is_conjugate_transpose(self, applied_first):
-        source = self._source()
-        deferred = densify(source)
-        if applied_first:
-            apply_batch(deferred, _random_columns(3, 1, seed=1), 3)
-        inv = adjoint(deferred)
-        assert isinstance(inv, DeferredDenseOp)
-        assert inv.footprint == source.footprint
-        eager = DenseOp(op_matrix(source)).matrix
-        assert np.array_equal(inv.matrix, eager.conj().T)
-        assert adjoint(inv) is deferred
-
-    def test_unitarity_checked_on_first_application(self):
-        class Doubling(CircuitOp):
-            num_qubits = 1
-            footprint = ResourceFootprint()
-
-            def _transform(self, block):
-                return 2 * block
-
-        deferred = densify(Doubling())
-        with pytest.raises(ValueError, match="not unitary"):
-            apply_batch(deferred, _basis(1), 1)
 
 
 class TestSharedGates:

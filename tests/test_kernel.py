@@ -10,7 +10,6 @@ from reflectsim.gaussian_kernel import (
     KernelParams,
     alpha_coeffs,
     arc_values,
-    chernoff_tail,
     circle_values,
     kernel_sup_on_gap,
     kernel_value,
@@ -20,7 +19,12 @@ from reflectsim.gaussian_kernel import (
     select_params,
     trig_poly,
 )
-from oracles import gaussian_kernel_sum, kernel_sup_dense_grid, phi_norm_reversed
+from oracles import (
+    chernoff_tail,
+    gaussian_kernel_sum,
+    kernel_sup_dense_grid,
+    phi_norm_reversed,
+)
 
 GRID = [(e, d) for e in (1e-1, 1e-2, 1e-3) for d in (0.5, 0.1, 0.02)]
 

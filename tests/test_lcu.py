@@ -6,9 +6,11 @@ import pytest
 
 from oracles import (
     dense_misses,
+    exact_reflection,
     gap_edge_unitary,
     in_eigenbasis,
     lift,
+    random_state,
     unit_vector,
 )
 from reflectsim.cli import grover_benchmark
@@ -16,7 +18,6 @@ from reflectsim.core_sim import (
     DenseOp,
     apply_batch,
     op_matrix,
-    random_state,
     unitarity_defect,
     working_set_bytes,
 )
@@ -33,7 +34,7 @@ from reflectsim.lcu_reflector import (
     oaa_expansion_check,
     worst_case,
 )
-from reflectsim.spectral_models import exact_reflection, grover_unitary, synth_unitary
+from reflectsim.spectral_models import grover_unitary, synth_unitary
 from reflectsim.state_prep import OAA_ANGLE, QftSpec, build_B
 
 

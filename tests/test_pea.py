@@ -1,12 +1,15 @@
 """Phase-estimation baseline: parameters, blocks, and the W' R W operator."""
+from fractions import Fraction
 import math
 
 import numpy as np
 import pytest
 
 from oracles import (
+    dense_layers,
     dense_misses,
     gap_edge_unitary,
+    leakage_amplitude_bound,
     lift,
     pea_zero_amplitude,
     unit_vector,
@@ -14,7 +17,6 @@ from oracles import (
 import reflectsim.core_sim as core_sim
 from reflectsim.cli import reflect_report
 from reflectsim.core_sim import (
-    DeferredDenseOp,
     adjoint,
     apply_batch,
     op_matrix,
@@ -29,7 +31,6 @@ from reflectsim.pea_reflector import (
     build_W_pea,
     choose_pea_params,
     fejer,
-    leakage_amplitude_bound,
     pea_block,
     pea_budget,
 )
@@ -74,6 +75,51 @@ class TestChoosePeaParams:
             choose_pea_params(0.5, 0.5)
         with pytest.raises(ValueError):
             choose_pea_params(0.1, 0.0)
+
+
+def _least_q(eps: float) -> int:
+    """The least q >= 1 with 2 (1/4)^q <= eps, in exact rational
+    arithmetic, searched from a float estimate in both directions."""
+    def holds(q):
+        return Fraction(2, 4 ** q) <= Fraction(eps)
+    q = max(1, round(-math.log2(eps) / 2))
+    while q > 1 and holds(q - 1):
+        q -= 1
+    while not holds(q):
+        q += 1
+    return q
+
+
+def _dyadic_and_neighbours():
+    """Every power of two in (0, 1/5], from 2^-3 down to the smallest
+    subnormal, each with its positive float neighbours."""
+    for k in range(3, 1075):
+        eps = math.ldexp(1.0, -k)
+        yield from (math.nextafter(eps, 0), eps, math.nextafter(eps, 1))
+
+
+class TestRepetitionCount:
+    """q is the least integer with 2 (1/4)^q <= eps, at every float eps."""
+
+    def test_exact_on_dyadic_and_adjacent_eps(self):
+        for eps in filter(None, _dyadic_and_neighbours()):
+            assert choose_pea_params(eps, 0.5).q == _least_q(eps), eps
+
+    @pytest.mark.parametrize("eps,q", [(0.12499999999999999, 3),
+                                       (1e-160, 267), (1e-300, 499),
+                                       (5e-324, 538)])
+    def test_exact_where_eps_squared_underflows(self, eps, q):
+        # 4 / eps^2 overflows below about 1.5e-154 and divides by zero
+        # below about 1e-162; at 0.125 - 2^-56, ceil(log16(4 / eps^2)) is 2
+        assert choose_pea_params(eps, 0.5).q == _least_q(eps) == q
+
+    def test_unchanged_at_the_eps_in_use(self):
+        # the eps of the golden reports, the suite and the benchmark, with
+        # the q of ceil(log16(4 / eps^2)), which is right at each of them
+        want = {1e-1: 3, 0.2: 2, 1e-2: 4, 1e-3: 6, 1e-4: 8, 1e-8: 14,
+                1e-12: 21}
+        for eps, q in want.items():
+            assert choose_pea_params(eps, 0.5).q == _least_q(eps) == q
 
 
 class TestPeaBlock:
@@ -216,9 +262,7 @@ def _reflector_with_spec(u, params, spec):
     built from ``spec``."""
     w = build_W_pea(u, params, spec)
     a = build_A_pea(w, params.total_ancilla)
-    return PeaReflector(w=w, a=a, params=params, qft_spec=spec,
-                        n_ancilla=params.total_ancilla, unitary=u,
-                        ledger=a.footprint)
+    return PeaReflector(w=w, a=a, params=params, qft_spec=spec, unitary=u)
 
 
 def _simulated_leakage(refl) -> np.ndarray:
@@ -306,8 +350,8 @@ class TestFejer:
 
 
 class TestNoDenseWorkAtBuild:
-    """Building a PEA reflector, or its report, makes no dense matrix: the
-    densified block layers are made on first application."""
+    """Building a PEA reflector, or its report, makes no dense matrix, at
+    n' = 5 (gap 0.5) and at n' = 10 (gap 1e-2)."""
 
     @pytest.fixture
     def dense_calls(self, monkeypatch):
@@ -328,24 +372,16 @@ class TestNoDenseWorkAtBuild:
         return calls
 
     @pytest.mark.parametrize("exact_qft", [False, True])
-    @pytest.mark.parametrize("dim", [2, 4, 8])
-    def test_report_builds_no_matrix(self, dense_calls, dim, exact_qft):
-        report = reflect_report("pea", dim, 0.5, 1e-2, 3, exact_qft=exact_qft)
+    @pytest.mark.parametrize("dim,gap,n_prime",
+                             [(2, 0.5, 5), (4, 0.5, 5), (8, 0.5, 5),
+                              (8, 1e-2, 10)],
+                             ids=["2", "4", "8", "8-gap0.01"])
+    def test_report_builds_no_matrix(self, dense_calls, dim, gap, n_prime,
+                                     exact_qft):
+        report = reflect_report("pea", dim, gap, 1e-2, 3, exact_qft=exact_qft)
         assert report["passed"]
+        assert report["params"]["n_prime"] == n_prime
         assert dense_calls == {"op_matrix": 0, "DenseOp": 0}
-
-    def test_first_application_makes_each_matrix_once(self, dense_calls):
-        refl = build_pea_reflector(synth_unitary(2, 1.0, 4), 0.2)
-        assert refl.params.n_prime <= 8
-        assert dense_calls == {"op_matrix": 0, "DenseOp": 0}
-        total = refl.n_ancilla + refl.system_qubits
-        cols = lift(np.eye(2), refl.n_ancilla)
-        first = apply_batch(refl.a, cols, total)
-        # the Hadamard wall and the inverse QFT of the one shared block;
-        # the inverse block takes their conjugate transposes
-        assert dense_calls == {"op_matrix": 2, "DenseOp": 2}
-        assert np.array_equal(apply_batch(refl.a, cols, total), first)
-        assert dense_calls == {"op_matrix": 2, "DenseOp": 2}
 
 
 class TestAdjointSharesBlocks:
@@ -358,18 +394,21 @@ class TestAdjointSharesBlocks:
         inverse = w_inv.steps[0][0]
         assert all(op is inverse for op, _ in w_inv.steps)
         assert inverse is not block
-        # inside the inverse block, each densified layer's inverse is
-        # deferred and made from that layer's matrix
-        layers = [op for op, _ in block.steps]
-        inv_layers = [op for op, _ in inverse.steps]
-        for layer, inv_layer in ((layers[0], inv_layers[2]),
-                                 (layers[2], inv_layers[0])):
-            assert isinstance(layer, DeferredDenseOp)
-            assert isinstance(inv_layer, DeferredDenseOp)
-            assert inv_layer.source is layer and inv_layer.inverse
 
     def test_inverse_matrix_is_conjugate_transpose(self):
         refl = build_pea_reflector(synth_unitary(2, 1.0, 4), 0.2)
         w_mat = op_matrix(refl.w)
         diff = op_matrix(adjoint(refl.w)) - w_mat.conj().T
+        assert np.abs(diff).max() <= 1e-14
+
+
+class TestDenseLayers:
+    """The test-side dense rebuild is the production operator."""
+
+    def test_same_operator_and_footprint(self):
+        refl = build_pea_reflector(synth_unitary(2, 1.0, 4), 0.2)
+        dense = dense_layers(refl)
+        assert dense.a.footprint == refl.a.footprint
+        assert dense.ledger == refl.ledger
+        diff = op_matrix(dense.a) - op_matrix(refl.a)
         assert np.abs(diff).max() <= 1e-14
