@@ -108,9 +108,9 @@ class TestRepetitionCount:
     @pytest.mark.parametrize("eps,q", [(0.12499999999999999, 3),
                                        (1e-160, 267), (1e-300, 499),
                                        (5e-324, 538)])
-    def test_exact_where_eps_squared_underflows(self, eps, q):
-        # 4 / eps^2 overflows below about 1.5e-154 and divides by zero
-        # below about 1e-162; at 0.125 - 2^-56, ceil(log16(4 / eps^2)) is 2
+    def test_exact_where_the_log_formula_fails(self, eps, q):
+        # ceil(log16(4 / eps^2)) is 2 at 0.125 - 2^-56; 4 / eps^2 overflows
+        # below about 1.5e-154 and divides by zero below about 1e-162
         assert choose_pea_params(eps, 0.5).q == _least_q(eps) == q
 
     def test_unchanged_at_the_eps_in_use(self):
@@ -409,6 +409,5 @@ class TestDenseLayers:
         refl = build_pea_reflector(synth_unitary(2, 1.0, 4), 0.2)
         dense = dense_layers(refl)
         assert dense.a.footprint == refl.a.footprint
-        assert dense.ledger == refl.ledger
         diff = op_matrix(dense.a) - op_matrix(refl.a)
         assert np.abs(diff).max() <= 1e-14
