@@ -214,8 +214,12 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     |s> lies in the plane of U's first two eigenvectors, with overlaps
     1/sqrt(2) and -1/sqrt(2), and their marked entries are (a + b)/sqrt(2)
     and (b - a)/sqrt(2), a = 1/sqrt(D), b = sqrt(1 - 1/D) (see
-    ``grover_unitary``). So the marked amplitude of A|0, s> reads
-    <0|A|0> at two eigenphases only, 0 and 2 pi - 2 theta."""
+    ``grover_unitary``). So A|0, s> reads ``a_column`` at two eigenphases
+    only, 0 and 2 pi - 2 theta. It is a unit vector, so nu is its weight
+    off |0, marked>: the ancilla-zero part's unmarked entries lie along one
+    unit vector, with amplitude -((b - a) a0(0) + (a + b) a0(1)) / 2, and
+    each eigenvector adds half its weight off the ancilla zero. That is a
+    sum of non-negative terms; 1 - |hit|^2 loses about log10 D digits."""
     rng = np.random.default_rng(seed)
     marked = int(rng.integers(dim))
     inst = grover_unitary(dim, marked)
@@ -224,11 +228,13 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     # pairwise sums: s is uniform, so a running sum's roundoff grows with D
     s_defect = float(abs(2 * abs(np.sum(u.psi0().conj() * s)) ** 2 - 1))
     refl = build_reflector(u, eps)
-    a0, _ = refl.a_column(u.eigenphases[:2])
+    a0, rest = refl.a_column(u.eigenphases[:2])
     a = 1 / math.sqrt(dim)
     b = math.sqrt(1 - 1 / dim)
-    hit = ((a + b) * a0[0] - (b - a) * a0[1]) / 2
-    nu = float(1 - abs(hit) ** 2)
+    # (b - a) a0(0) + (a + b) a0(1), grouped so that the nearly cancelling
+    # a0(0) + a0(1) is formed from the inputs, before any rounded product
+    unmarked = b * (a0[0] + a0[1]) + a * (a0[1] - a0[0])
+    nu = float(abs(unmarked) ** 2 / 4 + (rest[0] ** 2 + rest[1] ** 2) / 2)
     envelope = 4 * (1 / math.sqrt(dim) + 10 * eps) ** 2
     # <marked|(2|psi~><psi~| - 1)|s>
     tilde = inst.psi_tilde

@@ -20,7 +20,6 @@ Conventions used by every module in this package:
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from decimal import Decimal
 import math
@@ -30,6 +29,9 @@ import numpy as np
 
 UNITARY_ATOL = 1e-10
 EXACT_ATOL = 1e-12
+# op_matrix and unitarity_defect work on blocks of columns with at most this
+# many amplitudes: 64 columns of a 256 x 256 matrix
+BLOCK_AMPLITUDES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +67,11 @@ class ResourceFootprint:
     __add__ = merge
 
     def as_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "modeled": sorted(self.modeled)}
+        return {"queries_u": self.queries_u,
+                "two_qubit_gates": self.two_qubit_gates,
+                "one_qubit_gates": self.one_qubit_gates,
+                "ancilla_qubits": self.ancilla_qubits,
+                "modeled": sorted(self.modeled)}
 
 
 ZERO_COST = ResourceFootprint()
@@ -289,12 +295,17 @@ class SequenceOp(CircuitOp):
 
     def __init__(self, num_qubits: int, steps):
         self.num_qubits = num_qubits
-        norm_steps = []
-        for op, targets in steps:
-            tg = _check_targets(op, num_qubits, targets)
-            norm_steps.append((op, tg))
-        self.steps = tuple(norm_steps)
-        self.footprint = sum((op.footprint for op, _ in self.steps), ZERO_COST)
+        self.steps = tuple((op, _check_targets(op, num_qubits, targets))
+                           for op, targets in steps)
+        # the merge of every member's footprint, built as one footprint
+        fps = [op.footprint for op, _ in self.steps]
+        self.footprint = ResourceFootprint(
+            queries_u=sum(f.queries_u for f in fps),
+            two_qubit_gates=sum(f.two_qubit_gates for f in fps),
+            one_qubit_gates=sum(f.one_qubit_gates for f in fps),
+            ancilla_qubits=max((f.ancilla_qubits for f in fps), default=0),
+            modeled=frozenset().union(*(f.modeled for f in fps)),
+        )
 
     def _transform(self, block):
         # stay in tensor form between steps; only generic members copy
@@ -306,16 +317,15 @@ class SequenceOp(CircuitOp):
 
 
 def _check_targets(op: CircuitOp, num_qubits: int, targets) -> tuple:
-    if targets is None:
-        targets = tuple(range(op.num_qubits))
-    tg = tuple(int(t) for t in targets)
+    tg = (tuple(range(op.num_qubits)) if targets is None
+          else tuple(map(int, targets)))
     if len(tg) != op.num_qubits:
         raise ValueError(
             f"operator acts on {op.num_qubits} qubits but {len(tg)} targets given"
         )
     if len(set(tg)) != len(tg):
         raise ValueError("duplicate target qubit")
-    if any(t < 0 or t >= num_qubits for t in tg):
+    if tg and (min(tg) < 0 or max(tg) >= num_qubits):
         raise ValueError("target qubit out of range")
     return tg
 
@@ -402,15 +412,40 @@ def apply_batch(op: CircuitOp, columns: np.ndarray, num_qubits: int,
     return _fresh_columns(tensor, cols, cols.shape)
 
 
+def _block_width(dim: int) -> int:
+    """Columns per block of a dense dim x dim matrix, so that a block holds
+    at most ``BLOCK_AMPLITUDES`` amplitudes (at least one column)."""
+    return max(1, BLOCK_AMPLITUDES // dim)
+
+
 def op_matrix(op: CircuitOp) -> np.ndarray:
-    """Dense matrix of an operator (columns are images of basis states)."""
-    return op._transform(np.eye(op.dim, dtype=np.complex128))
+    """Dense matrix of an operator (columns are images of basis states).
+
+    The operator is applied to the identity one block of columns at a
+    time, so its working copies hold ``BLOCK_AMPLITUDES`` amplitudes, not
+    the whole matrix."""
+    dim = op.dim
+    width = _block_width(dim)
+    mat = np.empty((dim, dim), dtype=np.complex128)
+    for j in range(0, dim, width):
+        cols = min(width, dim - j)
+        mat[:, j:j + cols] = op._transform(
+            np.eye(dim, cols, -j, dtype=np.complex128))
+    return mat
 
 
 def unitarity_defect(op: CircuitOp) -> float:
-    """max-norm of Op^dagger.Op - I, computed densely."""
+    """max-norm of Op^dagger.Op - I, computed densely, one block of rows of
+    Op^dagger.Op at a time, with 1 taken off its diagonal in place."""
     mat = op_matrix(op)
-    return float(np.abs(mat.conj().T @ mat - np.eye(op.dim)).max())
+    width = _block_width(op.dim)
+    defect = 0.0
+    for j in range(0, op.dim, width):
+        gram = mat[:, j:j + width].conj().T @ mat
+        rows = np.arange(gram.shape[0])
+        gram[rows, rows + j] -= 1.0
+        defect = max(defect, float(np.abs(gram).max()))
+    return defect
 
 
 def adjoint(op: CircuitOp) -> CircuitOp:

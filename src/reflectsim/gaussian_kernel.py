@@ -3,8 +3,9 @@
 Selects (dz, L, L*) so that the truncated Gaussian-weighted sum of unitary
 powers behaves as a reflection kernel: value 1 at eigenphase 0, magnitude
 at most eps on the gapped region [delta, 2*pi - delta]. ``kernel_value`` is
-the scalar brute-force oracle that every operator-level test compares
-against.
+the scalar oracle that every operator-level test compares against; it
+evaluates the coefficient sum with ``trig_poly``, a baby-step giant-step
+evaluator whose working set does not grow with L.
 """
 from __future__ import annotations
 
@@ -25,6 +26,9 @@ _TWO_PI_LO = 2.4492935982947064e-16
 
 # relative slack for float-edge re-validation of the selection inequalities
 _REL_TOL = 1e-9
+
+# the most entries one array of a trig_poly chunk holds: 1 MiB of complex
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,10 @@ def select_params(epsilon: float, delta: float, c: float = DEFAULT_C) -> KernelP
         raise ValueError("delta must lie in (0, pi]")
     if not 1 < c < math.inf:
         raise ValueError("c must be finite and exceed 1")
+    # below about 4c / 1.8e308 the logarithms of the selection overflow
+    if not 4 * c / epsilon < math.inf:
+        raise ValueError(f"epsilon {epsilon!r} is too small: 4c/epsilon "
+                         "overflows a double")
 
     dz0 = min(
         math.pi / math.sqrt(math.log(2 * c / epsilon)),
@@ -118,31 +126,47 @@ def alpha_coeffs(params: KernelParams) -> np.ndarray:
 
 
 def trig_poly(coeffs: np.ndarray, lam):
-    """sum_l coeffs[l + L] e^{i l lam} over l = -L .. L-1, by direct summation.
+    """sum_l coeffs[l + L] e^{i l lam} over l = -L .. L-1, by baby-step
+    giant-step evaluation (Paterson and Stockmeyer, SIAM J. Comput. 1973).
+
+    With B a power of two near sqrt(2L) and l = r B - L + b, 0 <= b < B,
+    the sum is sum_r e^{i (r B - L) lam} sum_b coeffs[r B + b] e^{i b lam}.
+    Per angle that takes B baby and 2L/B giant exponentials, one row of a
+    (k x B) @ (B x 2L/B) product and a row-wise dot, in place of 2L
+    exponentials. Angles go in chunks of k, so no array of a chunk holds
+    more than ``_CHUNK_ENTRIES`` entries, whatever the size of L.
 
     Accepts a scalar or an array of angles. Angles above pi are first
     moved down by 2 pi, taken as fl(2 pi) plus its remainder, so l lam
     rounds at the size of the reduced angle: near 2 pi - delta that is
-    delta, not 2 pi.
+    delta, not 2 pi. The giant steps run from -L to L - B, so the
+    exponents stay centred as well.
     """
-    half = coeffs.shape[0] // 2
-    ls = np.arange(-half, half)
+    size = coeffs.shape[0]
+    baby = 1 << (size.bit_length() // 2)
+    giant = -(-size // baby)
+    table = np.zeros(giant * baby, dtype=np.complex128)
+    table[:size] = coeffs
+    table = table.reshape(giant, baby).T
+    bs = np.arange(baby)
+    gs = np.arange(giant) * baby - size // 2
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     lam_arr = np.where(lam_arr > math.pi,
                        (lam_arr - 2 * math.pi) - _TWO_PI_LO, lam_arr)
     out = np.empty(lam_arr.shape[0], dtype=np.complex128)
-    # chunked so large-L parameter sets do not allocate a huge outer product
-    step = max(1, (1 << 22) // (2 * half))
+    step = max(1, _CHUNK_ENTRIES // max(baby, giant))
     for i in range(0, lam_arr.shape[0], step):
         chunk = lam_arr[i:i + step]
-        out[i:i + step] = np.exp(1j * np.outer(chunk, ls)) @ coeffs
+        inner = np.exp(1j * np.outer(chunk, bs)) @ table
+        out[i:i + step] = np.einsum("ij,ij->i", inner,
+                                    np.exp(1j * np.outer(chunk, gs)))
     if np.isscalar(lam) or np.asarray(lam).ndim == 0:
         return complex(out[0])
     return out
 
 
 def kernel_value(lam, params: KernelParams):
-    """(dz/sqrt(2 pi)) sum_l exp(-(l dz)^2/2) exp(i l lam), by direct summation.
+    """(dz/sqrt(2 pi)) sum_l exp(-(l dz)^2/2) exp(i l lam), by ``trig_poly``.
 
     Accepts a scalar or an array of angles; this is the scalar oracle every
     operator-level check compares against.

@@ -205,7 +205,14 @@ def lcu_budget(eps: float, gap: float, c: float = DEFAULT_C,
     """
     if not 0 < kernel_fraction < 1:
         raise ValueError("kernel_fraction must lie strictly between 0 and 1")
-    params = select_params(eps * kernel_fraction, gap, c)
+    share = eps * kernel_fraction
+    # a share that select_params refuses as too small is eps's fault: say so
+    # in the caller's terms
+    if 0 < eps <= 0.2 and 1 < c < math.inf and not (
+            share > 0 and 4 * c / share < math.inf):
+        raise ValueError(f"epsilon {eps!r} is too small: its kernel share "
+                         f"{share!r} makes 4c/share overflow a double")
+    params = select_params(share, gap, c)
     if exact_qft:
         return params, QftSpec.exact_for(params.m)
     return params, QftSpec.for_budget(params.m, eps * (1 - kernel_fraction) / 3)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 
 from reflectsim.core_sim import (
@@ -89,10 +90,100 @@ def gaussian_kernel_sum(lam: float, dz: float, L: int) -> complex:
     return total * dz / math.sqrt(2 * math.pi)
 
 
+# 2 pi - fl(2 pi), from a 40-digit pi
+with mpmath.workdps(40):
+    TWO_PI_LO = float(2 * mpmath.pi - 2 * math.pi)
+
+
+def trig_poly_direct(coeffs: np.ndarray, lam):
+    """sum_l coeffs[l + L] e^{i l lam} over l = -L .. L-1, by direct
+    summation: 2L exponentials per angle, in chunks of 2^22 entries.
+
+    Angles above pi are first moved down by 2 pi, taken as fl(2 pi) plus
+    its remainder, as ``gaussian_kernel.trig_poly`` does."""
+    half = coeffs.shape[0] // 2
+    ls = np.arange(-half, half)
+    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+    lam_arr = np.where(lam_arr > math.pi,
+                       (lam_arr - 2 * math.pi) - TWO_PI_LO, lam_arr)
+    out = np.empty(lam_arr.shape[0], dtype=np.complex128)
+    step = max(1, (1 << 22) // (2 * half))
+    for i in range(0, lam_arr.shape[0], step):
+        chunk = lam_arr[i:i + step]
+        out[i:i + step] = np.exp(1j * np.outer(chunk, ls)) @ coeffs
+    if np.isscalar(lam) or np.asarray(lam).ndim == 0:
+        return complex(out[0])
+    return out
+
+
+def trig_poly_mp(coeffs: np.ndarray, lams, bits: int = 192) -> list:
+    """sum_l coeffs[l + L] e^{i l lam} at each double angle, to 40 digits,
+    as ``mpmath.mpc`` values.
+
+    Each coefficient is truncated to a multiple of 2^-bits times its
+    largest power-of-two bound, and mpmath gives e^{i lam}, e^{i B lam}
+    and e^{-i L lam} to 2^-bits; every other exponential is a product of
+    these in fixed point, with l = r B - L + b as in a baby-step
+    giant-step split. The sums are exact integer arithmetic. Each of the
+    2L terms then errs by at most (B + 2L/B + 3) 2^-bits of the largest
+    coefficient bound, far below 10^-40 of it for 2L <= 2^20 at the
+    default bits."""
+    coeffs = np.asarray(coeffs)
+    size = coeffs.shape[0]
+    baby = 1 << (size.bit_length() // 2)
+    giant = -(-size // baby)
+    top = math.frexp(float(np.abs(coeffs).max()))[1]
+
+    def fixed(part):
+        """floor(part * 2^(bits - top)) as Python ints, from each double's
+        53-bit integer mantissa and its exponent."""
+        padded = np.zeros(giant * baby)
+        padded[:size] = part
+        mant, exp = np.frexp(padded)
+        ints = np.ldexp(mant, 53).astype(np.int64).astype(object)
+        shift = exp.astype(np.int64) + (bits - top - 53)
+        ints = (ints << np.maximum(shift, 0)) >> np.maximum(-shift, 0)
+        return ints.reshape(giant, baby)
+
+    tables = [fixed(coeffs.real)]
+    if np.iscomplexobj(coeffs):
+        tables.append(fixed(coeffs.imag))
+    one = 1 << bits
+
+    def unit(angle):
+        z = mpmath.expj(angle)
+        return int(mpmath.nint(z.real * one)), int(mpmath.nint(z.imag * one))
+
+    def powers(start, step, count):
+        """start * step^k for k < count, in fixed point: (re, im) arrays."""
+        (re, im), (sr, si) = start, step
+        res, ims = [], []
+        for _ in range(count):
+            res.append(re)
+            ims.append(im)
+            re, im = (re * sr - im * si) >> bits, (re * si + im * sr) >> bits
+        return np.array(res, dtype=object), np.array(ims, dtype=object)
+
+    values = []
+    for lam in np.atleast_1d(lams).tolist():
+        with mpmath.workprec(bits + 32):
+            x = mpmath.mpf(lam)
+            br, bi = powers((one, 0), unit(x), baby)
+            gr, gi = powers(unit(-(size // 2) * x), unit(baby * x), giant)
+        sr, si = tables[0] @ br, tables[0] @ bi
+        if len(tables) == 2:
+            sr, si = sr - tables[1] @ bi, si + tables[1] @ br
+        re, im = int(sr @ gr - si @ gi), int(sr @ gi + si @ gr)
+        with mpmath.workprec(4 * bits):
+            values.append(mpmath.mpc(mpmath.ldexp(re, top - 3 * bits),
+                                     mpmath.ldexp(im, top - 3 * bits)))
+    return values
+
+
 def kernel_sup_dense_grid(params, points: int = 1000,
                           refine: int = 200) -> float:
-    """sup of |kernel_value| over [delta, 2 pi - delta] by direct summation
-    on points + 2 evenly spaced angles, edges included, plus ``refine``
+    """sup of |kernel_value| over [delta, 2 pi - delta], evaluated on
+    points + 2 evenly spaced angles, edges included, plus ``refine``
     angles within one grid step of the best of them."""
     lo, hi = params.delta, 2 * math.pi - params.delta
     grid = np.linspace(lo, hi, points + 2)

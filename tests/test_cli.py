@@ -177,7 +177,9 @@ class TestTinyGap:
 
 class TestTinyEps:
     """eps whose square underflows runs: q is exact without forming eps^2.
-    n' is 5 at gap 0.5, so the PEA route holds 5 q ancilla."""
+    n' is 5 at gap 0.5, so the PEA route holds 5 q ancilla. Where the LCU
+    kernel cannot be chosen, the message names eps, not the (0, 1/5]
+    range it lies in, nor the gap."""
 
     def test_reflect_pea(self, capsys):
         code, out = _capture(capsys, ["reflect", "pea", "--dim", "8",
@@ -196,6 +198,23 @@ class TestTinyEps:
         report = json.loads(out)
         assert report["passed"] is True
         assert [row["n_pea"] for row in report["rows"]] == [5 * q]
+
+    @pytest.mark.parametrize("argv", [
+        ["reflect", "lcu", "--dim", "2", "--gap", "0.5", "--eps", "5e-324"],
+        ["reflect", "lcu", "--dim", "2", "--gap", "0.5", "--eps", "1e-310"],
+        ["compare", "--eps-grid", "5e-324", "--delta-grid", "0.5"],
+        ["compare", "--eps-grid", "1e-310", "--delta-grid", "0.5"],
+        ["kernel", "--eps", "5e-324", "--gap", "0.5"],
+        ["kernel", "--eps", "1e-310", "--gap", "0.5"],
+    ])
+    def test_kernel_names_eps(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+        eps = argv[argv.index("--eps-grid" if "compare" in argv else "--eps") + 1]
+        assert captured.err.startswith(f"error: epsilon {eps} is too small")
 
 
 class TestPrepCommand:
@@ -353,6 +372,27 @@ class TestGroverCommand:
             assert report["gap"] == pytest.approx(
                 2 * math.acos(1 - 2 / dim), rel=1e-15, abs=0)
 
+
+    @pytest.mark.parametrize("dim", [4, 16, 64, 256, 1024])
+    def test_nu_without_cancellation(self, dim):
+        """nu is a sum of non-negative terms: within 1e-15 relative of a
+        40-digit evaluation of that sum from the same ``a_column`` values.
+        1 - |hit|^2 loses about log10 D digits, 1e-13 at D = 1024."""
+        for seed in range(1, 4):
+            marked = int(np.random.default_rng(seed).integers(dim))
+            u = grover_unitary(dim, marked).unitary
+            a0, rest = build_reflector(u, 0.02).a_column(u.eigenphases[:2])
+            nu = cli.grover_benchmark(dim, 0.02, seed)["nu"]
+            with localcontext() as ctx:
+                ctx.prec = 40
+                a = 1 / Decimal(dim).sqrt()
+                b = (1 - 1 / Decimal(dim)).sqrt()
+                re_, im_ = ((b - a) * Decimal(part(a0[0]))
+                            + (a + b) * Decimal(part(a0[1]))
+                            for part in (np.real, np.imag))
+                exact = ((re_ * re_ + im_ * im_) / 4
+                         + (Decimal(rest[0]) ** 2 + Decimal(rest[1]) ** 2) / 2)
+            assert abs(Decimal(nu) - exact) <= Decimal("1e-15") * exact
 
     @pytest.mark.parametrize("dim", [4, 16, 64, 256, 1024])
     def test_nu_from_two_eigenvectors(self, dim):

@@ -1,10 +1,14 @@
 """Substrate tests: operator kinds, application to column arrays, metrics."""
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from reflectsim import suite
 from reflectsim.core_sim import (
+    BLOCK_AMPLITUDES,
     CNOT,
     HADAMARD,
     PAULI_X,
@@ -98,6 +102,8 @@ class TestApply:
             apply_batch(CNOT, state, 2, targets=(0, 2))
         with pytest.raises(ValueError):
             apply_batch(CNOT, state, 2, targets=(0,))
+        with pytest.raises(ValueError):
+            apply_batch(CNOT, state, 2, targets=(-1, 0))
         # columns must be a (2**num_qubits, batch) array
         with pytest.raises(ValueError):
             apply_batch(CNOT, np.ones((3, 1)), 2)
@@ -234,6 +240,21 @@ class TestOperatorKinds:
         assert seq.footprint.two_qubit_gates == 2
         assert seq.footprint.one_qubit_gates == 1
 
+    def test_sequence_footprint_is_the_merge_of_its_members(self):
+        labelled = DiagonalOp(np.ones(2), ResourceFootprint(
+            queries_u=3, ancilla_qubits=2, modeled=frozenset({"b", "a"})))
+        other = DiagonalOp(np.ones(4), ResourceFootprint(
+            queries_u=1, two_qubit_gates=4, ancilla_qubits=1,
+            modeled=frozenset({"c"})))
+        steps = [(labelled, (1,)), (other, (0, 1)), (HADAMARD, (0,)),
+                 (labelled, (0,))]
+        seq = SequenceOp(2, steps)
+        want = ResourceFootprint()
+        for op, _ in steps:
+            want = want.merge(op.footprint)
+        assert seq.footprint == want
+        assert SequenceOp(2, []).footprint == ResourceFootprint()
+
 
 class TestSharedGates:
     @pytest.mark.parametrize("gate,table", [
@@ -341,3 +362,49 @@ class TestFootprint:
         for op in (HADAMARD, PAULI_X, PAULI_Z, CNOT, SWAP,
                    cphase(1.1), ry(0.2)):
             assert unitarity_defect(op) <= 1e-10
+
+    def test_as_dict_lists_the_fields(self):
+        fp = ResourceFootprint(queries_u=4, two_qubit_gates=7,
+                               one_qubit_gates=2, ancilla_qubits=3,
+                               modeled=frozenset({"y", "x"}))
+        got = fp.as_dict()
+        want = {**dataclasses.asdict(fp), "modeled": ["x", "y"]}
+        assert got == want and list(got) == list(want)
+
+
+def _zoo_a():
+    """The 8-qubit A of the verify suite's structural check."""
+    return dict(suite._structural_op_zoo())["a"]
+
+
+class TestDenseBlocks:
+    def test_op_matrix_in_blocks_equals_whole_application(self):
+        a = _zoo_a()
+        widths = []
+        transform = a._transform
+
+        def recorded(block):
+            widths.append(block.shape[1])
+            return transform(block)
+
+        a._transform = recorded
+        mat = op_matrix(a)
+        assert widths == [BLOCK_AMPLITUDES // a.dim] * (
+            a.dim * a.dim // BLOCK_AMPLITUDES)
+        whole = transform(np.eye(a.dim, dtype=np.complex128))
+        assert np.abs(mat - whole).max() <= 1e-15
+
+    def test_unitarity_defect_working_set(self):
+        # the whole-matrix form held M, I, M^H M and their difference:
+        # 5.2 MiB at 256 x 256
+        a = _zoo_a()
+        tracemalloc.start()
+        try:
+            defect = unitarity_defect(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20
+        mat = op_matrix(a)
+        whole = float(np.abs(mat.conj().T @ mat - np.eye(a.dim)).max())
+        assert abs(defect - whole) <= 1e-15

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,8 @@ from oracles import (
     gaussian_kernel_sum,
     kernel_sup_dense_grid,
     phi_norm_reversed,
+    trig_poly_direct,
+    trig_poly_mp,
 )
 
 GRID = [(e, d) for e in (1e-1, 1e-2, 1e-3) for d in (0.5, 0.1, 0.02)]
@@ -176,6 +179,67 @@ class TestKernelValue:
         assert tail <= bound <= eps / (2 * p.c) * (1 + 1e-9)
 
 
+def _gap_edge_table(L):
+    """(coefficients, gap) of a kernel of size L: ``select_params`` at
+    eps = 1/5 and the largest sampled gap that gives L. No eps <= 1/5
+    selects L < 8; there it is the Gaussian with L dz = sqrt(12 ln 5) and
+    gap 1."""
+    if L < 8:
+        dz = math.sqrt(12 * math.log(5)) / L
+        ls = np.arange(-L, L)
+        return (dz / math.sqrt(2 * math.pi)) * np.exp(-((ls * dz) ** 2) / 2), 1.0
+    gap = next(g for g in np.geomspace(math.pi, 1e-6, 600)
+               if select_params(0.2, g).L == L)
+    return alpha_coeffs(select_params(0.2, gap)), gap
+
+
+class TestTrigPoly:
+    @pytest.mark.parametrize("L", [1 << k for k in range(1, 20, 2)])
+    def test_no_less_accurate_than_direct_sum(self, L):
+        # both sums sit at the roundoff floor on the gap edges: the
+        # evaluator may err by no more than the direct sum there, or than
+        # two units of roundoff of the coefficient mass
+        coeffs, gap = _gap_edge_table(L)
+        lams = np.array([gap, 2 * math.pi - gap])
+        want = trig_poly_mp(coeffs, lams)
+
+        def error(got):
+            return max(float(abs(mpmath.mpc(g) - w)) for g, w in zip(got, want))
+
+        floor = 2.0 ** -52 * float(np.abs(coeffs).sum())
+        assert error(trig_poly(coeffs, lams)) <= max(
+            error(trig_poly_direct(coeffs, lams)), floor)
+
+    @pytest.mark.parametrize("half", [1, 2, 3, 5, 32, 100, 256])
+    def test_matches_direct_sum(self, half):
+        # powers of two and not, so the split pads its last giant step
+        rng = np.random.default_rng(half)
+        coeffs = rng.normal(size=2 * half) + 1j * rng.normal(size=2 * half)
+        lams = np.concatenate([rng.uniform(0, 2 * math.pi, 50),
+                               [0.0, math.pi, 2 * math.pi]])
+        tol = 1e-13 * np.abs(coeffs).sum()
+        got = trig_poly(coeffs, lams)
+        assert got.shape == lams.shape
+        assert np.max(np.abs(got - trig_poly_direct(coeffs, lams))) <= tol
+        scalar = trig_poly(coeffs, 0.7)
+        assert isinstance(scalar, complex)
+        assert abs(scalar - trig_poly_direct(coeffs, 0.7)) <= tol
+
+    def test_working_set_does_not_grow_with_L(self):
+        # 2^14 angles at L = 2^12: a direct sum in chunks of 2^22 entries
+        # holds a 64 MiB exponential table
+        rng = np.random.default_rng(4)
+        coeffs = rng.normal(size=1 << 13)
+        lams = rng.uniform(0, 2 * math.pi, 1 << 14)
+        tracemalloc.start()
+        try:
+            trig_poly(coeffs, lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
 class TestCircleValues:
     @pytest.mark.parametrize("n", [5, 48, 64, 100, 256])
     def test_matches_direct_sum(self, n):
@@ -183,7 +247,7 @@ class TestCircleValues:
         rng = np.random.default_rng(3)
         coeffs = rng.normal(size=64) + 1j * rng.normal(size=64)
         lams = 2 * math.pi * np.arange(n) / n
-        want = trig_poly(coeffs, lams)
+        want = trig_poly_direct(coeffs, lams)
         assert np.max(np.abs(circle_values(coeffs, n) - want)) <= 1e-12
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
@@ -217,7 +281,7 @@ class TestArcValues:
         # windows (start == stop, as the gap = pi cell refines)
         rng = np.random.default_rng(half + num)
         coeffs = rng.normal(size=2 * half) + 1j * rng.normal(size=2 * half)
-        want = trig_poly(coeffs, np.linspace(start, stop, num))
+        want = trig_poly_direct(coeffs, np.linspace(start, stop, num))
         got = arc_values(coeffs, start, stop, num)
         assert got.shape == (num,)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(coeffs).sum()
