@@ -30,7 +30,7 @@ import numpy as np
 UNITARY_ATOL = 1e-10
 EXACT_ATOL = 1e-12
 # op_matrix and unitarity_defect work on blocks of columns with at most this
-# many amplitudes: 64 columns of a 256 x 256 matrix
+# many amplitudes (and at least one column): 64 columns of a 256 x 256 matrix
 BLOCK_AMPLITUDES = 1 << 14
 
 
@@ -412,12 +412,6 @@ def apply_batch(op: CircuitOp, columns: np.ndarray, num_qubits: int,
     return _fresh_columns(tensor, cols, cols.shape)
 
 
-def _block_width(dim: int) -> int:
-    """Columns per block of a dense dim x dim matrix, so that a block holds
-    at most ``BLOCK_AMPLITUDES`` amplitudes (at least one column)."""
-    return max(1, BLOCK_AMPLITUDES // dim)
-
-
 def op_matrix(op: CircuitOp) -> np.ndarray:
     """Dense matrix of an operator (columns are images of basis states).
 
@@ -425,7 +419,7 @@ def op_matrix(op: CircuitOp) -> np.ndarray:
     time, so its working copies hold ``BLOCK_AMPLITUDES`` amplitudes, not
     the whole matrix."""
     dim = op.dim
-    width = _block_width(dim)
+    width = max(1, BLOCK_AMPLITUDES // dim)
     mat = np.empty((dim, dim), dtype=np.complex128)
     for j in range(0, dim, width):
         cols = min(width, dim - j)
@@ -438,7 +432,7 @@ def unitarity_defect(op: CircuitOp) -> float:
     """max-norm of Op^dagger.Op - I, computed densely, one block of rows of
     Op^dagger.Op at a time, with 1 taken off its diagonal in place."""
     mat = op_matrix(op)
-    width = _block_width(op.dim)
+    width = max(1, BLOCK_AMPLITUDES // op.dim)
     defect = 0.0
     for j in range(0, op.dim, width):
         gram = mat[:, j:j + width].conj().T @ mat

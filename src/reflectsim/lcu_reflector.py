@@ -206,8 +206,7 @@ def lcu_budget(eps: float, gap: float, c: float = DEFAULT_C,
     if not 0 < kernel_fraction < 1:
         raise ValueError("kernel_fraction must lie strictly between 0 and 1")
     share = eps * kernel_fraction
-    # a share that select_params refuses as too small is eps's fault: say so
-    # in the caller's terms
+    # a share too small for select_params is eps's fault: say so
     if 0 < eps <= 0.2 and 1 < c < math.inf and not (
             share > 0 and 4 * c / share < math.inf):
         raise ValueError(f"epsilon {eps!r} is too small: its kernel share "

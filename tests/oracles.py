@@ -125,9 +125,9 @@ def trig_poly_mp(coeffs: np.ndarray, lams, bits: int = 192) -> list:
     and e^{-i L lam} to 2^-bits; every other exponential is a product of
     these in fixed point, with l = r B - L + b as in a baby-step
     giant-step split. The sums are exact integer arithmetic. Each of the
-    2L terms then errs by at most (B + 2L/B + 3) 2^-bits of the largest
-    coefficient bound, far below 10^-40 of it for 2L <= 2^20 at the
-    default bits."""
+    2L terms then errs by at most 3 (B + 2L/B + 1) 2^-bits of the largest
+    coefficient's power-of-two bound, far below 10^-40 of it for
+    2L <= 2^20 at the default bits."""
     coeffs = np.asarray(coeffs)
     size = coeffs.shape[0]
     baby = 1 << (size.bit_length() // 2)
