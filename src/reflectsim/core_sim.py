@@ -373,11 +373,17 @@ def _embed_tensor(op: CircuitOp, tensor: np.ndarray, num_qubits: int,
         out[index] = _embed_tensor(op.sub, out[index], num_qubits - c,
                                    sub_targets)
         return out
-    moved = np.moveaxis(tensor, targets, range(k))
-    shape = moved.shape
+    # targets first, the other axes after them in order (np.moveaxis's
+    # order, without its per-call axis normalisation); no move when the
+    # targets already lead
+    if targets == tuple(range(k)):
+        flat = np.ascontiguousarray(tensor).reshape(1 << k, -1)
+        return op._transform(flat).reshape(tensor.shape)
+    perm = targets + tuple(i for i in range(tensor.ndim) if i not in targets)
+    moved = tensor.transpose(perm)
     flat = np.ascontiguousarray(moved).reshape(1 << k, -1)
     out = op._transform(flat)
-    return np.moveaxis(out.reshape(shape), range(k), targets)
+    return out.reshape(moved.shape).transpose(np.argsort(perm))
 
 
 def _fresh_columns(tensor: np.ndarray, source: np.ndarray,

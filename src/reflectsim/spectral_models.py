@@ -10,8 +10,9 @@ draws its D x D Haar basis on demand, the first time something reads
 ``eigenbasis`` (``psi0``, ``power_matrix``, ``to_eigenbasis``), so
 building and verifying a reflector on it never
 holds a D x D array. A Grover instance's eigensystem is known in closed
-form and written down at construction; a Hamiltonian instance's comes from
-``numpy.linalg.eigh``.
+form: its eigenphases and ``psi0`` are written down at construction in
+O(D), and its real basis is drawn, like the Haar one, on first read of
+``eigenbasis``. A Hamiltonian instance's comes from ``numpy.linalg.eigh``.
 """
 from __future__ import annotations
 
@@ -38,13 +39,16 @@ class EigenUnitary:
     ``eigenbasis`` is given as a D x D array, checked at once, or as a
     function of no arguments that draws it: then the draw, its memory
     preflight and its unitarity check run the first time something reads
-    ``eigenbasis``. The reflectors read only the eigenphases. Instances are
-    immutable.
+    ``eigenbasis``. Where the target eigenvector is known in closed form,
+    ``psi0`` gives it, so ``psi0()`` draws no basis; a drawn basis must
+    then start with it. The reflectors read only the eigenphases.
+    Instances are immutable.
     """
 
     def __init__(self, dimension: int, eigenphases: np.ndarray,
                  eigenbasis: np.ndarray | Callable[[], np.ndarray],
-                 gap: float, step_cost: int = 1):
+                 gap: float, step_cost: int = 1,
+                 psi0: np.ndarray | None = None):
         phases = np.asarray(eigenphases, dtype=float).copy()
         if phases.shape != (dimension,):
             raise ValueError("eigenphase count does not match dimension")
@@ -64,8 +68,14 @@ class EigenUnitary:
         if np.any((others == 0.0) | (others == 2 * math.pi)):
             raise ValueError("only the target eigenphase may be 0 or 2 pi")
         phases.setflags(write=False)
+        if psi0 is not None:
+            psi0 = np.asarray(psi0).astype(np.complex128)
+            if psi0.shape != (dimension,):
+                raise ValueError("psi0 length does not match dimension")
+            psi0.setflags(write=False)
         for name, value in (("dimension", dimension), ("eigenphases", phases),
-                            ("gap", gap), ("step_cost", step_cost)):
+                            ("gap", gap), ("step_cost", step_cost),
+                            ("_psi0", psi0)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_basis", eigenbasis if callable(eigenbasis)
                            else self._checked_basis(eigenbasis))
@@ -84,6 +94,9 @@ class EigenUnitary:
         defect = np.abs(gram).max()
         if defect > _BASIS_ATOL:
             raise ValueError(f"eigenbasis is not unitary (defect {defect:.3e})")
+        if (self._psi0 is not None
+                and np.abs(basis[:, 0] - self._psi0).max() > _BASIS_ATOL):
+            raise ValueError("eigenbasis column 0 is not psi0")
         basis = basis.astype(np.complex128)
         basis.setflags(write=False)
         return basis
@@ -104,6 +117,10 @@ class EigenUnitary:
         return n
 
     def psi0(self) -> np.ndarray:
+        """The target eigenvector; reads the basis only if no closed form
+        was given."""
+        if self._psi0 is not None:
+            return self._psi0.copy()
         return self.eigenbasis[:, 0].copy()
 
     def power_matrix(self, k: int) -> np.ndarray:
@@ -194,37 +211,58 @@ def grover_unitary(dimension: int, marked: int) -> GroverInstance:
       column k is (1, ..., 1, -k, 0, ..., 0)/sqrt(k (k + 1)), k ones.
 
     The eigenphases are 0, 2 pi - 2 theta and pi - theta (D - 2 times),
-    and the gap is 2 theta: pi - theta >= 2 theta for D >= 4.
+    and the gap is 2 theta: pi - theta >= 2 theta for D >= 4. The phases,
+    psi0, |s> and psi~ are O(D) vectors; the D x D basis is drawn when
+    ``eigenbasis`` is first read.
     """
     if dimension < 4 or (dimension & (dimension - 1)) != 0:
         raise ValueError("dimension must be a power of two >= 4")
     if not 0 <= marked < dimension:
         raise ValueError("marked index out of range")
-    _require_square(dimension)
+    # the report reads a few D-length vectors; the basis is drawn on demand
+    require_memory((dimension - 1).bit_length())
     d = dimension
     theta = math.acos(1 - 2 / d)
+    phases = np.full(d, math.pi - theta)
+    phases[0] = 0.0
+    phases[1] = 2 * math.pi - 2 * theta
+    unitary = EigenUnitary(dimension=d, eigenphases=phases,
+                           eigenbasis=functools.partial(_grover_basis, d,
+                                                        marked),
+                           gap=2 * theta, psi0=_grover_plane(d, marked)[:, 0])
+    a = 1 / math.sqrt(d)
+    s = np.full(d, a)
+    psi_tilde = (s + _basis_vec(d, marked)) / math.sqrt(2 * (1 + a))
+    return GroverInstance(dimension=d, marked=marked, unitary=unitary,
+                          s_state=s, psi_tilde=psi_tilde)
+
+
+def _grover_plane(d: int, marked: int) -> np.ndarray:
+    """The real eigenvectors of phases 0 and 2 pi - 2 theta, as the two
+    columns of a D x 2 array (see ``grover_unitary``)."""
     a = 1 / math.sqrt(d)
     b = math.sqrt(1 - 1 / d)
+    plane = np.empty((d, 2))
+    plane[:, 0] = a * (b - a) / b
+    plane[marked, 0] = a + b
+    plane[:, 1] = -a * (a + b) / b
+    plane[marked, 1] = b - a
+    plane /= math.sqrt(2)
+    return plane
+
+
+def _grover_basis(d: int, marked: int) -> np.ndarray:
+    """The real D x D eigenbasis: the plane vectors, then the Helmert
+    basis of the complement over the unmarked indices."""
+    _require_square(d)
     basis = np.zeros((d, d))
-    basis[:, 0] = a * (b - a) / b
-    basis[marked, 0] = a + b
-    basis[:, 1] = -a * (a + b) / b
-    basis[marked, 1] = b - a
-    basis[:, :2] /= math.sqrt(2)
+    basis[:, :2] = _grover_plane(d, marked)
     k = np.arange(1.0, d - 1)
     norms = 1 / np.sqrt(k * (k + 1))
     helmert = np.triu(np.ones((d - 1, d - 2))) * norms
     helmert[np.arange(1, d - 1), np.arange(d - 2)] = -k * norms
     basis[np.arange(d) != marked, 2:] = helmert
-    phases = np.full(d, math.pi - theta)
-    phases[0] = 0.0
-    phases[1] = 2 * math.pi - 2 * theta
-    unitary = EigenUnitary(dimension=d, eigenphases=phases, eigenbasis=basis,
-                           gap=2 * theta)
-    s = np.full(d, a)
-    psi_tilde = (s + _basis_vec(d, marked)) / math.sqrt(2 * (1 + a))
-    return GroverInstance(dimension=d, marked=marked, unitary=unitary,
-                          s_state=s, psi_tilde=psi_tilde)
+    return basis
 
 
 def _basis_vec(dim: int, index: int) -> np.ndarray:

@@ -307,8 +307,9 @@ def check_structural() -> CheckResult:
             perm_ok = perm_ok and bool(
                 (cols_one == 1).all() and (nonzero == 1).all()
             )
-            for j in range(1 << k):
-                perm_ok = perm_ok and bool(abs(mat[j + off, j] - 1.0) < 1e-12)
+            js = np.arange(1 << k)
+            perm_ok = perm_ok and bool(
+                (np.abs(mat[js + off, js] - 1.0) < 1e-12).all())
 
     fc_defect = 0.0
     for m in range(1, 7):

@@ -27,7 +27,7 @@ from reflectsim.core_sim import (
     apply_batch,
     op_matrix,
 )
-from reflectsim.gaussian_kernel import KernelParams, kernel_value
+from reflectsim.gaussian_kernel import KernelParams, alpha_coeffs
 from reflectsim.pea_reflector import PeaReflector, build_A_pea
 from reflectsim.spectral_models import EigenUnitary, synth_unitary
 
@@ -184,14 +184,17 @@ def kernel_sup_dense_grid(params, points: int = 1000,
                           refine: int = 200) -> float:
     """sup of |kernel_value| over [delta, 2 pi - delta], evaluated on
     points + 2 evenly spaced angles, edges included, plus ``refine``
-    angles within one grid step of the best of them."""
+    angles within one grid step of the best of them. Every angle is summed
+    by ``trig_poly_direct``, not by the evaluator under test."""
+    coeffs = alpha_coeffs(params)
     lo, hi = params.delta, 2 * math.pi - params.delta
     grid = np.linspace(lo, hi, points + 2)
-    vals = np.abs(kernel_value(grid, params))
+    vals = np.abs(trig_poly_direct(coeffs, grid))
     best = int(np.argmax(vals))
     h = (hi - lo) / (points + 1)
     fine = np.linspace(max(lo, grid[best] - h), min(hi, grid[best] + h), refine)
-    return max(float(vals[best]), float(np.abs(kernel_value(fine, params)).max()))
+    return max(float(vals[best]),
+               float(np.abs(trig_poly_direct(coeffs, fine)).max()))
 
 
 def phi_norm_reversed(lstar: int, L: int, dz: float) -> float:

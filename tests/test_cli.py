@@ -115,13 +115,13 @@ class TestKernelCommand:
 
 class TestOversizedInstance:
     """Refused before the random draw, not a numpy allocation error:
-    ``reflect`` at D = 2^30 asks for eigenphase-length working arrays of
-    2^30 entries, ``grover`` at D = 2^15 for D x D = 2^30-entry matrices."""
+    ``reflect`` and ``grover`` at D = 2^30 ask for eigenphase-length
+    working arrays of 2^30 entries."""
 
     @pytest.mark.parametrize("argv", [
         ["reflect", "lcu", "--dim", str(1 << 30), "--gap", "0.5",
          "--eps", "1e-2"],
-        ["grover", "--dim", "32768", "--eps", "0.02"],
+        ["grover", "--dim", str(1 << 30), "--eps", "0.02"],
     ])
     def test_refused(self, capsys, argv):
         _skip_unless_oversized()
@@ -361,6 +361,38 @@ class TestGroverCommand:
         assert report["nu"] <= report["nu_envelope"]
         assert report["s_reflection_defect"] <= 1e-10
         assert report["exact_target_fidelity"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_runs_where_a_square_basis_would_not_fit(self, capsys):
+        # the D x D basis, 2^30 entries, is never drawn
+        code, out = _capture(capsys, ["grover", "--dim", "32768",
+                                      "--eps", "0.02"])
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    def test_large_dimension_in_linear_memory(self, capsys):
+        # a few D-length vectors at D = 2^20: the traced peak measured
+        # 72.9 MiB; the bound leaves a third of that as headroom
+        code, peak = _traced(["grover", "--dim", "1048576", "--eps", "0.02"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert peak <= 96 * 2 ** 20
+
+    @pytest.mark.parametrize("dim", [4, 16, 256, 1024])
+    def test_report_matches_drawn_basis(self, dim):
+        """The O(D) report against the dense basis, drawn after it:
+        nu as closely as ``test_nu_from_two_eigenvectors`` requires, and
+        the s-reflection defect from the basis's first column."""
+        for seed in range(1, 4):
+            marked = int(np.random.default_rng(seed).integers(dim))
+            report = cli.grover_benchmark(dim, 0.02, seed)
+            instance = grover_unitary(dim, marked)
+            refl = build_reflector(instance.unitary, 0.02)
+            via_basis = 1 - abs(grover_hit_via_basis(instance, refl)) ** 2
+            assert report["nu"] == pytest.approx(via_basis, rel=1e-11, abs=0)
+            column = instance.unitary.eigenbasis[:, 0]
+            overlap = np.sum(column.conj() * instance.s_state)
+            assert report["s_reflection_defect"] == abs(
+                2 * abs(overlap) ** 2 - 1)
 
     @pytest.mark.parametrize("dim", [4, 16, 64, 256, 1024])
     def test_report_accuracy(self, dim):
