@@ -226,7 +226,7 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     u = inst.unitary
     s = inst.s_state
     # pairwise sums: s is uniform, so a running sum's roundoff grows with D
-    s_defect = float(abs(2 * abs(np.sum(u.psi0().conj() * s)) ** 2 - 1))
+    s_defect = float(abs(2 * abs(np.sum(inst.psi0.conj() * s)) ** 2 - 1))
     refl = build_reflector(u, eps)
     a0, rest = refl.a_column(u.eigenphases[:2])
     a = 1 / math.sqrt(dim)

@@ -374,11 +374,8 @@ def _embed_tensor(op: CircuitOp, tensor: np.ndarray, num_qubits: int,
                                    sub_targets)
         return out
     # targets first, the other axes after them in order (np.moveaxis's
-    # order, without its per-call axis normalisation); no move when the
-    # targets already lead
-    if targets == tuple(range(k)):
-        flat = np.ascontiguousarray(tensor).reshape(1 << k, -1)
-        return op._transform(flat).reshape(tensor.shape)
+    # order, without its per-call axis normalisation); when the targets
+    # already lead, both transposes are free views
     perm = targets + tuple(i for i in range(tensor.ndim) if i not in targets)
     moved = tensor.transpose(perm)
     flat = np.ascontiguousarray(moved).reshape(1 << k, -1)

@@ -10,9 +10,10 @@ draws its D x D Haar basis on demand, the first time something reads
 ``eigenbasis`` (``psi0``, ``power_matrix``, ``to_eigenbasis``), so
 building and verifying a reflector on it never
 holds a D x D array. A Grover instance's eigensystem is known in closed
-form: its eigenphases and ``psi0`` are written down at construction in
-O(D), and its real basis is drawn, like the Haar one, on first read of
-``eigenbasis``. A Hamiltonian instance's comes from ``numpy.linalg.eigh``.
+form: its eigenphases and target eigenvector (``GroverInstance.psi0``)
+are written down at construction in O(D), and its real basis is drawn,
+like the Haar one, on first read of ``eigenbasis``. A Hamiltonian
+instance's comes from ``numpy.linalg.eigh``.
 """
 from __future__ import annotations
 
@@ -39,16 +40,13 @@ class EigenUnitary:
     ``eigenbasis`` is given as a D x D array, checked at once, or as a
     function of no arguments that draws it: then the draw, its memory
     preflight and its unitarity check run the first time something reads
-    ``eigenbasis``. Where the target eigenvector is known in closed form,
-    ``psi0`` gives it, so ``psi0()`` draws no basis; a drawn basis must
-    then start with it. The reflectors read only the eigenphases.
-    Instances are immutable.
+    ``eigenbasis``. The reflectors read only the eigenphases. Instances are
+    immutable.
     """
 
     def __init__(self, dimension: int, eigenphases: np.ndarray,
                  eigenbasis: np.ndarray | Callable[[], np.ndarray],
-                 gap: float, step_cost: int = 1,
-                 psi0: np.ndarray | None = None):
+                 gap: float, step_cost: int = 1):
         phases = np.asarray(eigenphases, dtype=float).copy()
         if phases.shape != (dimension,):
             raise ValueError("eigenphase count does not match dimension")
@@ -68,14 +66,8 @@ class EigenUnitary:
         if np.any((others == 0.0) | (others == 2 * math.pi)):
             raise ValueError("only the target eigenphase may be 0 or 2 pi")
         phases.setflags(write=False)
-        if psi0 is not None:
-            psi0 = np.asarray(psi0).astype(np.complex128)
-            if psi0.shape != (dimension,):
-                raise ValueError("psi0 length does not match dimension")
-            psi0.setflags(write=False)
         for name, value in (("dimension", dimension), ("eigenphases", phases),
-                            ("gap", gap), ("step_cost", step_cost),
-                            ("_psi0", psi0)):
+                            ("gap", gap), ("step_cost", step_cost)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_basis", eigenbasis if callable(eigenbasis)
                            else self._checked_basis(eigenbasis))
@@ -94,9 +86,6 @@ class EigenUnitary:
         defect = np.abs(gram).max()
         if defect > _BASIS_ATOL:
             raise ValueError(f"eigenbasis is not unitary (defect {defect:.3e})")
-        if (self._psi0 is not None
-                and np.abs(basis[:, 0] - self._psi0).max() > _BASIS_ATOL):
-            raise ValueError("eigenbasis column 0 is not psi0")
         basis = basis.astype(np.complex128)
         basis.setflags(write=False)
         return basis
@@ -117,10 +106,6 @@ class EigenUnitary:
         return n
 
     def psi0(self) -> np.ndarray:
-        """The target eigenvector; reads the basis only if no closed form
-        was given."""
-        if self._psi0 is not None:
-            return self._psi0.copy()
         return self.eigenbasis[:, 0].copy()
 
     def power_matrix(self, k: int) -> np.ndarray:
@@ -137,13 +122,16 @@ class EigenUnitary:
 
 @dataclass(frozen=True)
 class GroverInstance:
-    """The search-derived unitary together with its exact ingredients."""
+    """The search-derived unitary together with its exact ingredients.
+    ``psi0`` is ``unitary.eigenbasis[:, 0]`` in closed form, so reading it
+    draws no basis."""
 
     dimension: int
     marked: int
     unitary: EigenUnitary
     s_state: np.ndarray
     psi_tilde: np.ndarray
+    psi0: np.ndarray
 
     @property
     def gap(self) -> float:
@@ -229,12 +217,14 @@ def grover_unitary(dimension: int, marked: int) -> GroverInstance:
     unitary = EigenUnitary(dimension=d, eigenphases=phases,
                            eigenbasis=functools.partial(_grover_basis, d,
                                                         marked),
-                           gap=2 * theta, psi0=_grover_plane(d, marked)[:, 0])
+                           gap=2 * theta)
     a = 1 / math.sqrt(d)
     s = np.full(d, a)
     psi_tilde = (s + _basis_vec(d, marked)) / math.sqrt(2 * (1 + a))
+    # complex, as the drawn basis is, so that the two agree bit for bit
+    psi0 = _grover_plane(d, marked)[:, 0].astype(np.complex128)
     return GroverInstance(dimension=d, marked=marked, unitary=unitary,
-                          s_state=s, psi_tilde=psi_tilde)
+                          s_state=s, psi_tilde=psi_tilde, psi0=psi0)
 
 
 def _grover_plane(d: int, marked: int) -> np.ndarray:

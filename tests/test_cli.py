@@ -377,23 +377,6 @@ class TestGroverCommand:
         assert json.loads(capsys.readouterr().out)["passed"] is True
         assert peak <= 96 * 2 ** 20
 
-    @pytest.mark.parametrize("dim", [4, 16, 256, 1024])
-    def test_report_matches_drawn_basis(self, dim):
-        """The O(D) report against the dense basis, drawn after it:
-        nu as closely as ``test_nu_from_two_eigenvectors`` requires, and
-        the s-reflection defect from the basis's first column."""
-        for seed in range(1, 4):
-            marked = int(np.random.default_rng(seed).integers(dim))
-            report = cli.grover_benchmark(dim, 0.02, seed)
-            instance = grover_unitary(dim, marked)
-            refl = build_reflector(instance.unitary, 0.02)
-            via_basis = 1 - abs(grover_hit_via_basis(instance, refl)) ** 2
-            assert report["nu"] == pytest.approx(via_basis, rel=1e-11, abs=0)
-            column = instance.unitary.eigenbasis[:, 0]
-            overlap = np.sum(column.conj() * instance.s_state)
-            assert report["s_reflection_defect"] == abs(
-                2 * abs(overlap) ** 2 - 1)
-
     @pytest.mark.parametrize("dim", [4, 16, 64, 256, 1024])
     def test_report_accuracy(self, dim):
         for seed in range(1, 11):
@@ -431,15 +414,21 @@ class TestGroverCommand:
         """nu reads <0|A|0> at two eigenphases. It agrees with the
         whole-basis form, and lies within 1e-12 relative of a 40-digit
         evaluation of the two-vector form from the same <0|A|0> values;
-        the whole-basis form errs by up to 2.3e-12 there at D = 1024."""
+        the whole-basis form errs by up to 2.3e-12 there at D = 1024. The
+        closed-form s-reflection defect equals the one from the first
+        column of the drawn basis."""
         for seed in range(1, 11):
             marked = int(np.random.default_rng(seed).integers(dim))
             instance = grover_unitary(dim, marked)
             u = instance.unitary
             refl = build_reflector(u, 0.02)
-            nu = cli.grover_benchmark(dim, 0.02, seed)["nu"]
+            report = cli.grover_benchmark(dim, 0.02, seed)
+            nu = report["nu"]
             via_basis = 1 - abs(grover_hit_via_basis(instance, refl)) ** 2
             assert nu == pytest.approx(via_basis, rel=1e-11, abs=0)
+            overlap = np.sum(u.eigenbasis[:, 0].conj() * instance.s_state)
+            assert report["s_reflection_defect"] == abs(
+                2 * abs(overlap) ** 2 - 1)
             a0, _ = refl.a_column(u.eigenphases[:2])
             with localcontext() as ctx:
                 ctx.prec = 40

@@ -324,23 +324,23 @@ class TestKernelSupOnGap:
         want = kernel_sup_dense_grid(p)
         if sup > 1e-12:
             # a sup at a gap edge can be as small as 1.9e-11 (eps = 1e-3,
-            # delta = 0.5), where 1e-6 relative is below the roundoff of
-            # either sum; allow twice that floor
+            # delta = 0.5), where 1e-6 relative is below the roundoff of a
+            # gap-edge sum; allow twice the oracle's floor there
             assert sup == pytest.approx(want, rel=1e-6,
-                                        abs=2 * self._edge_floor(p))
+                                        abs=2 * self._oracle_edge_floor(p))
         else:
             assert sup == pytest.approx(want, rel=0, abs=1e-13)
 
     @staticmethod
-    def _edge_floor(params):
-        """Roundoff floor of a gap-edge sum: the larger error, against a
-        40-digit sum, of ``trig_poly`` and ``trig_poly_direct`` at the two
-        gap edges."""
+    def _oracle_edge_floor(params):
+        """Roundoff floor of the oracle's gap-edge sum: the error of
+        ``trig_poly_direct`` against a 40-digit sum at the two gap edges.
+        The evaluator under test takes no part in it."""
         coeffs = alpha_coeffs(params)
         edges = [params.delta, 2 * math.pi - params.delta]
         exact = np.array([abs(complex(v)) for v in trig_poly_mp(coeffs, edges)])
-        return max(float(np.abs(np.abs(f(coeffs, edges)) - exact).max())
-                   for f in (trig_poly, trig_poly_direct))
+        return float(np.abs(np.abs(trig_poly_direct(coeffs, edges))
+                            - exact).max())
 
     @pytest.mark.parametrize("eps,delta", GRID)
     def test_not_below_random_samples(self, eps, delta):

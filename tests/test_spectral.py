@@ -205,9 +205,9 @@ class TestGrover:
     @pytest.mark.parametrize("d", [4, 16, 256, 1024])
     def test_closed_form_psi0_is_drawn_column(self, d):
         for marked in sorted({0, d // 2 + 1, d - 1}):
-            u = grover_unitary(d, marked).unitary
-            psi = u.psi0()
-            assert np.array_equal(psi, u.eigenbasis[:, 0]), marked
+            inst = grover_unitary(d, marked)
+            assert np.array_equal(inst.psi0, inst.unitary.eigenbasis[:, 0]), \
+                marked
 
     def test_basis_never_drawn_for_report(self, monkeypatch):
         draws = []
@@ -218,7 +218,7 @@ class TestGrover:
             return draw(*args)
 
         monkeypatch.setattr(spectral_models, "_grover_basis", counted)
-        grover_unitary(4096, 5).unitary.psi0()
+        grover_unitary(4096, 5).psi0
         for seed in (1, 2):
             assert cli.grover_benchmark(4096, 0.02, seed)["passed"]
         assert draws == []
@@ -232,18 +232,10 @@ class TestGrover:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if working_set_bytes(30) <= physical:
             pytest.skip("this machine could hold the 2^30-entry basis")
-        u = grover_unitary(1 << 15, 1).unitary
-        assert u.psi0().shape == (1 << 15,)
+        inst = grover_unitary(1 << 15, 1)
+        assert inst.psi0.shape == (1 << 15,)
         with pytest.raises(ValueError, match="2\\^30 entries"):
-            u.eigenbasis
-
-    def test_drawn_basis_must_start_with_psi0(self):
-        inst = grover_unitary(16, 3)
-        swapped = np.array(inst.unitary.eigenbasis)[:, [1, 0] + list(range(2, 16))]
-        u = EigenUnitary(16, inst.unitary.eigenphases, lambda: swapped,
-                         gap=inst.gap, psi0=inst.unitary.psi0())
-        with pytest.raises(ValueError, match="column 0 is not psi0"):
-            u.eigenbasis
+            inst.unitary.eigenbasis
 
     @pytest.mark.parametrize("d", [4, 16, 64, 256])
     def test_phases_match_schur_spectrum(self, d):
