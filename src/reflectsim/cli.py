@@ -209,7 +209,7 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     """Reflect over the search target with the LCU route, from |s>:
     nu = 1 - |<0, marked|A|0, s>|^2 against 4 (1/sqrt(D) + 10 eps)^2, and
     the exact reflection's |<s|R|s>| = |2 |<psi0|s>|^2 - 1|, both without
-    a D x D matrix.
+    a D-length vector.
 
     |s> lies in the plane of U's first two eigenvectors, with overlaps
     1/sqrt(2) and -1/sqrt(2), and their marked entries are (a + b)/sqrt(2)
@@ -219,26 +219,33 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     off |0, marked>: the ancilla-zero part's unmarked entries lie along one
     unit vector, with amplitude -((b - a) a0(0) + (a + b) a0(1)) / 2, and
     each eigenvector adds half its weight off the ancilla zero. That is a
-    sum of non-negative terms; 1 - |hit|^2 loses about log10 D digits."""
+    sum of non-negative terms; 1 - |hit|^2 loses about log10 D digits.
+
+    |s>, psi0 and the exact target psi~ = (|s> + |marked>)/sqrt(2 (1 + a))
+    each hold two distinct values, the marked entry and the D - 1 others,
+    so their overlaps are read off those pairs."""
     rng = np.random.default_rng(seed)
     marked = int(rng.integers(dim))
     inst = grover_unitary(dim, marked)
     u = inst.unitary
-    s = inst.s_state
-    # pairwise sums: s is uniform, so a running sum's roundoff grows with D
-    s_defect = float(abs(2 * abs(np.sum(inst.psi0.conj() * s)) ** 2 - 1))
-    refl = build_reflector(u, eps)
-    a0, rest = refl.a_column(u.eigenphases[:2])
     a = 1 / math.sqrt(dim)
     b = math.sqrt(1 - 1 / dim)
+    # psi0 = (a + b, a (b - a)/b, ...)/sqrt(2) and |s> = (a, ..., a)
+    overlap = a * ((a + b) / math.sqrt(2)
+                   + (dim - 1) * (a * (b - a) / b / math.sqrt(2)))
+    s_defect = abs(2 * overlap ** 2 - 1)
+    refl = build_reflector(u, eps)
+    a0, rest = refl.a_column(u.eigenphases[:2])
     # (b - a) a0(0) + (a + b) a0(1), grouped so that the nearly cancelling
     # a0(0) + a0(1) is formed from the inputs, before any rounded product
     unmarked = b * (a0[0] + a0[1]) + a * (a0[1] - a0[0])
     nu = float(abs(unmarked) ** 2 / 4 + (rest[0] ** 2 + rest[1] ** 2) / 2)
     envelope = 4 * (1 / math.sqrt(dim) + 10 * eps) ** 2
     # <marked|(2|psi~><psi~| - 1)|s>
-    tilde = inst.psi_tilde
-    exact_hit = 2 * tilde[marked] * np.sum(tilde * s) - s[marked]
+    norm = math.sqrt(2 * (1 + a))
+    tilde_marked, tilde_other = (a + 1) / norm, a / norm
+    exact_hit = (2 * tilde_marked
+                 * (a * tilde_marked + (dim - 1) * (a * tilde_other)) - a)
     return {
         "command": "grover",
         "dimension": dim, "epsilon": eps, "seed": seed, "marked": marked,
@@ -246,7 +253,7 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
         "nu": nu,
         "nu_envelope": envelope,
         "s_reflection_defect": s_defect,
-        "exact_target_fidelity": float(abs(exact_hit) ** 2),
+        "exact_target_fidelity": exact_hit ** 2,
         "ledger": _ledger(refl),
         "passed": bool(nu <= envelope and s_defect <= 1e-10),
     }

@@ -9,6 +9,9 @@ view and broadcast kernels replaced, which only calls the operators' own
 whole-block transforms; and ``dense_layers``, a PEA reflector rebuilt with
 each block's ancilla-local layers as dense matrices, which makes the
 whole-register reference simulation fast.
+The library stores an instance as its eigenphases alone; the eigenbases
+that the dense references simulate in are rebuilt here from what built
+each instance (``haar_basis``, ``grover_basis``, ``hamiltonian_basis``).
 States are plain (2^n, batch) column arrays, as in the library; ``lift``
 places system columns on one ancilla basis state.
 """
@@ -39,11 +42,77 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def exact_reflection(unitary: EigenUnitary) -> np.ndarray:
-    """2|psi0><psi0| - 1 as a dense computational-basis matrix; in U's
-    eigenbasis it is the sign vector (1, -1, ..., -1)."""
-    psi = unitary.psi0()
-    return 2 * np.outer(psi, psi.conj()) - np.eye(unitary.dimension)
+def haar_basis(dimension: int, seed: int) -> np.ndarray:
+    """The Haar eigenbasis of ``synth_unitary(dimension, gap, seed)``, at
+    any gap: QR of a complex Gaussian matrix drawn from the second of the
+    two streams spawned from the seed (the phases come from the first),
+    with R's diagonal phases moved into Q."""
+    _, basis_seed = np.random.SeedSequence(seed).spawn(2)
+    rng = np.random.default_rng(basis_seed)
+    g = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(
+        size=(dimension, dimension))
+    q, r = np.linalg.qr(g)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def grover_basis(dimension: int, marked: int) -> np.ndarray:
+    """The real eigenbasis of ``grover_unitary(dimension, marked)``, as
+    complex columns in the order of its eigenphases: the two vectors of the
+    {|marked>, |s>} plane in closed form (see ``grover_unitary``), then
+    the Helmert basis of the complement over the unmarked indices, whose
+    column k is (1, ..., 1, -k, 0, ..., 0)/sqrt(k (k + 1)), k ones."""
+    d = dimension
+    a = 1 / math.sqrt(d)
+    b = math.sqrt(1 - 1 / d)
+    basis = np.zeros((d, d))
+    basis[:, 0] = a * (b - a) / b
+    basis[marked, 0] = a + b
+    basis[:, 1] = -a * (a + b) / b
+    basis[marked, 1] = b - a
+    basis[:, :2] /= math.sqrt(2)
+    k = np.arange(1.0, d - 1)
+    norms = 1 / np.sqrt(k * (k + 1))
+    helmert = np.triu(np.ones((d - 1, d - 2))) * norms
+    helmert[np.arange(1, d - 1), np.arange(d - 2)] = -k * norms
+    basis[np.arange(d) != marked, 2:] = helmert
+    return basis.astype(np.complex128)
+
+
+def grover_states(dimension: int, marked: int) -> tuple[np.ndarray, np.ndarray]:
+    """|s>, the uniform superposition, and the exact target
+    psi~ = (|s> + |marked>)/sqrt(2 (1 + 1/sqrt(D))), whose reflection maps
+    |s> to |marked>."""
+    a = 1 / math.sqrt(dimension)
+    s = np.full(dimension, a)
+    t = np.zeros(dimension)
+    t[marked] = 1.0
+    return s, (s + t) / math.sqrt(2 * (1 + a))
+
+
+def hamiltonian_basis(hamiltonian: np.ndarray, lambda0: float) -> np.ndarray:
+    """The eigenbasis of ``hamiltonian_unitary(hamiltonian, lambda0)``:
+    the eigenvectors from ``eigh``, the target's first and the rest in
+    ascending order of their eigenvalues."""
+    evals, evecs = np.linalg.eigh(np.asarray(hamiltonian, dtype=np.complex128))
+    i0 = int(np.abs(evals - lambda0).argmin())
+    return np.concatenate((evecs[:, [i0]], np.delete(evecs, i0, axis=1)),
+                          axis=1)
+
+
+def power_matrix(unitary: EigenUnitary, basis: np.ndarray, k: int) -> np.ndarray:
+    """U^k in the computational basis, exact for any signed integer k:
+    V diag(exp(i k lambda)) V^H for the instance's eigenbasis V."""
+    phase = np.exp(1j * k * unitary.eigenphases)
+    return (basis * phase) @ basis.conj().T
+
+
+def exact_reflection(basis: np.ndarray) -> np.ndarray:
+    """2|psi0><psi0| - 1 as a dense computational-basis matrix, psi0 the
+    first column of the eigenbasis; in U's eigenbasis it is the sign vector
+    (1, -1, ..., -1)."""
+    psi = basis[:, 0]
+    return 2 * np.outer(psi, psi.conj()) - np.eye(len(psi))
 
 
 def chernoff_tail(params: KernelParams) -> tuple[float, float]:
@@ -265,7 +334,7 @@ def grover_matrix(dimension: int, marked: int) -> np.ndarray:
     -exp(-i theta) V^dagger R_s R_t V with theta = arccos(1 - 2/D),
     V = 1 + (i - 1)|s><s|, R_s = 2|s><s| - 1 and R_t = 2|t><t| - 1."""
     d = dimension
-    s = np.full(d, 1 / math.sqrt(d))
+    s, _ = grover_states(d, marked)
     v = np.eye(d, dtype=np.complex128) + (1j - 1) * np.outer(s, s)
     r_s = 2 * np.outer(s, s) - np.eye(d)
     r_t = -np.ones(d)
@@ -279,10 +348,10 @@ def grover_hit_via_basis(instance, refl) -> complex:
     """<0, marked|A|0, s> through the D x D eigenbasis, the form ``grover``
     read before the two-eigenvector one: <0|A|0> at every eigenphase times
     |s> in the eigenbasis, then the marked row of the basis."""
-    u = instance.unitary
-    a0, _ = refl.a_column(u.eigenphases)
-    return complex(u.eigenbasis[instance.marked]
-                   @ (a0 * u.to_eigenbasis(instance.s_state)))
+    basis = grover_basis(instance.dimension, instance.marked)
+    s, _ = grover_states(instance.dimension, instance.marked)
+    a0, _ = refl.a_column(instance.unitary.eigenphases)
+    return complex(basis[instance.marked] @ (a0 * (s.conj() @ basis).conj()))
 
 
 def lift(system: np.ndarray, n_ancilla: int, ancilla_index: int = 0) -> np.ndarray:
@@ -302,15 +371,13 @@ def lifted_action(op, n_ancilla: int, columns: np.ndarray) -> np.ndarray:
     return apply_batch(op, lift(columns, n_ancilla), op.num_qubits)
 
 
-def dense_misses(refl, states: np.ndarray) -> np.ndarray:
+def dense_misses(refl, basis: np.ndarray, states: np.ndarray) -> np.ndarray:
     """||A|0>|xi> - |0>R|xi>|| for each computational-basis system column
     xi of ``states``: A simulated on the whole register in the eigenbasis
-    V of the reflector's instance, minus R = 2|psi0><psi0| - 1 built
-    densely and moved to that basis."""
-    unitary = refl.unitary
-    basis = unitary.eigenbasis
-    xi = basis.conj().T @ np.asarray(states).reshape(unitary.dimension, -1)
-    r = in_eigenbasis(basis, exact_reflection(unitary))
+    ``basis`` of the reflector's instance, minus R = 2|psi0><psi0| - 1
+    built densely and moved to that basis."""
+    xi = basis.conj().T @ np.asarray(states).reshape(len(basis), -1)
+    r = in_eigenbasis(basis, exact_reflection(basis))
     miss = (lifted_action(refl.a, refl.n_ancilla, xi)
             - lift(r @ xi, refl.n_ancilla))
     return np.linalg.norm(miss, axis=0)
@@ -319,11 +386,11 @@ def dense_misses(refl, states: np.ndarray) -> np.ndarray:
 def gap_edge_unitary() -> EigenUnitary:
     """D = 8, gap 0.5, with eigenphases exactly at +-gap, where the kernel
     is largest: errors there measure the construction rather than
-    roundoff."""
-    base = synth_unitary(8, 0.5, seed=7)
-    phases = base.eigenphases.copy()
+    roundoff. The other phases are those of ``synth_unitary(8, 0.5, 7)``,
+    and its eigenbasis is that instance's, ``haar_basis(8, 7)``."""
+    phases = synth_unitary(8, 0.5, seed=7).eigenphases.copy()
     phases[1], phases[2] = 0.5, 2 * math.pi - 0.5
-    return EigenUnitary(8, phases, base.eigenbasis, 0.5)
+    return EigenUnitary(8, phases, 0.5)
 
 
 def embed_moveaxis(op, columns: np.ndarray, num_qubits: int,

@@ -14,9 +14,11 @@ import pytest
 from oracles import (
     dense_layers,
     gap_edge_unitary,
+    haar_basis,
     in_eigenbasis,
     lifted_action,
     pea_zero_amplitude,
+    power_matrix,
 )
 from reflectsim import core_sim, lcu_reflector
 from reflectsim.cli import reflect_report
@@ -46,12 +48,12 @@ def lcu_parts(request):
     unitary = synth_unitary(request.param, 1.5, seed=request.param)
     b = build_B(params, QftSpec.for_budget(params.m, 0.05))
     sel = build_select(params, unitary)
-    return params, unitary, b, sel
+    return params, unitary, b, sel, haar_basis(request.param, request.param)
 
 
 class TestLcuAgreement:
     def test_select_blocks_are_signed_powers(self, lcu_parts):
-        params, unitary, _, sel = lcu_parts
+        params, unitary, _, sel, basis = lcu_parts
         m, L, d = params.m, params.L, unitary.dimension
         total = sel.n + unitary.system_qubits
         for anc in range(1 << sel.n):
@@ -64,18 +66,18 @@ class TestLcuAgreement:
             header, data = anc >> m, anc & ((1 << m) - 1)
             sign = -1.0 if header in (1, 3) else 1.0
             power = data - L if header == 0 else 0
-            want = in_eigenbasis(unitary.eigenbasis,
-                                 sign * unitary.power_matrix(power))
+            want = in_eigenbasis(basis, sign * power_matrix(unitary, basis, power))
             assert np.abs(block - want).max() <= TOL
 
     def test_w_zero_block_is_scaled_lcu_sum(self, lcu_parts):
-        params, unitary, b, sel = lcu_parts
+        params, unitary, b, sel, basis = lcu_parts
         w = build_W(b, sel)
         block = np.diag(eigen_profile(w, b.n)[0])
         want = -np.eye(unitary.dimension, dtype=complex)
         for i in range(2 * params.L):
-            want += b.beta_magnitudes[i] * unitary.power_matrix(i - params.L)
-        want = in_eigenbasis(unitary.eigenbasis, want / b.s)
+            want += b.beta_magnitudes[i] * power_matrix(unitary, basis,
+                                                        i - params.L)
+        want = in_eigenbasis(basis, want / b.s)
         assert np.abs(block - want).max() <= TOL
 
 

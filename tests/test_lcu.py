@@ -8,8 +8,12 @@ from oracles import (
     dense_misses,
     exact_reflection,
     gap_edge_unitary,
+    grover_basis,
+    grover_states,
+    haar_basis,
     in_eigenbasis,
     lift,
+    power_matrix,
     random_state,
     unit_vector,
 )
@@ -34,7 +38,7 @@ from reflectsim.lcu_reflector import (
     oaa_expansion_check,
     worst_case,
 )
-from reflectsim.spectral_models import grover_unitary, synth_unitary
+from reflectsim.spectral_models import synth_unitary
 from reflectsim.state_prep import OAA_ANGLE, QftSpec, build_B
 
 
@@ -58,6 +62,12 @@ def medium():
     return unitary, build_reflector(unitary, 1e-2)
 
 
+# the Haar eigenbases of ``small``'s and ``medium``'s instances; the
+# second is also ``gap_edge_unitary``'s
+SMALL_BASIS = haar_basis(2, 3)
+MEDIUM_BASIS = haar_basis(8, 7)
+
+
 class TestSelect:
     def test_block_structure_over_all_ancilla_states(self, small):
         # every ancilla basis state must act as exactly +-U^k on the system
@@ -70,7 +80,8 @@ class TestSelect:
             header, data = anc >> m, anc & ((1 << m) - 1)
             sign = -1.0 if header in (1, 3) else 1.0
             power = data - L if header == 0 else 0
-            expect = sign * in_eigenbasis(unitary.eigenbasis, unitary.power_matrix(power))
+            expect = sign * in_eigenbasis(
+                SMALL_BASIS, power_matrix(unitary, SMALL_BASIS, power))
             assert np.abs(block - expect).max() < 1e-10
             # and nothing off the block diagonal
             off = mat[anc * d:(anc + 1) * d].copy()
@@ -109,11 +120,12 @@ class TestSelect:
         assert sel.n == 6
         xi = np.array([0.28 + 0.4j, 0.87], dtype=complex)
         xi /= np.linalg.norm(xi)
-        vh = unitary.eigenbasis.conj().T
+        basis = haar_basis(2, 1)
+        vh = basis.conj().T
         for l in range(16):
             state = lift(vh @ xi, 6, ancilla_index=l)  # header |00>
             out = apply_batch(sel.op, state, 7)
-            want = lift(vh @ (unitary.power_matrix(l - 8) @ xi), 6,
+            want = lift(vh @ (power_matrix(unitary, basis, l - 8) @ xi), 6,
                         ancilla_index=l)
             assert np.abs(out - want).max() < 1e-12
         for header, sign in ((0b01, -1), (0b10, 1), (0b11, -1)):
@@ -158,8 +170,9 @@ class TestW:
         # structural identity: <0|W|0> = (1/s) (sum |beta_l| U^l - 1)
         acc = -np.eye(unitary.dimension, dtype=complex)
         for i in range(2 * params.L):
-            acc = acc + b.beta_magnitudes[i] * unitary.power_matrix(i - params.L)
-        assert np.abs(block - in_eigenbasis(unitary.eigenbasis, acc) / b.s).max() < 1e-10
+            acc = acc + b.beta_magnitudes[i] * power_matrix(
+                unitary, SMALL_BASIS, i - params.L)
+        assert np.abs(block - in_eigenbasis(SMALL_BASIS, acc) / b.s).max() < 1e-10
 
     def test_zero_block_near_kernel_weighted_sum(self, small):
         params, unitary, b, sel, w, *_ = small
@@ -167,8 +180,9 @@ class TestW:
         alphas = alpha_coeffs(params)
         acc = -np.eye(unitary.dimension, dtype=complex)
         for i in range(2 * params.L):
-            acc = acc + 2 * alphas[i] * unitary.power_matrix(i - params.L)
-        want = in_eigenbasis(unitary.eigenbasis, acc) / b.s
+            acc = acc + 2 * alphas[i] * power_matrix(
+                unitary, SMALL_BASIS, i - params.L)
+        want = in_eigenbasis(SMALL_BASIS, acc) / b.s
         assert np.linalg.norm(block - want, 2) <= 10 * params.epsilon
 
     def test_zero_weight_on_target(self, small):
@@ -236,7 +250,7 @@ class TestOaaExpansion:
     def test_pap_close_to_exact_reflection(self, medium):
         unitary, refl = medium
         block = np.diag(eigen_profile(refl.a, refl.n_ancilla)[0])
-        want = in_eigenbasis(unitary.eigenbasis, exact_reflection(unitary))
+        want = in_eigenbasis(MEDIUM_BASIS, exact_reflection(MEDIUM_BASIS))
         assert np.linalg.norm(block - want, 2) <= 10 * 1e-2
 
     def test_pap_close_to_ap(self, small):
@@ -259,8 +273,8 @@ class TestVerifyReflection:
 
     def test_eigenvector_trials(self, medium):
         unitary, refl = medium
-        states = np.stack([unitary.psi0(), unitary.eigenbasis[:, 3]], axis=1)
-        misses = dense_misses(refl, states)
+        states = MEDIUM_BASIS[:, [0, 3]]
+        misses = dense_misses(refl, MEDIUM_BASIS, states)
         assert misses.max() <= 10 * 1e-2
         # the dense misses are e_0 and e_3
         assert np.abs(misses - miss(refl, unitary.eigenphases)[[0, 3]]
@@ -287,9 +301,9 @@ class TestGapEdge:
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])
     def test_edge_eigenvectors_within_bound(self, eps):
-        unitary = gap_edge_unitary()
-        refl = build_reflector(unitary, eps)
-        assert dense_misses(refl, unitary.eigenbasis[:, :3]).max() <= 10 * eps
+        refl = build_reflector(gap_edge_unitary(), eps)
+        assert dense_misses(refl, MEDIUM_BASIS,
+                            MEDIUM_BASIS[:, :3]).max() <= 10 * eps
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])
     def test_exact_worst_case(self, eps):
@@ -304,9 +318,9 @@ class TestGapEdge:
             rng = np.random.default_rng(seed)
             haar = np.stack([random_state(unitary.system_qubits, rng)
                              for _ in range(20)], axis=1)
-            assert dense_misses(refl, haar).max() <= worst
+            assert dense_misses(refl, MEDIUM_BASIS, haar).max() <= worst
         j = int(per_eigenvector.argmax())
-        attained = dense_misses(refl, unitary.eigenbasis[:, j])[0]
+        attained = dense_misses(refl, MEDIUM_BASIS, MEDIUM_BASIS[:, j])[0]
         assert attained == pytest.approx(worst, rel=0, abs=1e-13)
         assert worst_case(refl) == (worst, unitary.eigenphases[j])
 
@@ -329,8 +343,9 @@ class TestGroverStep:
     @pytest.mark.parametrize("dim", [16, 64])
     def test_nu_matches_exact_reflection(self, dim):
         report = grover_benchmark(dim, 0.02, 7)
-        inst = grover_unitary(dim, report["marked"])
-        hit = (exact_reflection(inst.unitary) @ inst.s_state)[inst.marked]
+        marked = report["marked"]
+        s, _ = grover_states(dim, marked)
+        hit = (exact_reflection(grover_basis(dim, marked)) @ s)[marked]
         assert report["nu"] == pytest.approx(1 - abs(hit) ** 2, rel=0,
                                              abs=1e-13)
 
@@ -338,15 +353,14 @@ class TestGroverStep:
     def test_defect_and_fidelity_match_dense_reflections(self, dim):
         # the report's O(D) forms against the D x D reflections
         report = grover_benchmark(dim, 0.02, 7)
-        inst = grover_unitary(dim, report["marked"])
-        s = inst.s_state
-        defect = abs(s @ exact_reflection(inst.unitary) @ s)
+        marked = report["marked"]
+        s, tilde = grover_states(dim, marked)
+        defect = abs(s @ exact_reflection(grover_basis(dim, marked)) @ s)
         assert report["s_reflection_defect"] == pytest.approx(
             defect, rel=0, abs=1e-14)
-        tilde = inst.psi_tilde
         r = 2 * np.outer(tilde, tilde) - np.eye(dim)
         assert report["exact_target_fidelity"] == pytest.approx(
-            (r @ s)[inst.marked] ** 2, rel=0, abs=1e-14)
+            (r @ s)[marked] ** 2, rel=0, abs=1e-14)
 
 
 class TestReflectorLedger:
@@ -380,8 +394,8 @@ class TestHamiltonianFrontEnd:
     def test_step_cost_scales_select_charge(self):
         from reflectsim.spectral_models import EigenUnitary
         base = synth_unitary(2, 1.5, seed=3)
-        costly = EigenUnitary(base.dimension, base.eigenphases,
-                              base.eigenbasis, base.gap, step_cost=4)
+        costly = EigenUnitary(base.dimension, base.eigenphases, base.gap,
+                              step_cost=4)
         params = select_params(0.2, 1.5)
         sel = build_select(params, costly)
         assert sel.footprint.queries_u == 4 * (3 * params.L - 1)

@@ -9,6 +9,7 @@ from oracles import (
     dense_layers,
     dense_misses,
     gap_edge_unitary,
+    haar_basis,
     leakage_amplitude_bound,
     lift,
     pea_zero_amplitude,
@@ -36,13 +37,6 @@ from reflectsim.pea_reflector import (
 )
 from reflectsim.spectral_models import EigenUnitary, synth_unitary
 from reflectsim.state_prep import QftSpec
-
-
-def _phase_unitary(phases, gap):
-    """Diagonal test unitary with prescribed eigenphases."""
-    phases = np.asarray(phases, dtype=float)
-    return EigenUnitary(phases.shape[0], phases, np.eye(phases.shape[0]),
-                        gap=gap)
 
 
 class TestChoosePeaParams:
@@ -124,9 +118,10 @@ class TestRepetitionCount:
 
 class TestPeaBlock:
     def test_zero_phase_exact_return(self):
-        u = _phase_unitary([0.0, 1.2], gap=1.2)
+        # eigenvector j is e_j in U's eigenbasis, where the block acts
+        u = EigenUnitary(2, [0.0, 1.2], gap=1.2)
         block = pea_block(u, 4, QftSpec.exact_for(4))
-        state = lift(u.psi0(), 4)
+        state = lift(unit_vector(2, 0), 4)
         out = apply_batch(block, state, 5)
         assert np.abs(out - state).max() < 1e-12
 
@@ -134,10 +129,10 @@ class TestPeaBlock:
         n_prime = 4
         m_dim = 1 << n_prime
         k = 5
-        u = _phase_unitary([0.0, 2 * math.pi * k / m_dim],
-                           gap=2 * math.pi * k / m_dim)
+        lam = 2 * math.pi * k / m_dim
+        u = EigenUnitary(2, [0.0, lam], gap=lam)
         block = pea_block(u, n_prime, QftSpec.exact_for(n_prime))
-        state = lift(u.eigenbasis[:, 1], n_prime)
+        state = lift(unit_vector(2, 1), n_prime)
         out = apply_batch(block, state, n_prime + 1)
         hit = (k << 1) | 1  # ancilla k, system 1
         assert abs(out[hit, 0]) == pytest.approx(1.0, abs=1e-12)
@@ -246,7 +241,8 @@ class TestAPea:
         u, eps, refl = setup
         # every eigenvector, simulated densely, against the harness the
         # LCU route shares
-        misses = dense_misses(refl, u.eigenbasis)
+        basis = haar_basis(8, 7)  # the eigenbasis of setup's instance
+        misses = dense_misses(refl, basis, basis)
         assert misses.max() <= 10 * eps
         assert misses.max() == pytest.approx(worst_case(refl)[0], rel=0,
                                              abs=1e-13)

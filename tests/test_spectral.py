@@ -1,17 +1,16 @@
 """Gapped-unitary builders: synthetic, Grover family, Hamiltonian front-end."""
 import math
-import os
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import oracles
-from reflectsim import cli, spectral_models
-from reflectsim.core_sim import DiagonalOp, apply_batch, working_set_bytes
+from oracles import grover_basis, grover_states, haar_basis, power_matrix
+from reflectsim.core_sim import DiagonalOp, apply_batch
 from reflectsim.gaussian_kernel import select_params
-from reflectsim.lcu_reflector import build_reflector, build_select, worst_case
-from reflectsim.pea_reflector import build_pea_reflector, pea_block
+from reflectsim.lcu_reflector import build_select
+from reflectsim.pea_reflector import pea_block
 from reflectsim.spectral_models import (
     EigenUnitary,
     grover_unitary,
@@ -25,42 +24,15 @@ class TestSynthUnitary:
     def test_deterministic(self):
         a = synth_unitary(8, 0.5, seed=7)
         b = synth_unitary(8, 0.5, seed=7)
-        assert np.array_equal(a.eigenbasis, b.eigenbasis)
         assert np.array_equal(a.eigenphases, b.eigenphases)
 
-    def test_basis_drawn_on_first_read_only(self, monkeypatch):
-        draws = []
-        draw = spectral_models._haar_basis
-
-        def counted(*args):
-            draws.append(args)
-            return draw(*args)
-
-        monkeypatch.setattr(spectral_models, "_haar_basis", counted)
-        u = synth_unitary(64, 0.5, seed=3)
-        for refl in (build_reflector(u, 1e-2), build_pea_reflector(u, 0.2)):
-            worst_case(refl)
-        assert draws == []
-        assert u.eigenbasis is u.eigenbasis
-        assert np.array_equal(u.psi0(), u.eigenbasis[:, 0])
-        assert len(draws) == 1
-
     def test_phases_independent_of_basis_read(self):
-        read = synth_unitary(16, 0.5, seed=4)
-        assert read.eigenbasis.shape == (16, 16)
-        unread = synth_unitary(16, 0.5, seed=4)
-        assert np.array_equal(read.eigenphases, unread.eigenphases)
-        assert np.array_equal(read.eigenbasis, unread.eigenbasis)
-
-    def test_oversized_basis_refused_on_read(self):
-        # 2^15 eigenphases fit; the 2^30-entry basis is refused when read,
-        # before the Gaussian draw
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if working_set_bytes(30) <= physical:
-            pytest.skip("this machine could hold the 2^30-entry basis")
-        u = synth_unitary(1 << 15, 0.5, seed=1)
-        with pytest.raises(ValueError, match="2\\^30 entries"):
-            u.eigenbasis
+        # the phases are the first of the two streams spawned from the
+        # seed; ``haar_basis`` draws the second
+        stream = np.random.SeedSequence(4).spawn(2)[0]
+        want = np.random.default_rng(stream).uniform(0.5, 2 * math.pi - 0.5, 15)
+        assert np.array_equal(synth_unitary(16, 0.5, seed=4).eigenphases,
+                              np.r_[0.0, want])
 
     def test_immutable(self):
         u = synth_unitary(4, 0.5, seed=1)
@@ -76,7 +48,8 @@ class TestSynthUnitary:
     def test_phases_verified_by_rediagonalization(self):
         # oracle: Schur-diagonalize the assembled matrix independently
         u = synth_unitary(8, 0.5, seed=3)
-        t, _ = scipy.linalg.schur(u.power_matrix(1), output="complex")
+        t, _ = scipy.linalg.schur(power_matrix(u, haar_basis(8, 3), 1),
+                                  output="complex")
         phases = np.sort(np.mod(np.angle(np.diag(t)), 2 * math.pi))
         phases[phases > 2 * math.pi - 1e-9] = 0.0
         got = np.sort(np.mod(u.eigenphases, 2 * math.pi))
@@ -96,13 +69,14 @@ class TestSynthUnitary:
         # within the gap tolerance, but a second eigenphase equal to the
         # target's would make the reflection's sign vector +1 twice
         with pytest.raises(ValueError, match="only the target"):
-            EigenUnitary(2, [0.0, second], np.eye(2), 1e-10)
+            EigenUnitary(2, [0.0, second], 1e-10)
 
     def test_fixes_target(self):
         for seed in (0, 1, 2):
             u = synth_unitary(6, 0.3, seed=seed)
-            psi = u.psi0()
-            assert np.abs(u.power_matrix(1) @ psi - psi).max() < 1e-10
+            basis = haar_basis(6, seed)
+            psi = basis[:, 0]
+            assert np.abs(power_matrix(u, basis, 1) @ psi - psi).max() < 1e-10
 
 
 def _ladder(unitary, n_prime):
@@ -112,13 +86,14 @@ def _ladder(unitary, n_prime):
 
 
 class TestPowers:
-    """power_matrix is the computational-basis reference; the reflectors
-    apply powers as lazily phased eigenbasis diagonals (``EigenPowersOp``)
+    """``oracles.power_matrix`` is the computational-basis reference; the
+    reflectors apply powers as lazily phased eigenbasis diagonals (``EigenPowersOp``)
     that charge the cascade's queries."""
 
     def test_zero_power_identity_and_free(self):
         u = synth_unitary(4, 0.5, seed=2)
-        assert np.abs(u.power_matrix(0) - np.eye(4)).max() < 1e-12
+        assert np.abs(power_matrix(u, haar_basis(4, 2), 0)
+                      - np.eye(4)).max() < 1e-12
         # data l = L selects U^0: exactly the identity, and select still
         # charges only its 3L - 1 cascade queries
         params = select_params(0.2, 1.5)
@@ -132,31 +107,36 @@ class TestPowers:
 
     def test_eigen_relation(self):
         u = synth_unitary(4, 0.5, seed=2)
+        basis = haar_basis(4, 2)
         j = 2
-        psi = u.eigenbasis[:, j]
-        out = u.power_matrix(1) @ psi
+        psi = basis[:, j]
+        out = power_matrix(u, basis, 1) @ psi
         assert np.abs(out - np.exp(1j * u.eigenphases[j]) * psi).max() < 1e-12
 
     def test_inverse_composition(self):
         u = synth_unitary(8, 0.5, seed=4)
-        state = u.eigenbasis @ (np.ones(8) / math.sqrt(8))
-        back = u.power_matrix(3) @ (u.power_matrix(-3) @ state)
+        basis = haar_basis(8, 4)
+        state = basis @ (np.ones(8) / math.sqrt(8))
+        back = power_matrix(u, basis, 3) @ (power_matrix(u, basis, -3) @ state)
         assert np.abs(back - state).max() < 1e-12
 
     def test_additivity(self):
         u = synth_unitary(8, 0.5, seed=5)
+        basis = haar_basis(8, 5)
         state = np.eye(8)[5]
-        one = u.power_matrix(7) @ state
-        two = u.power_matrix(3) @ (u.power_matrix(4) @ state)
+        one = power_matrix(u, basis, 7) @ state
+        two = power_matrix(u, basis, 3) @ (power_matrix(u, basis, 4) @ state)
         assert np.abs(one - two).max() < 1e-11
 
     def test_to_eigenbasis(self):
+        # V^H, the change of basis the dense references make, sends the
+        # eigenvectors to unit vectors (the oracle basis's Gram check) and
+        # diagonalises every power
         u = synth_unitary(8, 0.5, seed=6)
-        cols = u.to_eigenbasis(u.eigenbasis[:, [0, 5]])
-        assert np.abs(cols - np.eye(8)[:, [0, 5]]).max() < 1e-12
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
-        assert np.abs(u.to_eigenbasis(x) - u.eigenbasis.conj().T @ x).max() < 1e-12
+        basis = haar_basis(8, 6)
+        assert np.abs(basis.conj().T @ basis - np.eye(8)).max() < 1e-12
+        diag = oracles.in_eigenbasis(basis, power_matrix(u, basis, 3))
+        assert np.abs(diag - np.diag(np.exp(3j * u.eigenphases))).max() < 1e-12
 
     def test_query_charges(self):
         u = synth_unitary(4, 0.5, seed=2)
@@ -171,8 +151,7 @@ class TestPowers:
 
     def test_step_cost_multiplies(self):
         u = synth_unitary(4, 0.5, seed=2)
-        costly = EigenUnitary(u.dimension, u.eigenphases, u.eigenbasis,
-                              u.gap, step_cost=3)
+        costly = EigenUnitary(u.dimension, u.eigenphases, u.gap, step_cost=3)
         params = select_params(0.2, 1.5)
         assert build_select(params, costly).footprint.queries_u == \
             3 * (3 * params.L - 1)
@@ -195,7 +174,7 @@ class TestGrover:
     def test_closed_form_diagonalises_dense_matrix(self, d):
         for marked in sorted({0, d // 2 + 1, d - 1}):
             inst = grover_unitary(d, marked)
-            basis = inst.unitary.eigenbasis
+            basis = grover_basis(d, marked)
             u = oracles.grover_matrix(d, marked)
             residual = u @ basis - basis * np.exp(1j * inst.unitary.eigenphases)
             assert np.abs(residual).max() <= 1e-13, marked
@@ -204,38 +183,14 @@ class TestGrover:
 
     @pytest.mark.parametrize("d", [4, 16, 256, 1024])
     def test_closed_form_psi0_is_drawn_column(self, d):
+        # psi0 holds two values, the marked entry and the D - 1 others,
+        # which ``grover_benchmark`` reads in closed form
+        a, b = 1 / math.sqrt(d), math.sqrt(1 - 1 / d)
         for marked in sorted({0, d // 2 + 1, d - 1}):
-            inst = grover_unitary(d, marked)
-            assert np.array_equal(inst.psi0, inst.unitary.eigenbasis[:, 0]), \
-                marked
-
-    def test_basis_never_drawn_for_report(self, monkeypatch):
-        draws = []
-        draw = spectral_models._grover_basis
-
-        def counted(*args):
-            draws.append(args)
-            return draw(*args)
-
-        monkeypatch.setattr(spectral_models, "_grover_basis", counted)
-        grover_unitary(4096, 5).psi0
-        for seed in (1, 2):
-            assert cli.grover_benchmark(4096, 0.02, seed)["passed"]
-        assert draws == []
-        u = grover_unitary(16, 3).unitary
-        assert u.eigenbasis is u.eigenbasis
-        assert draws == [(16, 3)]
-
-    def test_oversized_basis_refused_on_read(self):
-        # 2^15 entries per vector fit; the 2^30-entry basis is refused when
-        # read, before it is allocated
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if working_set_bytes(30) <= physical:
-            pytest.skip("this machine could hold the 2^30-entry basis")
-        inst = grover_unitary(1 << 15, 1)
-        assert inst.psi0.shape == (1 << 15,)
-        with pytest.raises(ValueError, match="2\\^30 entries"):
-            inst.unitary.eigenbasis
+            psi0 = grover_basis(d, marked)[:, 0]
+            assert psi0[marked] == (a + b) / math.sqrt(2), marked
+            assert np.all(np.delete(psi0, marked)
+                          == a * (b - a) / b / math.sqrt(2)), marked
 
     @pytest.mark.parametrize("d", [4, 16, 64, 256])
     def test_phases_match_schur_spectrum(self, d):
@@ -260,26 +215,10 @@ class TestGrover:
         gaps = {grover_unitary(d, marked).gap for marked in range(d)}
         assert gaps == {2 * math.acos(1 - 2 / d)}
 
-    @pytest.mark.parametrize("real", [True, False])
-    def test_corrupted_column_rejected(self, real):
-        inst = grover_unitary(64, 5)
-        basis = inst.unitary.eigenbasis.real if real else inst.unitary.eigenbasis
-        phases = inst.unitary.eigenphases
-        for col in (0, 1, 40):
-            # the 1e-10 tolerance: a column scaled by 1 + 2e-11 passes
-            # (Gram defect 4e-11), one scaled by 1 + 1e-10 does not
-            ok = basis.copy()
-            ok[:, col] *= 1 + 2e-11
-            EigenUnitary(64, phases, ok, gap=inst.gap)
-            bad = basis.copy()
-            bad[:, col] *= 1 + 1e-10
-            with pytest.raises(ValueError, match="eigenbasis is not unitary"):
-                EigenUnitary(64, phases, bad, gap=inst.gap)
-
     def test_s_reflection_is_zero(self):
-        inst = grover_unitary(64, 3)
-        r = oracles.exact_reflection(inst.unitary)
-        val = inst.s_state @ (r @ inst.s_state)
+        s, _ = grover_states(64, 3)
+        r = oracles.exact_reflection(grover_basis(64, 3))
+        val = s @ (r @ s)
         assert abs(val) <= 1e-10
 
     def test_gap_scales_like_inverse_sqrt_dimension(self):
@@ -291,14 +230,14 @@ class TestGrover:
             assert g == pytest.approx(2 * math.acos(1 - 2 / d), abs=1e-10)
 
     def test_overlap_with_exact_target(self):
-        inst = grover_unitary(64, 5)
-        ov = abs(np.vdot(inst.unitary.psi0(), inst.psi_tilde)) ** 2
+        _, tilde = grover_states(64, 5)
+        ov = abs(np.vdot(grover_basis(64, 5)[:, 0], tilde)) ** 2
         assert ov >= 0.9
 
     def test_exact_target_reflection_maps_s_to_t(self):
-        inst = grover_unitary(32, 9)
-        r = 2 * np.outer(inst.psi_tilde, inst.psi_tilde.conj()) - np.eye(32)
-        out = r @ inst.s_state
+        s, tilde = grover_states(32, 9)
+        r = 2 * np.outer(tilde, tilde.conj()) - np.eye(32)
+        out = r @ s
         t = np.zeros(32)
         t[9] = 1.0
         assert np.abs(out - t).max() < 1e-10
@@ -306,8 +245,8 @@ class TestGrover:
     def test_exact_reflection_failure_probability(self):
         # nu = 1 - |<t| R_psi0 |s>|^2 equals exactly 1/D at eps_num = 0
         for d in (16, 64):
-            inst = grover_unitary(d, 2)
-            out = oracles.exact_reflection(inst.unitary) @ inst.s_state
+            s, _ = grover_states(d, 2)
+            out = oracles.exact_reflection(grover_basis(d, 2)) @ s
             nu = 1 - abs(out[2]) ** 2
             assert nu == pytest.approx(1 / d, abs=1e-10)
 
@@ -334,7 +273,9 @@ class TestHamiltonian:
         h /= np.abs(np.linalg.eigvalsh(h)).max() * 1.5
         lam0 = float(np.linalg.eigvalsh(h)[0])
         u = hamiltonian_unitary(h, lam0)
-        mat = u.power_matrix(1)
+        basis = oracles.hamiltonian_basis(h, lam0)
+        assert np.abs(basis.conj().T @ basis - np.eye(8)).max() < 1e-10
+        mat = power_matrix(u, basis, 1)
         assert np.abs(mat.conj().T @ mat - np.eye(8)).max() < 1e-10
         # agrees with the direct exponential
         direct = scipy.linalg.expm(1j * (h - lam0 * np.eye(8)))
@@ -351,34 +292,36 @@ class TestHamiltonian:
             hamiltonian_unitary(np.array([[0, 1.0], [0, 0]]), 0.0)
 
 
+    def test_rejects_non_finite_entry(self):
+        # NaN passes the Hermitian and norm comparisons
+        with pytest.raises(ValueError, match="Hamiltonian entries"):
+            hamiltonian_unitary(np.array([[np.nan, 0], [0, 0.5]]), 0.5)
+
+
 class TestEigenUnitaryType:
     def test_fixes_psi0_across_builders(self):
-        for u in (synth_unitary(8, 0.5, 7), grover_unitary(16, 3).unitary,
-                  hamiltonian_unitary(np.diag([0.1, 0.6, 0.9]), 0.1)):
-            psi = u.psi0()
-            assert np.abs(u.power_matrix(1) @ psi - psi).max() < 1e-10
+        h = np.diag([0.1, 0.6, 0.9])
+        for u, basis in ((synth_unitary(8, 0.5, 7), haar_basis(8, 7)),
+                         (grover_unitary(16, 3).unitary, grover_basis(16, 3)),
+                         (hamiltonian_unitary(h, 0.1),
+                          oracles.hamiltonian_basis(h, 0.1))):
+            psi = basis[:, 0]
+            assert np.abs(power_matrix(u, basis, 1) @ psi - psi).max() < 1e-10
 
     def test_rejects_nonzero_target_phase(self):
         with pytest.raises(ValueError):
-            EigenUnitary(2, np.array([0.1, 1.0]), np.eye(2), gap=0.5)
+            EigenUnitary(2, np.array([0.1, 1.0]), gap=0.5)
 
     def test_rejects_phase_outside_gap(self):
         with pytest.raises(ValueError):
-            EigenUnitary(2, np.array([0.0, 0.1]), np.eye(2), gap=0.5)
+            EigenUnitary(2, np.array([0.0, 0.1]), gap=0.5)
 
-    def test_drawn_basis_checked_on_read(self):
-        u = EigenUnitary(2, np.array([0.0, math.pi]), lambda: np.ones((2, 2)),
-                         gap=0.5)
-        assert u.eigenphases[1] == math.pi
-        with pytest.raises(ValueError, match="eigenbasis is not unitary"):
-            u.eigenbasis
-
-    @pytest.mark.parametrize("row,col", [(3, 40), (40, 3)])
-    def test_rejects_basis_perturbed_off_diagonal(self, row, col):
-        # the Gram check reads one triangle: an entry above or below the
-        # diagonal moves a whole row and column of V^H V, so both show
-        base = synth_unitary(64, 0.5, seed=3)
-        basis = np.array(base.eigenbasis)
-        basis[row, col] += 1e-8
-        with pytest.raises(ValueError, match="eigenbasis is not unitary"):
-            EigenUnitary(64, base.eigenphases, basis, gap=0.5)
+    @pytest.mark.parametrize("args,message", [
+        (([0.0, np.nan], 0.5), "eigenphases must be finite"),
+        (([0.0, 1.0], np.nan), "gap must be finite"),
+        (([0.0, 1.0], 0.5, 1.5), "step_cost must be an integer"),
+    ])
+    def test_rejects_non_finite_or_fractional_input(self, args, message):
+        # NaN passes every comparison the range checks make
+        with pytest.raises(ValueError, match=message):
+            EigenUnitary(len(args[0]), *args)
