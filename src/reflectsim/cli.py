@@ -219,18 +219,15 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     off |0, marked>: the ancilla-zero part's unmarked entries lie along one
     unit vector, with amplitude -((b - a) a0(0) + (a + b) a0(1)) / 2, and
     each eigenvector adds half its weight off the ancilla zero. That is a
-    sum of non-negative terms; 1 - |hit|^2 loses about log10 D digits.
-
-    |s>, psi0 and the exact target psi~ = (|s> + |marked>)/sqrt(2 (1 + a))
-    each hold two distinct values, the marked entry and the D - 1 others,
-    so their overlaps are read off those pairs."""
+    sum of non-negative terms; 1 - |hit|^2 loses about log10 D digits."""
     rng = np.random.default_rng(seed)
     marked = int(rng.integers(dim))
     inst = grover_unitary(dim, marked)
     u = inst.unitary
     a = 1 / math.sqrt(dim)
     b = math.sqrt(1 - 1 / dim)
-    # psi0 = (a + b, a (b - a)/b, ...)/sqrt(2) and |s> = (a, ..., a)
+    # psi0 = (a + b, a (b - a)/b, ...)/sqrt(2), marked entry first, and
+    # |s> = (a, ..., a): each holds two values, so the overlap reads pairs
     overlap = a * ((a + b) / math.sqrt(2)
                    + (dim - 1) * (a * (b - a) / b / math.sqrt(2)))
     s_defect = abs(2 * overlap ** 2 - 1)
@@ -241,7 +238,7 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     unmarked = b * (a0[0] + a0[1]) + a * (a0[1] - a0[0])
     nu = float(abs(unmarked) ** 2 / 4 + (rest[0] ** 2 + rest[1] ** 2) / 2)
     envelope = 4 * (1 / math.sqrt(dim) + 10 * eps) ** 2
-    # <marked|(2|psi~><psi~| - 1)|s>
+    # <marked|(2|psi~><psi~| - 1)|s>, psi~ = (|s> + |marked>)/sqrt(2 (1 + a))
     norm = math.sqrt(2 * (1 + a))
     tilde_marked, tilde_other = (a + 1) / norm, a / norm
     exact_hit = (2 * tilde_marked

@@ -38,13 +38,14 @@ class EigenUnitary:
 
     def __post_init__(self):
         phases = np.asarray(self.eigenphases, dtype=float).copy()
-        if phases.shape != (self.dimension,):
-            raise ValueError("eigenphase count does not match dimension")
+        if (not isinstance(self.dimension, numbers.Integral)
+                or phases.shape != (self.dimension,)):
+            raise ValueError("dimension must be the integer eigenphase count")
         if not np.isfinite(phases).all():
             raise ValueError("eigenphases must be finite")
-        # written so that a NaN gap fails too
-        if not (math.isfinite(self.gap) and self.gap > 0):
-            raise ValueError("gap must be finite and positive")
+        # written so that a NaN gap fails too; the reflectors need gap <= pi
+        if not 0 < self.gap <= math.pi:
+            raise ValueError("gap must lie in (0, pi]")
         if not isinstance(self.step_cost, numbers.Integral) or self.step_cost < 1:
             raise ValueError("step_cost must be an integer >= 1")
         if phases[0] != 0.0:

@@ -478,11 +478,9 @@ class TestNumpyOnly:
         assert json.loads(proc.stdout) == []
 
 
-# Domain edges of every numeric flag: non-finite, zero, negative, subnormal
-# and near-underflow values, powers of two and non-powers. With the other
-# flags at their running values none builds more than a few thousand
-# amplitudes; 2^40 and gaps below 2^-50 are refused by the memory preflight
-# before anything that size is allocated.
+# Domain edges of every numeric flag: non-finite, zero, negative, subnormal,
+# powers of two and not. Beside running values none builds more than a few
+# thousand amplitudes; the preflight refuses 2^40 and gaps below 2^-50.
 _EDGES = {float: (math.nan, math.inf, -math.inf, 0.0, -0.25, -1.0, 5e-324,
                   1e-308, 2.0 ** -60, 2.0 ** -3, 0.5, 1.0, 2.0, 2.0 ** 40,
                   0.03, 0.3, 3.0),
@@ -536,12 +534,10 @@ class TestDomain:
             assert "Traceback" not in err.getvalue()
 
 
-_LIBRARY = Path(__file__).resolve().parent.parent / "src" / "reflectsim"
-
-
 class TestLibrarySource:
-    @pytest.mark.parametrize("path", sorted(_LIBRARY.glob("*.py")),
-                             ids=lambda path: path.name)
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).resolve().parents[1] / "src" / "reflectsim").glob("*.py")),
+        ids=lambda path: path.name)
     def test_no_basis_and_numpy_only(self, path):
         """An instance is its eigenphases: no library module names an
         eigenbasis or numpy.linalg's eigh and qr, which build one, and the

@@ -291,7 +291,6 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             hamiltonian_unitary(np.array([[0, 1.0], [0, 0]]), 0.0)
 
-
     def test_rejects_non_finite_entry(self):
         # NaN passes the Hermitian and norm comparisons
         with pytest.raises(ValueError, match="Hamiltonian entries"):
@@ -316,12 +315,18 @@ class TestEigenUnitaryType:
         with pytest.raises(ValueError):
             EigenUnitary(2, np.array([0.0, 0.1]), gap=0.5)
 
-    @pytest.mark.parametrize("args,message", [
-        (([0.0, np.nan], 0.5), "eigenphases must be finite"),
-        (([0.0, 1.0], np.nan), "gap must be finite"),
-        (([0.0, 1.0], 0.5, 1.5), "step_cost must be an integer"),
+    @pytest.mark.parametrize("field,message", [
+        ({"eigenphases": [0.0, np.nan]}, "eigenphases must be finite"),
+        ({"gap": np.nan}, "gap must lie in"),
+        ({"eigenphases": [0.0, math.pi], "gap": math.pi + 1e-10},
+         "gap must lie in"),
+        ({"step_cost": 1.5}, "step_cost must be an integer"),
+        ({"dimension": 2.0}, "dimension must be the integer"),
     ])
-    def test_rejects_non_finite_or_fractional_input(self, args, message):
-        # NaN passes every comparison the range checks make
+    def test_rejects_non_finite_or_fractional_input(self, field, message):
+        # NaN passes every comparison the range checks make, the phase
+        # tolerance admits a gap just above pi, and the shape (2,) equals
+        # (2.0,)
         with pytest.raises(ValueError, match=message):
-            EigenUnitary(len(args[0]), *args)
+            EigenUnitary(**{"dimension": 2, "eigenphases": [0.0, 1.0],
+                            "gap": 0.5, **field})
