@@ -39,8 +39,9 @@ class EigenUnitary:
     def __post_init__(self):
         phases = np.asarray(self.eigenphases, dtype=float).copy()
         if (not isinstance(self.dimension, numbers.Integral)
-                or phases.shape != (self.dimension,)):
-            raise ValueError("dimension must be the integer eigenphase count")
+                or self.dimension < 1 or phases.shape != (self.dimension,)):
+            raise ValueError("dimension must be the positive integer "
+                             "eigenphase count")
         if not np.isfinite(phases).all():
             raise ValueError("eigenphases must be finite")
         # written so that a NaN gap fails too; the reflectors need gap <= pi

@@ -321,7 +321,8 @@ class TestEigenUnitaryType:
         ({"eigenphases": [0.0, math.pi], "gap": math.pi + 1e-10},
          "gap must lie in"),
         ({"step_cost": 1.5}, "step_cost must be an integer"),
-        ({"dimension": 2.0}, "dimension must be the integer"),
+        ({"dimension": 2.0}, "dimension must be the positive integer"),
+        ({"dimension": 0, "eigenphases": []}, "dimension must be the positive"),
     ])
     def test_rejects_non_finite_or_fractional_input(self, field, message):
         # NaN passes every comparison the range checks make, the phase
