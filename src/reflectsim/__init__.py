@@ -38,7 +38,6 @@ from .spectral_models import (
 from .state_prep import (
     BOperator,
     QftSpec,
-    RotationTree,
     build_B,
     build_B_hat,
     centered_qft,

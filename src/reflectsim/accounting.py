@@ -97,13 +97,15 @@ def compare_scaling(eps_grid=DEFAULT_EPS_GRID, delta_grid=DEFAULT_DELTA_GRID,
     if not eps_grid or not delta_grid:
         raise ValueError("grids must be nonempty")
     eps_sorted = tuple(sorted(set(float(e) for e in eps_grid), reverse=True))
+    # each delta once, in the order given: the growth checks pair rows
+    deltas = tuple(dict.fromkeys(float(d) for d in delta_grid))
     rows = []
-    for delta in delta_grid:
+    for delta in deltas:
         for eps in eps_sorted:
             lcu = lcu_gate_model(*lcu_budget(eps, delta, c))
             pea = pea_gate_model(*pea_budget(eps, delta))
             rows.append(ScalingRow(
-                epsilon=eps, delta=float(delta),
+                epsilon=eps, delta=delta,
                 n_lcu=lcu["n_ancilla"], n_pea=pea["n_ancilla"],
                 cu_lcu=lcu["cu_max_power"], cu_pea=pea["cu"],
                 cb_lcu_model=lcu["a_two_qubit"],
@@ -115,8 +117,8 @@ def compare_scaling(eps_grid=DEFAULT_EPS_GRID, delta_grid=DEFAULT_DELTA_GRID,
     }
     growth_ok = True
     pea_ok = True
-    for delta in delta_grid:
-        sub = [r for r in rows if r.delta == float(delta)]
+    for delta in deltas:
+        sub = [r for r in rows if r.delta == delta]
         for prev, cur in zip(sub, sub[1:]):
             log_ratio = math.log(1 / cur.epsilon) / math.log(1 / prev.epsilon)
             allowed = max(1, math.ceil(math.log2(log_ratio)))

@@ -2,10 +2,15 @@
 
 Operator kinds with their declared footprints, one entry point that applies
 an operator to column arrays (``apply_batch``), and the memory preflight.
-The eight kinds are dense, diagonal, eigen-powers, the layered (banded)
-QFT ``QftOp``, permutation, zero reflection, controlled and sequence. The
-fixed elementary gates (``HADAMARD``, ``PAULI_X``, ``PAULI_Z``, ``CNOT``,
-``SWAP``) are shared constants with read-only tables, built at import.
+The seven kinds are dense, eigen-powers, the layered (banded) QFT
+``QftOp``, permutation, zero reflection, controlled and sequence. Every
+diagonal is an ``EigenPowersOp``, a table of signed powers of U's
+eigenphases: select, the PEA ladders, ``PAULI_Z`` and ``cphase``. Inside a
+register every diagonal takes one broadcast kernel, X is the one view
+kernel, and every other leaf kind runs on a contiguous copy of its axes.
+The fixed elementary gates (``HADAMARD``, ``PAULI_X``, ``PAULI_Z``,
+``CNOT``, ``SWAP``) are shared constants with read-only tables, built at
+import.
 
 Conventions used by every module in this package:
 
@@ -54,17 +59,17 @@ class ResourceFootprint:
     ancilla_qubits: int = 0
     modeled: frozenset = frozenset()
 
-    def merge(self, other: "ResourceFootprint") -> "ResourceFootprint":
-        """Sequential composition: counters add, ancilla peaks, labels join."""
+    def merge(self, *others: "ResourceFootprint") -> "ResourceFootprint":
+        """Sequential composition, built as one footprint: counters add,
+        ancilla peaks, labels join."""
+        fps = (self, *others)
         return ResourceFootprint(
-            queries_u=self.queries_u + other.queries_u,
-            two_qubit_gates=self.two_qubit_gates + other.two_qubit_gates,
-            one_qubit_gates=self.one_qubit_gates + other.one_qubit_gates,
-            ancilla_qubits=max(self.ancilla_qubits, other.ancilla_qubits),
-            modeled=self.modeled | other.modeled,
+            queries_u=sum(f.queries_u for f in fps),
+            two_qubit_gates=sum(f.two_qubit_gates for f in fps),
+            one_qubit_gates=sum(f.one_qubit_gates for f in fps),
+            ancilla_qubits=max(f.ancilla_qubits for f in fps),
+            modeled=frozenset().union(*(f.modeled for f in fps)),
         )
-
-    __add__ = merge
 
     def as_dict(self) -> dict:
         return {"queries_u": self.queries_u,
@@ -115,29 +120,15 @@ class DenseOp(CircuitOp):
         return self.matrix @ block
 
 
-class DiagonalOp(CircuitOp):
-    def __init__(self, diagonal: np.ndarray, footprint: ResourceFootprint = ZERO_COST):
-        diag = np.asarray(diagonal, dtype=np.complex128)
-        n = int(diag.shape[0]).bit_length() - 1
-        if diag.ndim != 1 or (1 << n) != diag.shape[0]:
-            raise ValueError("diagonal length must be a power of two")
-        if np.abs(np.abs(diag) - 1.0).max() > UNITARY_ATOL:
-            raise ValueError("diagonal entries must have unit modulus")
-        self.diagonal = diag
-        self.num_qubits = n
-        self.footprint = footprint
-
-    def _transform(self, block):
-        return self.diagonal[:, None] * block
-
-
 class EigenPowersOp(CircuitOp):
     """Signed powers of U controlled on an ancilla register, in U's
     eigenbasis: sign_a U^(k_a) on ancilla value a, which is
     sign_a exp(i k_a lambda_j) on eigenvector j.
 
     Stores the integer powers, the +-1 signs and the eigenphases, and makes
-    the phases only when applied, so no 2^(n + s) diagonal is held.
+    the phases only when applied, so no 2^(n + s) diagonal is held. Every
+    diagonal of the circuits is one: Z is powers (0, 0) with signs (+1, -1)
+    over no system qubit, and a controlled phase is power 1 on |11>.
     """
 
     def __init__(self, powers: np.ndarray, signs: np.ndarray,
@@ -160,12 +151,15 @@ class EigenPowersOp(CircuitOp):
         self.num_qubits = n_anc + n_sys
         self.footprint = footprint
 
-    def _transform(self, block):
+    def diagonal(self) -> np.ndarray:
+        """The 2^(n + s) diagonal, sign_a exp(i k_a lambda_j) at index
+        (a, j), made on each call."""
         phases = np.exp(1j * np.outer(self.powers, self.eigenphases))
         phases *= self.signs[:, None]
-        batch = block.shape[1]
-        rows = block.reshape(self.powers.shape[0], -1, batch)
-        return (phases[:, :, None] * rows).reshape(self.dim, batch)
+        return phases.reshape(-1)
+
+    def _transform(self, block):
+        return self.diagonal()[:, None] * block
 
 
 class QftOp(CircuitOp):
@@ -297,15 +291,8 @@ class SequenceOp(CircuitOp):
         self.num_qubits = num_qubits
         self.steps = tuple((op, _check_targets(op, num_qubits, targets))
                            for op, targets in steps)
-        # the merge of every member's footprint, built as one footprint
-        fps = [op.footprint for op, _ in self.steps]
-        self.footprint = ResourceFootprint(
-            queries_u=sum(f.queries_u for f in fps),
-            two_qubit_gates=sum(f.two_qubit_gates for f in fps),
-            one_qubit_gates=sum(f.one_qubit_gates for f in fps),
-            ancilla_qubits=max((f.ancilla_qubits for f in fps), default=0),
-            modeled=frozenset().union(*(f.modeled for f in fps)),
-        )
+        self.footprint = ZERO_COST.merge(*(op.footprint
+                                           for op, _ in self.steps))
 
     def _transform(self, block):
         # stay in tensor form between steps; only generic members copy
@@ -330,34 +317,26 @@ def _check_targets(op: CircuitOp, num_qubits: int, targets) -> tuple:
     return tg
 
 
-_X_PERM = (1, 0)
-_SWAP_PERM = (0, 2, 1, 3)
-
-
 def _embed_tensor(op: CircuitOp, tensor: np.ndarray, num_qubits: int,
                   targets: tuple) -> np.ndarray:
     """Tensor-form embedding: input and output have shape (2,)*n + (batch,).
 
-    The output may be a strided view of the input (X and SWAP), so callers
-    copy before handing it out. Diagonals, X, SWAP and controlled ops work
-    on the tensor's own axes; other kinds move their axes to the front and
-    run on one contiguous copy."""
+    The output may be a strided view of the input (X), so callers copy
+    before handing it out. Diagonals, X and controlled ops work on the
+    tensor's own axes; other kinds move their axes to the front and run on
+    one contiguous copy."""
     k = op.num_qubits
-    if isinstance(op, DiagonalOp):
+    if isinstance(op, EigenPowersOp):
         # op axis i is register axis targets[i]; order the axes by target
         # and broadcast over every other axis
         order = sorted(range(k), key=targets.__getitem__)
-        diag = op.diagonal.reshape((2,) * k).transpose(order)
+        diag = op.diagonal().reshape((2,) * k).transpose(order)
         shape = [1] * (num_qubits + 1)
         for t in targets:
             shape[t] = 2
         return diag.reshape(shape) * tensor
-    if isinstance(op, PermutationOp):
-        perm = tuple(op.perm.tolist())
-        if perm == _X_PERM:
-            return np.flip(tensor, axis=targets[0])
-        if perm == _SWAP_PERM:
-            return np.swapaxes(tensor, *targets)
+    if isinstance(op, PermutationOp) and op.perm.tolist() == [1, 0]:
+        return np.flip(tensor, axis=targets[0])
     if isinstance(op, ControlledOp):
         # fix each control axis at its pattern bit; the slice drops those
         # axes, so renumber the sub-op's targets
@@ -448,16 +427,14 @@ def unitarity_defect(op: CircuitOp) -> float:
 def adjoint(op: CircuitOp) -> CircuitOp:
     """Inverse operator; same declared footprint.
 
-    The inverse of a checked operator is exact (a conjugate transpose, a
-    conjugate, negated powers, conjugated QFT phases, an inverse
+    The inverse of a checked operator is exact (a conjugate transpose,
+    negated powers, conjugated QFT phases, an inverse
     permutation, reversed steps on the same targets), so it is built
     without re-running the constructors' checks. A sequence inverts each
     distinct member once and reuses that inverse wherever the member
     repeats."""
     if isinstance(op, DenseOp):
         return _like(op, matrix=op.matrix.conj().T)
-    if isinstance(op, DiagonalOp):
-        return _like(op, diagonal=op.diagonal.conj())
     if isinstance(op, EigenPowersOp):
         return _like(op, powers=-op.powers)
     if isinstance(op, QftOp):
@@ -529,17 +506,20 @@ _ONE_Q = ResourceFootprint(one_qubit_gates=1)
 _TWO_Q = ResourceFootprint(two_qubit_gates=1)
 
 
-def _frozen(op: CircuitOp, table: str) -> CircuitOp:
-    """``op`` with its table made read-only, so one instance can be shared
+def _frozen(op: CircuitOp, *tables: str) -> CircuitOp:
+    """``op`` with its tables made read-only, so one instance can be shared
     by every circuit."""
-    getattr(op, table).flags.writeable = False
+    for table in tables:
+        getattr(op, table).flags.writeable = False
     return op
 
 
 HADAMARD = _frozen(DenseOp(np.array([[1, 1], [1, -1]], dtype=np.complex128)
                            / math.sqrt(2), _ONE_Q), "matrix")
 PAULI_X = _frozen(PermutationOp(np.array([1, 0]), _ONE_Q), "perm")
-PAULI_Z = _frozen(DiagonalOp(np.array([1.0, -1.0]), _ONE_Q), "diagonal")
+PAULI_Z = _frozen(EigenPowersOp(np.zeros(2), np.array([1.0, -1.0]),
+                                np.zeros(1), _ONE_Q),
+                  "powers", "signs", "eigenphases")
 CNOT = ControlledOp(PAULI_X, 1, pattern=1, footprint=_TWO_Q)
 SWAP = _frozen(PermutationOp(np.array([0, 2, 1, 3]), _TWO_Q), "perm")
 
@@ -551,4 +531,4 @@ def ry(theta: float) -> CircuitOp:
 
 def cphase(angle: float) -> CircuitOp:
     """Symmetric controlled phase: e^{i angle} on |11>."""
-    return DiagonalOp(np.array([1.0, 1.0, 1.0, np.exp(1j * angle)]), _TWO_Q)
+    return EigenPowersOp(np.array([0, 0, 0, 1]), np.ones(4), [angle], _TWO_Q)

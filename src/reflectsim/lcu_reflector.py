@@ -222,7 +222,9 @@ def build_reflector(unitary: EigenUnitary, eps: float, *,
                     kernel_fraction: float = DEFAULT_KERNEL_FRACTION,
                     exact_qft: bool = False) -> ReflectorA:
     """One-stop pipeline from a gapped unitary to the reflector A, with
-    the error budget split by ``lcu_budget``."""
+    the error budget split by ``lcu_budget``. A dimension that is not a
+    power of two is refused first, before B is simulated."""
+    unitary.system_qubits
     params, spec = lcu_budget(eps, unitary.gap, c, kernel_fraction, exact_qft)
     b = build_B(params, spec)
     sel = build_select(params, unitary)

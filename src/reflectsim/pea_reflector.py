@@ -191,6 +191,9 @@ class PeaReflector:
 
 def build_pea_reflector(unitary: EigenUnitary, eps: float, *,
                         exact_qft: bool = False) -> PeaReflector:
+    """The PEA reflector for ``unitary`` at ``eps``. A dimension that is
+    not a power of two is refused first, as ``build_reflector`` does."""
+    unitary.system_qubits
     params, spec = pea_budget(eps, unitary.gap, exact_qft)
     w = build_W_pea(unitary, params, spec)
     a = build_A_pea(w, params.total_ancilla)

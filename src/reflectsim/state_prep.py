@@ -1,4 +1,4 @@
-"""State preparation: rotation tree, centering, (centered) QFT, operator B.
+"""State preparation: Ry cascade, centering, (centered) QFT, operator B.
 
 B prepares the 2L+3 coefficient superposition for the LCU route: a
 two-qubit header carrying the amplification padding terms, then the
@@ -37,92 +37,46 @@ _AMP_ATOL = 1e-10
 # rotation-tree amplitude encoding
 
 
-@dataclass(frozen=True)
-class RotationTree:
-    """Binary tree of Ry angles preparing a real non-negative amplitude
-    vector of length 2**depth from |0...0>. Angles are precomputed
-    classically; zero-mass subtrees get angle 0 so tail underflow stays
-    deterministic."""
-
-    depth: int
-    angles: np.ndarray
-
-    def __post_init__(self):
-        ang = np.asarray(self.angles, dtype=float)
-        if ang.shape != ((1 << self.depth) - 1,):
-            raise ValueError("angle count must be 2**depth - 1")
-        if ang.size and (ang.min() < 0 or ang.max() > math.pi + 1e-12):
-            raise ValueError("angles must lie in [0, pi]")
-        object.__setattr__(self, "angles", ang)
-
-    @classmethod
-    def from_amplitudes(cls, amplitudes: np.ndarray) -> "RotationTree":
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        k = int(amps.shape[0]).bit_length() - 1
-        if amps.ndim != 1 or (1 << k) != amps.shape[0] or k < 1:
-            raise ValueError("amplitude length must be a power of two >= 2")
-        if abs(np.linalg.norm(amps) - 1.0) > _AMP_ATOL:
-            raise ValueError("amplitudes must be normalized")
-        if np.abs(amps.imag).max() > _AMP_ATOL or amps.real.min() < -_AMP_ATOL:
-            raise ValueError("rotation tree requires non-negative real amplitudes")
-        probs = np.clip(amps.real, 0, None) ** 2
-        angles = np.empty((1 << k) - 1)
-        pos = 0
-        level = probs
-        masses = [probs]
-        while level.shape[0] > 1:
-            level = level.reshape(-1, 2).sum(axis=1)
-            masses.append(level)
-        # angles laid out level by level from the root
-        for depth_idx in range(k):
-            node_masses = masses[k - depth_idx]
-            child = masses[k - depth_idx - 1].reshape(-1, 2)
-            theta = 2 * np.arctan2(np.sqrt(child[:, 1]), np.sqrt(child[:, 0]))
-            theta[node_masses == 0] = 0.0
-            angles[pos:pos + theta.shape[0]] = theta
-            pos += theta.shape[0]
-        return cls(depth=k, angles=angles)
-
-    def to_op(self) -> CircuitOp:
-        """Uniformly-controlled Ry cascade. The footprint charges the
-        standard decomposition: 2**d CNOTs and 2**d rotations per level."""
-        k = self.depth
-        steps = []
-        pos = 0
-        for depth_idx in range(k):
-            count = 1 << depth_idx
-            mats = np.zeros((count, 2, 2))
-            for i in range(count):
-                t = self.angles[pos + i]
-                c, s = math.cos(t / 2), math.sin(t / 2)
-                mats[i] = [[c, -s], [s, c]]
-            pos += count
-            if depth_idx == 0:
-                steps.append((
-                    DenseOp(mats[0], ResourceFootprint(one_qubit_gates=1)),
-                    (0,),
-                ))
-            else:
-                cost = ResourceFootprint(two_qubit_gates=count,
-                                         one_qubit_gates=count)
-                block = _uniformly_controlled(mats, cost)
-                steps.append((block, tuple(range(depth_idx + 1))))
-        return SequenceOp(k, steps)
-
-
-def _uniformly_controlled(mats: np.ndarray, footprint: ResourceFootprint) -> CircuitOp:
-    """Block-diagonal op applying mats[pattern] to the last qubit."""
-    count = mats.shape[0]
-    dim = 2 * count
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(count):
-        full[2 * i:2 * i + 2, 2 * i:2 * i + 2] = mats[i]
-    return DenseOp(full, footprint)
-
-
 def rotation_tree_prep(amplitudes: np.ndarray) -> CircuitOp:
-    """Circuit sending |0...0> to the given amplitude vector."""
-    return RotationTree.from_amplitudes(amplitudes).to_op()
+    """Uniformly controlled Ry cascade sending |0...0> to a real
+    non-negative amplitude vector of length 2**k (Grover and Rudolph,
+    quant-ph/0208112; Mottonen et al., PRL 93, 130502).
+
+    Level d rotates qubit d by 2 arctan(sqrt(right mass / left mass)) of
+    the node that qubits 0..d-1 select, so the cascade splits each node's
+    mass between its two children; zero-mass nodes get angle 0 so tail
+    underflow stays deterministic. The footprint charges the standard
+    decomposition: 2**d CNOTs and 2**d rotations at level d >= 1, one
+    rotation at the root.
+    """
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    k = int(amps.shape[0]).bit_length() - 1
+    if amps.ndim != 1 or (1 << k) != amps.shape[0] or k < 1:
+        raise ValueError("amplitude length must be a power of two >= 2")
+    if abs(np.linalg.norm(amps) - 1.0) > _AMP_ATOL:
+        raise ValueError("amplitudes must be normalized")
+    if np.abs(amps.imag).max() > _AMP_ATOL or amps.real.min() < -_AMP_ATOL:
+        raise ValueError("rotation tree requires non-negative real amplitudes")
+    # masses[k - d] holds the 2**d node masses of level d: leaves first
+    masses = [np.clip(amps.real, 0, None) ** 2]
+    while masses[-1].shape[0] > 1:
+        masses.append(masses[-1].reshape(-1, 2).sum(axis=1))
+    steps = []
+    for d in range(k):
+        child = masses[k - d - 1].reshape(-1, 2)
+        theta = 2 * np.arctan2(np.sqrt(child[:, 1]), np.sqrt(child[:, 0]))
+        theta[masses[k - d] == 0] = 0.0
+        count = 1 << d
+        # block diagonal: Ry(theta[i]) on qubit d where qubits 0..d-1 read i
+        blocks = np.zeros((count, 2, count, 2), dtype=np.complex128)
+        for i, t in enumerate(theta):
+            c, s = math.cos(t / 2), math.sin(t / 2)
+            blocks[i, :, i, :] = [[c, -s], [s, c]]
+        cost = ResourceFootprint(two_qubit_gates=count if d else 0,
+                                 one_qubit_gates=count)
+        steps.append((DenseOp(blocks.reshape(2 * count, 2 * count), cost),
+                      tuple(range(d + 1))))
+    return SequenceOp(k, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,8 @@ class TestReflectCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "dimension is not a power of two" in captured.err
+        # both routes refuse in the instance, before building anything
+        assert captured.err == "error: dimension is not a power of two\n"
 
     @pytest.mark.parametrize("method", ["lcu", "pea"])
     def test_trials_ignored(self, capsys, method):
@@ -354,6 +355,15 @@ class TestCompareCommand:
         assert code == 0
         report = json.loads(out)
         assert all(report["claims"].values())
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_repeated_delta_counts_once(self, capsys, fmt):
+        # the per-delta growth checks pair consecutive rows of one delta
+        once = _capture(capsys, ["compare", "--delta-grid", "0.5",
+                                 "--format", fmt])
+        assert once[0] == 0
+        assert _capture(capsys, ["compare", "--delta-grid", "0.5,0.5",
+                                 "--format", fmt]) == once
 
 
 class TestGroverCommand:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reflectsim import suite
+from reflectsim import core_sim, suite
 from reflectsim.core_sim import (
     BLOCK_AMPLITUDES,
     CNOT,
@@ -14,9 +14,9 @@ from reflectsim.core_sim import (
     PAULI_X,
     PAULI_Z,
     SWAP,
+    CircuitOp,
     ControlledOp,
     DenseOp,
-    DiagonalOp,
     EigenPowersOp,
     PermutationOp,
     QftOp,
@@ -113,8 +113,8 @@ class TestApply:
     @pytest.mark.parametrize("targets", [(0, 1), (2, 0)])
     def test_input_columns_unchanged(self, targets):
         # states are plain arrays: no op kind may write its input or hand
-        # it back as its output. X and SWAP return views of their input,
-        # and two X's in a row give back the input's own layout.
+        # it back as its output. X returns a view of its input, and two
+        # X's in a row give back the input's own layout.
         ops = (DenseOp(op_matrix(SWAP)), cphase(0.4), CNOT,
                PermutationOp(np.array([3, 0, 1, 2])), ZeroReflectionOp(2),
                EigenPowersOp(np.array([1, -2]), np.array([1, -1]),
@@ -137,16 +137,20 @@ class TestApply:
         assert not np.shares_memory(out, cols)
 
 
-def _phases(num_qubits: int, seed: int) -> DiagonalOp:
+def _phase_diagonal(phases) -> EigenPowersOp:
+    """diag(exp(i phases)): power 1 on a zero-qubit ancilla."""
+    return EigenPowersOp(np.ones(1), np.ones(1), phases)
+
+
+def _phases(num_qubits: int, seed: int) -> EigenPowersOp:
     rng = np.random.default_rng(seed)
-    return DiagonalOp(np.exp(1j * rng.uniform(0, 2 * math.pi,
-                                              1 << num_qubits)))
+    return _phase_diagonal(rng.uniform(0, 2 * math.pi, 1 << num_qubits))
 
 
-# leading, reversed and non-adjacent targets on a 4-qubit register
+# leading, trailing, reversed and non-adjacent targets on a 4-qubit register
 _TARGETS = {1: [(0,), (3,), (2,)],
             2: [(0, 1), (1, 0), (3, 1), (0, 2)],
-            3: [(0, 1, 2), (2, 1, 0), (3, 0, 2), (0, 3, 1)]}
+            3: [(0, 1, 2), (1, 2, 3), (2, 1, 0), (3, 0, 2), (0, 3, 1)]}
 
 
 def _kernel_cases():
@@ -164,12 +168,17 @@ def _kernel_cases():
     body = SequenceOp(2, [(HADAMARD, (1,)), (cphase(0.9), (1, 0)),
                           (SWAP, (0, 1)), (PAULI_X, (0,))])
     cases.append(pytest.param(ControlledOp(body, 1, 0), id="c1p0-sequence"))
+    # shaped like select and a PEA ladder: signed powers on one ancilla
+    # qubit over two system qubits, at (1, 2, 3) neither leading nor whole
+    cases.append(pytest.param(
+        EigenPowersOp(np.array([3, -2]), np.array([1, -1]),
+                      np.array([0.0, 0.4, 2.1, 5.0])), id="select"))
     return cases
 
 
 class TestKernelsMatchMoveaxis:
-    """Diagonals, X, SWAP and controlled ops skip the moveaxis embedding;
-    their output must equal it bit for bit."""
+    """Diagonals, X and controlled ops skip the moveaxis embedding; their
+    output must equal it bit for bit. SWAP takes the generic path."""
 
     @pytest.mark.parametrize("op", _kernel_cases())
     def test_bit_identical(self, op):
@@ -188,10 +197,6 @@ class TestOperatorKinds:
     def test_dense_rejects_nonunitary(self):
         with pytest.raises(ValueError):
             DenseOp(np.array([[1, 0], [0, 2.0]]))
-
-    def test_diagonal_rejects_nonunit_modulus(self):
-        with pytest.raises(ValueError):
-            DiagonalOp(np.array([1.0, 0.5]))
 
     def test_eigen_powers_match_their_diagonal(self):
         powers, signs = np.array([3, -2, 0, 5]), np.array([1, -1, -1, 1])
@@ -225,7 +230,7 @@ class TestOperatorKinds:
 
     def test_sequence_equals_member_composition(self):
         state = _random_columns(3, 1, seed=8)
-        phase = DiagonalOp(np.array([1.0, np.exp(0.7j)]))
+        phase = _phase_diagonal([0.0, 0.7])
         seq = SequenceOp(3, [(HADAMARD, (0,)), (CNOT, (0, 2)),
                              (phase, (2,))])
         out = apply_batch(seq, state, 3)
@@ -241,9 +246,11 @@ class TestOperatorKinds:
         assert seq.footprint.one_qubit_gates == 1
 
     def test_sequence_footprint_is_the_merge_of_its_members(self):
-        labelled = DiagonalOp(np.ones(2), ResourceFootprint(
+        labelled = EigenPowersOp(np.zeros(1), np.ones(1), np.zeros(2),
+                                 ResourceFootprint(
             queries_u=3, ancilla_qubits=2, modeled=frozenset({"b", "a"})))
-        other = DiagonalOp(np.ones(4), ResourceFootprint(
+        other = EigenPowersOp(np.zeros(1), np.ones(1), np.zeros(4),
+                              ResourceFootprint(
             queries_u=1, two_qubit_gates=4, ancilla_qubits=1,
             modeled=frozenset({"c"})))
         steps = [(labelled, (1,)), (other, (0, 1)), (HADAMARD, (0,)),
@@ -258,44 +265,48 @@ class TestOperatorKinds:
 
 class TestSharedGates:
     @pytest.mark.parametrize("gate,table", [
-        (HADAMARD, "matrix"), (PAULI_X, "perm"), (PAULI_Z, "diagonal"),
-        (SWAP, "perm")])
+        (HADAMARD, "matrix"), (PAULI_X, "perm"), (PAULI_Z, "powers"),
+        (SWAP, "perm"), (PAULI_Z, "signs"), (PAULI_Z, "eigenphases")])
     def test_tables_read_only(self, gate, table):
         values = getattr(gate, table)
         assert not values.flags.writeable
         with pytest.raises(ValueError):
-            values[0] = values[1]
+            values[0] = values[-1]
 
     def test_cnot_controls_the_shared_x(self):
         assert CNOT.sub is PAULI_X
         assert not CNOT.sub.perm.flags.writeable
 
 
+_ADJOINT_CASES = [
+    *(pytest.param(lambda gate=gate: gate, id=name) for name, gate in (
+        ("hadamard", HADAMARD), ("pauli_x", PAULI_X), ("pauli_z", PAULI_Z),
+        ("cnot", CNOT), ("swap_gate", SWAP))),
+    lambda: _phase_diagonal([0.0, 0.3]), lambda: ry(1.2), lambda: cphase(0.9),
+    lambda: SequenceOp(2, [(HADAMARD, (0,)), (CNOT, (0, 1))]),
+    lambda: ControlledOp(ry(0.4), 1, 1),
+    lambda: EigenPowersOp(np.array([1, -3]), np.array([-1, 1]),
+                          np.array([0.0, 1.3])),
+    lambda: DenseOp(_random_unitary(3, 11),
+                    ResourceFootprint(queries_u=2, ancilla_qubits=1)),
+    lambda: EigenPowersOp(np.ones(1), np.ones(1), np.arange(8.0),
+                          ResourceFootprint(modeled=frozenset({"d"}))),
+    lambda: PermutationOp(np.random.default_rng(4).permutation(8)),
+    lambda: ZeroReflectionOp(3, ResourceFootprint(two_qubit_gates=5)),
+    lambda: EigenPowersOp(np.array([0, 3, -2, 5]), np.array([1, -1, -1, 1]),
+                          np.array([0.0, 0.4, 2.5, 4.0]),
+                          ResourceFootprint(queries_u=5)),
+    lambda: ControlledOp(ControlledOp(DenseOp(_random_unitary(1, 2)), 1, 0),
+                         2, 2, ResourceFootprint(two_qubit_gates=9)),
+    lambda: ControlledOp(
+        SequenceOp(2, [(HADAMARD, (1,)), (cphase(0.3), (0, 1))]), 1, 0),
+    lambda: SequenceOp(2, [(PAULI_X, (1,)), (SWAP, (1, 0))]),
+    lambda: QftOp(3, 2, ResourceFootprint(two_qubit_gates=4)),
+]
+
+
 class TestAdjoint:
-    @pytest.mark.parametrize("op_factory", [
-        *(pytest.param(lambda gate=gate: gate, id=name) for name, gate in (
-            ("hadamard", HADAMARD), ("pauli_x", PAULI_X), ("pauli_z", PAULI_Z),
-            ("cnot", CNOT), ("swap_gate", SWAP))),
-        lambda: DiagonalOp(np.array([1.0, np.exp(0.3j)])), lambda: ry(1.2), lambda: cphase(0.9),
-        lambda: SequenceOp(2, [(HADAMARD, (0,)), (CNOT, (0, 1))]),
-        lambda: ControlledOp(ry(0.4), 1, 1),
-        lambda: EigenPowersOp(np.array([1, -3]), np.array([-1, 1]),
-                              np.array([0.0, 1.3])),
-        lambda: DenseOp(_random_unitary(3, 11),
-                        ResourceFootprint(queries_u=2, ancilla_qubits=1)),
-        lambda: DiagonalOp(np.exp(1j * np.arange(8.0)),
-                           ResourceFootprint(modeled=frozenset({"d"}))),
-        lambda: PermutationOp(np.random.default_rng(4).permutation(8)),
-        lambda: ZeroReflectionOp(3, ResourceFootprint(two_qubit_gates=5)),
-        lambda: EigenPowersOp(np.array([0, 3, -2, 5]), np.array([1, -1, -1, 1]),
-                              np.array([0.0, 0.4, 2.5, 4.0]),
-                              ResourceFootprint(queries_u=5)),
-        lambda: ControlledOp(ControlledOp(DenseOp(_random_unitary(1, 2)), 1, 0),
-                             2, 2, ResourceFootprint(two_qubit_gates=9)),
-        lambda: ControlledOp(
-            SequenceOp(2, [(HADAMARD, (1,)), (cphase(0.3), (0, 1))]), 1, 0),
-        lambda: SequenceOp(2, [(PAULI_X, (1,)), (SWAP, (1, 0))]),
-    ])
+    @pytest.mark.parametrize("op_factory", _ADJOINT_CASES)
     def test_adjoint_inverts(self, op_factory):
         op = op_factory()
         inv = adjoint(op)
@@ -335,7 +346,7 @@ class TestAdjoint:
             (HADAMARD, (2,)),
             (ControlledOp(DenseOp(_random_unitary(2, 5)), 1, 1), (3, 0, 2)),
             (SequenceOp(2, [(SWAP, (0, 1)), (ry(1.1), (1,))]), (1, 3)),
-            (DiagonalOp(np.exp(0.3j * np.arange(4.0))), (0, 2)),
+            (_phase_diagonal(0.3 * np.arange(4.0)), (0, 2)),
             (ControlledOp(PAULI_X, 2, 3), (1, 2, 0)),
         ])
         inv = adjoint(seq)
@@ -356,7 +367,8 @@ class TestFootprint:
         b = ResourceFootprint(queries_u=5, one_qubit_gates=3, ancilla_qubits=2)
         c = ResourceFootprint(two_qubit_gates=7)
         assert a.merge(b) == b.merge(a)
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
+        assert a.merge(b).merge(c) == a.merge(b.merge(c)) == a.merge(b, c)
+        assert a.merge() == a
 
     def test_unitarity_of_gates(self):
         for op in (HADAMARD, PAULI_X, PAULI_Z, CNOT, SWAP,
@@ -370,6 +382,25 @@ class TestFootprint:
         got = fp.as_dict()
         want = {**dataclasses.asdict(fp), "modeled": ["x", "y"]}
         assert got == want and list(got) == list(want)
+
+
+class TestEveryKind:
+    """Every operator kind keeps its references: an adjoint case above,
+    and its own whole-block ``_transform``, which ``oracles.embed_moveaxis``
+    compares the embedding kernels against."""
+
+    KINDS = [kind for kind in CircuitOp.__subclasses__()
+             if kind.__module__ == core_sim.__name__]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+    def test_kind_has_adjoint_case(self, kind):
+        factories = [case.values[0] if hasattr(case, "values") else case
+                     for case in _ADJOINT_CASES]
+        assert kind in {type(make()) for make in factories}
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+    def test_kind_has_whole_block_transform(self, kind):
+        assert "_transform" in vars(kind)
 
 
 def _zoo_a():

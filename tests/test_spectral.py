@@ -7,7 +7,7 @@ import scipy.linalg
 
 import oracles
 from oracles import grover_basis, grover_states, haar_basis, power_matrix
-from reflectsim.core_sim import DiagonalOp, apply_batch
+from reflectsim.core_sim import EigenPowersOp, apply_batch
 from reflectsim.gaussian_kernel import select_params
 from reflectsim.lcu_reflector import build_select
 from reflectsim.pea_reflector import pea_block
@@ -160,7 +160,7 @@ class TestPowers:
     def test_dimension_mismatch(self):
         u = synth_unitary(4, 0.5, seed=2)
         state = np.eye(8)[:, :1]  # |0> on three qubits
-        u_eig = DiagonalOp(np.exp(1j * u.eigenphases))
+        u_eig = EigenPowersOp(np.ones(1), np.ones(1), u.eigenphases)
         with pytest.raises(ValueError):
             apply_batch(u_eig, state, u.system_qubits)
 

@@ -27,7 +27,6 @@ from reflectsim.gaussian_kernel import (
 from reflectsim.state_prep import (
     OAA_ANGLE,
     QftSpec,
-    RotationTree,
     build_B,
     centered_qft,
     centering_circuit,
@@ -80,14 +79,6 @@ class TestRotationTree:
         amps = np.zeros(8)
         amps[5] = 1.0
         assert np.abs(_prep_state(amps) - amps).max() < 1e-12
-
-    def test_angles_range_and_count(self):
-        rng = np.random.default_rng(4)
-        amps = np.abs(rng.normal(size=16))
-        amps /= np.linalg.norm(amps)
-        tree = RotationTree.from_amplitudes(amps)
-        assert tree.angles.shape == (15,)
-        assert tree.angles.min() >= 0 and tree.angles.max() <= math.pi
 
     def test_footprint_order(self):
         rng = np.random.default_rng(5)
