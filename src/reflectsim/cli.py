@@ -34,7 +34,7 @@ from .lcu_reflector import (
     worst_case,
 )
 from .pea_reflector import build_pea_reflector
-from .spectral_models import grover_unitary, synth_unitary
+from .spectral_models import grover_marked, grover_unitary, synth_unitary
 from .state_prep import QftSpec, build_B, prep_qft_spec
 
 USAGE_ERROR = 1
@@ -220,8 +220,7 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     unit vector, with amplitude -((b - a) a0(0) + (a + b) a0(1)) / 2, and
     each eigenvector adds half its weight off the ancilla zero. That is a
     sum of non-negative terms; 1 - |hit|^2 loses about log10 D digits."""
-    rng = np.random.default_rng(seed)
-    marked = int(rng.integers(dim))
+    marked = grover_marked(dim, seed)
     inst = grover_unitary(dim, marked)
     u = inst.unitary
     a = 1 / math.sqrt(dim)

@@ -7,12 +7,17 @@ every circuit depends on the instance only through its eigenphases: an
 instance is its eigenphases and gap, and no builder forms or stores an
 eigenbasis. The reference bases that the tests simulate in are rebuilt
 from what built each instance, in ``tests/oracles.py``.
+
+Seeded draws reproduce numpy's SeedSequence/PCG64 streams (O'Neill,
+HMC-CS-2014-0905) bit for bit without importing ``numpy.random``, which
+adds about 6 MiB to a process.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -85,6 +90,97 @@ class GroverInstance:
         return self.unitary.gap
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value: int, h: int, mult: int) -> tuple[int, int]:
+    """SeedSequence's hash of a 32-bit word, and its next hash constant."""
+    h_next = h * mult & _M32
+    value = (value ^ h) * h_next & _M32
+    return value ^ value >> 16, h_next
+
+
+def _pcg64(entropy: int, spawn_key: tuple[int, ...] = ()) -> tuple[int, int]:
+    """(state, increment) of ``PCG64(SeedSequence(entropy, spawn_key))``."""
+    entropy = operator.index(entropy)
+    if entropy < 0:  # its 32-bit words would never end
+        raise ValueError("expected non-negative integer")
+    words = [entropy >> i & _M32 for i in range(0, entropy.bit_length() or 1, 32)]
+    words += [0] * (4 - len(words)) + list(spawn_key)
+    # hash four words into the pool, then each pool word into the others
+    # and each further word into all four
+    h, pool = 0x43B0D7E5, []
+    for word in words[:4]:
+        value, h = _hashmix(word, h, 0x931E8875)
+        pool.append(value)
+    for src, word in enumerate(words):
+        for dst in range(4):
+            if dst != src:
+                value, h = _hashmix(pool[src] if src < 4 else word, h, 0x931E8875)
+                x = (0xCA01F9DD * pool[dst] - 0x4973F715 * value) & _M32
+                pool[dst] = x ^ x >> 16
+    # generate_state(4, uint64): the initial state, then the sequence
+    h, seed = 0x8B51F9DD, 0
+    for i in range(8):
+        value, h = _hashmix(pool[i % 4], h, 0x58F38DED)
+        seed |= value << 32 * (i ^ 2)  # low word first in each uint64
+    inc = (seed >> 128 << 1 | 1) & _M128
+    # pcg64_srandom_r: step from 0, add the initial state, step again
+    return ((inc + (seed & _M128)) * _PCG_MULT + inc) & _M128, inc
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's output of the state with 64-bit halves hi and lo (Python
+    ints or uint64 arrays): their xor rotated right by hi's top 6 bits."""
+    x, r = hi ^ lo, hi >> 58
+    return (x >> r | x << (64 - r & 63)) & _M64
+
+
+def _uniform(entropy: int, spawn_key: tuple[int, ...], size: int,
+             low: float, high: float) -> np.ndarray:
+    """``default_rng(SeedSequence(entropy, spawn_key)).uniform(low, high,
+    size)`` bit for bit: low + (high - low) * ((x >> 11) * 2^-53) over the
+    outputs x, where (high - low) 2^-53 is exact."""
+    state, inc = _pcg64(entropy, spawn_key)
+    scale = (high - low) * 2.0 ** -53
+    if size < 128:  # below this the loop beats numpy's per-call cost
+        out = []
+        for _ in range(size):
+            state = (state * _PCG_MULT + inc) & _M128
+            out.append(low + (_xsl_rr(state >> 64, state & _M64) >> 11) * scale)
+        return np.array(out)
+    # state 1 + i C + j is f^(j+1) of row start i, for the step f: s -> a s
+    # + inc: about 2 sqrt(size) Python steps, then a 128-bit multiply-add in
+    # 32-bit limbs per block of rows
+    cols = 1 << (size.bit_length() + 1) // 2
+    col_a, col_c, a, c = [], [], 1, 0
+    for _ in range(cols):
+        a, c = a * _PCG_MULT & _M128, (c * _PCG_MULT + inc) & _M128
+        col_a.append(a)
+        col_c.append(c)
+    starts = [state]
+    while len(starts) * cols < size:
+        starts.append((starts[-1] * a + c) & _M128)
+    lo, hi = np.frombuffer(b"".join([v.to_bytes(16, "little") for v in
+                                     col_a + col_c + starts]), "<u8").reshape(-1, 2).T
+    al, cl, sl = lo[:cols], lo[cols:2 * cols], lo[2 * cols:]
+    ah, ch, sh = hi[:cols], hi[cols:2 * cols], hi[2 * cols:]
+    a0, a1 = al & _M32, al >> 32
+    out = np.empty((len(starts), cols))
+    step = max(1, (1 << 14) // cols)
+    for r in range(0, len(starts), step):
+        s_hi, s_lo = sh[r:r + step, None], sl[r:r + step, None]
+        s0, s1 = s_lo & _M32, s_lo >> 32
+        t = s1 * a0 + (s0 * a0 >> 32)  # the high word of s_lo al, in halves
+        w = (t & _M32) + s0 * a1
+        hi = s1 * a1 + (t >> 32) + (w >> 32) + s_hi * al + s_lo * ah
+        lo = s_lo * al + cl
+        hi += ch + (lo < cl)
+        out[r:r + step] = low + (_xsl_rr(hi, lo) >> 11) * scale
+    return out.ravel()[:size]
+
+
 def synth_unitary(dimension: int, gap: float, seed: int) -> EigenUnitary:
     """Random instance: lambda_0 = 0, the rest uniform in [gap, 2 pi - gap].
     Deterministic for a fixed seed. The phases come from the first of two
@@ -97,11 +193,27 @@ def synth_unitary(dimension: int, gap: float, seed: int) -> EigenUnitary:
         raise ValueError("gap must lie in (0, pi]")
     # the reflectors' working arrays are a few eigenphase-length vectors
     require_memory((dimension - 1).bit_length())
-    phase_seed, _ = np.random.SeedSequence(seed).spawn(2)
     phases = np.zeros(dimension)
-    phases[1:] = np.random.default_rng(phase_seed).uniform(
-        gap, 2 * math.pi - gap, size=dimension - 1)
+    phases[1:] = _uniform(seed, (0,), dimension - 1, gap, 2 * math.pi - gap)
     return EigenUnitary(dimension=dimension, eigenphases=phases, gap=gap)
+
+
+def _require_grover_dimension(dimension: int) -> None:
+    if dimension < 4 or (dimension & (dimension - 1)) != 0:
+        raise ValueError("dimension must be a power of two >= 4")
+
+
+def grover_marked(dimension: int, seed: int) -> int:
+    """``default_rng(seed).integers(dimension)`` bit for bit. For a power of
+    two, Lemire's bounded draw rejects nothing: numpy scales the first
+    output's low 32 bits up to D = 2^32, and all 64 above."""
+    _require_grover_dimension(dimension)
+    state, inc = _pcg64(seed)
+    state = (state * _PCG_MULT + inc) & _M128
+    x = _xsl_rr(state >> 64, state & _M64)
+    if dimension > 1 << 32:
+        return x * dimension >> 64
+    return (x & _M32) * dimension >> 32
 
 
 def grover_unitary(dimension: int, marked: int) -> GroverInstance:
@@ -127,8 +239,7 @@ def grover_unitary(dimension: int, marked: int) -> GroverInstance:
     and the gap is 2 theta: pi - theta >= 2 theta for D >= 4. They do not
     depend on the marked index.
     """
-    if dimension < 4 or (dimension & (dimension - 1)) != 0:
-        raise ValueError("dimension must be a power of two >= 4")
+    _require_grover_dimension(dimension)
     if not 0 <= marked < dimension:
         raise ValueError("marked index out of range")
     # the eigenphases are the one D-length array

@@ -264,8 +264,7 @@ def _structural_op_zoo():
     from .lcu_reflector import build_A, build_W
     w = build_W(b, sel)
     a = build_A(w, ancilla_reflection(b.n), b.n)
-    rng = np.random.default_rng(5)
-    amps = np.abs(rng.normal(size=16)) + 0.01
+    amps = np.sqrt(np.arange(1.0, 17.0))
     amps /= np.linalg.norm(amps)
     return [
         ("hadamard", HADAMARD),

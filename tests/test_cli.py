@@ -301,6 +301,22 @@ class TestReflectCommand:
         # both routes refuse in the instance, before building anything
         assert captured.err == "error: dimension is not a power of two\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["reflect", "lcu", "--dim", "8", "--gap", "0.5", "--eps", "1e-2",
+         "--seed", "-1"],
+        ["reflect", "pea", "--dim", "8", "--gap", "0.5", "--eps", "1e-2",
+         "--seed", "-1"],
+        ["grover", "--dim", "16", "--eps", "0.05", "--seed", "-3"],
+    ], ids=["lcu", "pea", "grover"])
+    def test_negative_seed_refused(self, capsys, argv):
+        # refused before the seed is split into 32-bit words, which for a
+        # negative seed would never end
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: expected non-negative integer\n"
+
     @pytest.mark.parametrize("method", ["lcu", "pea"])
     def test_trials_ignored(self, capsys, method):
         # --trials still parses, for old command lines, and changes nothing
@@ -391,6 +407,14 @@ class TestGroverCommand:
         assert json.loads(capsys.readouterr().out)["passed"] is True
         assert peak <= 32 * 2 ** 20
 
+    @pytest.mark.parametrize("dim", ["0", "-4", "6"])
+    def test_dimension_refused_before_draw(self, capsys, dim):
+        code = run(["grover", "--dim", dim, "--eps", "0.05"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: dimension must be a power of two >= 4\n"
+
     @pytest.mark.parametrize("dim", [4, 16, 64, 256, 1024])
     def test_report_accuracy(self, dim):
         for seed in range(1, 11):
@@ -464,12 +488,17 @@ import reflectsim, reflectsim.cli, reflectsim.suite
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert reflectsim.cli.run(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy"
+                        or m.split(".")[:2] == ["numpy", "random"])))
 """
 
 
 class TestNumpyOnly:
     def test_no_scipy_module_loaded(self):
+        """No scipy and no ``numpy.random`` module is loaded: seeded draws
+        reproduce numpy.random's streams, and importing it adds about 6 MiB
+        to a process."""
         argvs = [
             ["kernel", "--eps", "1e-1", "--gap", "0.8"],
             ["prep", "--eps", "1e-2", "--gap", "0.5"],
@@ -550,10 +579,12 @@ class TestLibrarySource:
         ids=lambda path: path.name)
     def test_no_basis_and_numpy_only(self, path):
         """An instance is its eigenphases: no library module names an
-        eigenbasis or numpy.linalg's eigh and qr, which build one, and the
-        library imports numpy and the standard library only. Docstrings
-        are prose and do not count."""
-        banned = {"eigenbasis", "power_matrix", "to_eigenbasis", "eigh", "qr"}
+        eigenbasis or numpy.linalg's eigh and qr, which build one, or a
+        random module, whose streams ``spectral_models`` reproduces; and
+        the library imports numpy and the standard library only.
+        Docstrings are prose and do not count."""
+        banned = {"eigenbasis", "power_matrix", "to_eigenbasis", "eigh", "qr",
+                  "random"}
         allowed = sys.stdlib_module_names | {"numpy"}
         for node in ast.walk(ast.parse(path.read_text())):
             line = getattr(node, "lineno", None)

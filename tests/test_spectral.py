@@ -1,5 +1,6 @@
 """Gapped-unitary builders: synthetic, Grover family, Hamiltonian front-end."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from reflectsim.lcu_reflector import build_select
 from reflectsim.pea_reflector import pea_block
 from reflectsim.spectral_models import (
     EigenUnitary,
+    grover_marked,
     grover_unitary,
     hamiltonian_unitary,
     synth_unitary,
@@ -26,13 +28,33 @@ class TestSynthUnitary:
         b = synth_unitary(8, 0.5, seed=7)
         assert np.array_equal(a.eigenphases, b.eigenphases)
 
-    def test_phases_independent_of_basis_read(self):
-        # the phases are the first of the two streams spawned from the
-        # seed; ``haar_basis`` draws the second
-        stream = np.random.SeedSequence(4).spawn(2)[0]
-        want = np.random.default_rng(stream).uniform(0.5, 2 * math.pi - 0.5, 15)
-        assert np.array_equal(synth_unitary(16, 0.5, seed=4).eigenphases,
-                              np.r_[0.0, want])
+    @pytest.mark.parametrize("seed,dim", [
+        (seed, dim) for seed in (0, 1, 4, 2 ** 32 - 1, 2 ** 32, 2 ** 40, 2 ** 64 + 3)
+        # 127 draws and fewer run in Python, more in numpy blocks of about
+        # 2^14 states: both sides of that threshold, of a full last row of
+        # the block (256 = 8 x 32 draws) and of a second block (16384)
+        for dim in (2, 3, 16, 128, 129, 257, 258, 1024, 16385, 16386)
+    ] + [(1, 2 ** 20)])
+    def test_phases_independent_of_basis_read(self, seed, dim):
+        # the phases are numpy's first of the two streams spawned from the
+        # seed, bit for bit; ``haar_basis`` draws the second
+        stream = np.random.SeedSequence(seed).spawn(2)[0]
+        want = np.random.default_rng(stream).uniform(0.5, 2 * math.pi - 0.5,
+                                                     dim - 1)
+        got = synth_unitary(dim, 0.5, seed=seed).eigenphases
+        assert got[0] == 0.0
+        assert np.array_equal(got[1:].view(np.uint64), want.view(np.uint64))
+
+    def test_large_dimension_in_linear_memory(self):
+        # the phases, 8 MiB, and the instance's copy of them: the traced
+        # peak measured 18.0 MiB, and one more D-length array adds 8 MiB
+        tracemalloc.start()
+        try:
+            synth_unitary(2 ** 20, 0.5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2 ** 20
 
     def test_immutable(self):
         u = synth_unitary(4, 0.5, seed=1)
@@ -169,6 +191,13 @@ class TestGrover:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             grover_unitary(12, 0)
+
+    @pytest.mark.parametrize("d", [4, 256, 2 ** 20, 2 ** 29, 2 ** 32, 2 ** 40])
+    def test_marked_is_numpy_draw(self, d):
+        # numpy draws 32 bits up to 2^32 and 64 above
+        for seed in range(21):
+            want = int(np.random.default_rng(seed).integers(d))
+            assert grover_marked(d, seed) == want, seed
 
     @pytest.mark.parametrize("d", [4, 16, 64, 256, 1024])
     def test_closed_form_diagonalises_dense_matrix(self, d):
