@@ -308,14 +308,70 @@ def _to_csv(report: dict) -> str:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+# a list longer than this is written this many entries at a time, so the
+# text of a 2L-entry coefficient table is never held whole
+CHUNK_ENTRIES = 1 << 14
 
 
 def _to_json(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for a value nested at
-    ``indent``. The indented encoder is pure Python and yields every
-    bracket, separator and leaf as its own string through nested
-    generators; here each container is one join and the common leaves
-    (exact str, finite float, int, bool and None) are written directly."""
+    ``indent``: the join of ``_json_pieces``."""
+    return "".join(_json_pieces(value, indent))
+
+
+def _json_pieces(value, indent: str = "", end: str = ""):
+    """The text of ``_to_json(value, indent) + end`` in pieces. A list of
+    more than ``CHUNK_ENTRIES`` entries in a dict comes ``CHUNK_ENTRIES``
+    entries a piece, and the text between two such lists is one piece, so a
+    report without one is one piece."""
+    kind = type(value)
+    if kind is list and len(value) > CHUNK_ENTRIES:
+        inner = indent + "  "
+        head = "[\n" + inner
+        for start in range(0, len(value), CHUNK_ENTRIES):
+            yield head + _json_items(value[start:start + CHUNK_ENTRIES], inner)
+            head = ",\n" + inner
+        yield "\n" + indent + "]" + end
+    elif kind is dict and value and all(type(k) is str for k in value):
+        inner = indent + "  "
+        parts, sep = [], "{\n"
+        for k, v in value.items():
+            parts.append(f"{sep}{inner}{_encode_str(k)}: ")
+            sep = ",\n"
+            if type(v) is dict or type(v) is list and len(v) > CHUNK_ENTRIES:
+                pieces = _json_pieces(v, inner)
+                parts.append(next(pieces))
+                for piece in pieces:
+                    yield "".join(parts)
+                    parts = [piece]
+            else:
+                parts.append(_json_text(v, inner))
+        parts.append("\n" + indent + "}" + end)
+        yield "".join(parts)
+    else:
+        yield _json_text(value, indent) + end
+
+
+def _json_items(items, inner: str) -> str:
+    """The entries of a list, joined as json.dumps joins them at ``inner``.
+    A run of finite floats is one join of ``float.__repr__``."""
+    sep = ",\n" + inner
+    try:
+        text = sep.join(map(float.__repr__, items))
+    except TypeError:  # an entry is not a float
+        pass
+    else:
+        if "n" not in text:  # no nan or inf, which json spells otherwise
+            return text
+    return sep.join([_json_text(v, inner) for v in items])
+
+
+def _json_text(value, indent: str) -> str:
+    """``_to_json(value, indent)`` as one string. The indented encoder is
+    pure Python and yields every bracket, separator and leaf as its own
+    string through nested generators; here each container is one join and
+    the common leaves (exact str, finite float, int, bool and None) are
+    written directly."""
     kind = type(value)
     if kind is str:
         return _encode_str(value)
@@ -327,30 +383,26 @@ def _to_json(value, indent: str = "") -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    inner = indent + "  "
-    if isinstance(value, dict) and value and all(type(k) is str
-                                                 for k in value):
-        body = ",\n".join([f"{inner}{_encode_str(k)}: {_to_json(v, inner)}"
-                           for k, v in value.items()])
-        return "{\n" + body + "\n" + indent + "}"
+    if kind is dict and value and all(type(k) is str for k in value):
+        return _to_json(value, indent)
     if isinstance(value, (list, tuple)) and value:
-        items = (",\n" + inner).join([_to_json(v, inner) for v in value])
-        return "[\n" + inner + items + "\n" + indent + "]"
+        inner = indent + "  "
+        return "[\n" + inner + _json_items(value, inner) + "\n" + indent + "]"
     # non-finite floats, subclasses, empty containers and dicts with keys
     # that json turns into strings
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
 def _emit(report: dict, out: str | None, fmt: str) -> None:
-    if fmt == "json":
-        text = _to_json(report) + "\n"
-    else:
-        text = _to_csv(report)
+    pieces = (_json_pieces(report, end="\n") if fmt == "json"
+              else [_to_csv(report)])
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
     else:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
 
 
 def run(argv=None) -> int:

@@ -26,7 +26,6 @@ Conventions used by every module in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 import math
 import os
 
@@ -34,8 +33,9 @@ import numpy as np
 
 UNITARY_ATOL = 1e-10
 EXACT_ATOL = 1e-12
-# op_matrix and unitarity_defect work on blocks of columns with at most this
-# many amplitudes (and at least one column): 64 columns of a 256 x 256 matrix
+# column_blocks and unitarity_defect work on blocks of columns with at most
+# this many amplitudes (and at least one column): 64 columns of a 256 x 256
+# matrix
 BLOCK_AMPLITUDES = 1 << 14
 
 
@@ -394,19 +394,24 @@ def apply_batch(op: CircuitOp, columns: np.ndarray, num_qubits: int,
     return _fresh_columns(tensor, cols, cols.shape)
 
 
-def op_matrix(op: CircuitOp) -> np.ndarray:
-    """Dense matrix of an operator (columns are images of basis states).
-
-    The operator is applied to the identity one block of columns at a
-    time, so its working copies hold ``BLOCK_AMPLITUDES`` amplitudes, not
-    the whole matrix."""
+def column_blocks(op: CircuitOp):
+    """The dense matrix of an operator as (first column, block) pairs, in
+    column order: the operator applied to one block of columns of the
+    identity at a time, each block ``BLOCK_AMPLITUDES`` amplitudes (and at
+    least one column), so no working copy holds the whole matrix."""
     dim = op.dim
     width = max(1, BLOCK_AMPLITUDES // dim)
-    mat = np.empty((dim, dim), dtype=np.complex128)
     for j in range(0, dim, width):
-        cols = min(width, dim - j)
-        mat[:, j:j + cols] = op._transform(
-            np.eye(dim, cols, -j, dtype=np.complex128))
+        yield j, op._transform(
+            np.eye(dim, min(width, dim - j), -j, dtype=np.complex128))
+
+
+def op_matrix(op: CircuitOp) -> np.ndarray:
+    """Dense matrix of an operator (columns are images of basis states),
+    filled from ``column_blocks``."""
+    mat = np.empty((op.dim, op.dim), dtype=np.complex128)
+    for j, block in column_blocks(op):
+        mat[:, j:j + block.shape[1]] = block
     return mat
 
 
@@ -491,7 +496,9 @@ def require_memory(total_qubits: int) -> None:
     # float estimate could overflow
     if (total_qubits >= have.bit_length()
             or working_set_bytes(total_qubits) > have):
-        # the size in exact arithmetic: it may be past the float range
+        # the size in exact arithmetic: it may be past the float range.
+        # decimal is imported only here, since it adds to every process
+        from decimal import Decimal
         need = Decimal(WORKING_COPIES) * (16 << total_qubits)
         raise ValueError(
             f"an array of 2^{total_qubits} entries needs about "

@@ -42,12 +42,22 @@ class EigenUnitary:
     step_cost: int = 1
 
     def __post_init__(self):
-        phases = np.asarray(self.eigenphases, dtype=float).copy()
+        phases = np.asarray(self.eigenphases, dtype=float)
+        # an array that is read-only and owns its memory is kept as it is
+        # (the builders freeze the one they made); any other could still be
+        # written by the caller, so it is copied
+        if phases.flags.writeable or phases.base is not None:
+            phases = phases.copy()
         if (not isinstance(self.dimension, numbers.Integral)
                 or self.dimension < 1 or phases.shape != (self.dimension,)):
             raise ValueError("dimension must be the positive integer "
                              "eigenphase count")
-        if not np.isfinite(phases).all():
+        # min and max propagate NaN: two reductions check every phase
+        # without a D-length temporary
+        others = phases[1:]
+        low, high = (others.min(), others.max()) if others.size else (0.0, 0.0)
+        if not (math.isfinite(phases[0]) and math.isfinite(low)
+                and math.isfinite(high)):
             raise ValueError("eigenphases must be finite")
         # written so that a NaN gap fails too; the reflectors need gap <= pi
         if not 0 < self.gap <= math.pi:
@@ -56,15 +66,14 @@ class EigenUnitary:
             raise ValueError("step_cost must be an integer >= 1")
         if phases[0] != 0.0:
             raise ValueError("target eigenphase must be exactly 0")
-        others = phases[1:]
         tol = 1e-9
-        if others.size and (
-            others.min() < self.gap - tol
-            or others.max() > 2 * math.pi - self.gap + tol
-        ):
+        if others.size and (low < self.gap - tol
+                            or high > 2 * math.pi - self.gap + tol):
             raise ValueError("gapped eigenphases must lie in [gap, 2 pi - gap]")
-        # the tolerance must not admit a second target, where r would be +1
-        if np.any((others == 0.0) | (others == 2 * math.pi)):
+        # the tolerance must not admit a second target, where r would be +1;
+        # only a gap below it lets a phase reach 0 or 2 pi
+        if (low <= 0.0 or high >= 2 * math.pi) and np.any(
+                (others == 0.0) | (others == 2 * math.pi)):
             raise ValueError("only the target eigenphase may be 0 or 2 pi")
         phases.setflags(write=False)
         object.__setattr__(self, "eigenphases", phases)
@@ -195,6 +204,7 @@ def synth_unitary(dimension: int, gap: float, seed: int) -> EigenUnitary:
     require_memory((dimension - 1).bit_length())
     phases = np.zeros(dimension)
     phases[1:] = _uniform(seed, (0,), dimension - 1, gap, 2 * math.pi - gap)
+    phases.setflags(write=False)  # handed over, not copied
     return EigenUnitary(dimension=dimension, eigenphases=phases, gap=gap)
 
 
@@ -249,6 +259,7 @@ def grover_unitary(dimension: int, marked: int) -> GroverInstance:
     phases = np.full(d, math.pi - theta)
     phases[0] = 0.0
     phases[1] = 2 * math.pi - 2 * theta
+    phases.setflags(write=False)  # handed over, not copied
     unitary = EigenUnitary(dimension=d, eigenphases=phases, gap=2 * theta)
     return GroverInstance(dimension=d, marked=marked, unitary=unitary)
 
@@ -284,4 +295,5 @@ def hamiltonian_unitary(hamiltonian: np.ndarray, lambda0: float) -> EigenUnitary
         raise ValueError("target eigenvalue is degenerate")
     # |H - lambda0| <= 2 < pi, so phases never wrap past the gap region
     phases, gap = _target_first(evals, int(near[0]))
+    phases.setflags(write=False)  # handed over, not copied
     return EigenUnitary(dimension=h.shape[0], eigenphases=phases, gap=gap)

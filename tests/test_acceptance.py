@@ -4,7 +4,10 @@ Each test prints one PASS/FAIL line (visible with -s or in captured output)
 and carries the measured numbers in its assertion message. The same checks
 back the ``verify-suite`` CLI subcommand.
 """
+import pytest
+
 from reflectsim import suite
+from reflectsim.core_sim import CNOT, SequenceOp
 
 
 def _summary(result) -> str:
@@ -78,3 +81,27 @@ def test_criterion_9_structural():
     # permutations (m <= 8), dense centered-transform identity (m <= 6) at
     # 1e-12, Poisson identity at 1e-10
     _run(suite.check_structural)
+
+
+@pytest.mark.parametrize("k,m,edit", [
+    (1, 2, lambda steps: steps[:-1]),
+    (7, 8, lambda steps: steps[:-1]),
+    # swaps embedded columns 64..127 in pairs before centering: only the
+    # second of the two 64-column blocks is misplaced
+    (7, 8, lambda steps: ((CNOT, (1, 7)),) + steps),
+], ids=["drop_last_gate_m2", "drop_last_gate_m8", "second_block_only"])
+def test_criterion_9_detects_broken_centering(monkeypatch, k, m, edit):
+    # a centering circuit that still permutes the basis but misplaces
+    # embedded columns fails the check block by block
+    build = suite.centering_circuit
+
+    def broken(kk, mm):
+        op = build(kk, mm)
+        if (kk, mm) != (k, m):
+            return op
+        return SequenceOp(mm, edit(op.steps))
+
+    monkeypatch.setattr(suite, "centering_circuit", broken)
+    result = suite.check_structural()
+    assert result.details["centering_exact"] is False
+    assert not result.passed

@@ -45,16 +45,35 @@ class TestSynthUnitary:
         assert got[0] == 0.0
         assert np.array_equal(got[1:].view(np.uint64), want.view(np.uint64))
 
-    def test_large_dimension_in_linear_memory(self):
-        # the phases, 8 MiB, and the instance's copy of them: the traced
-        # peak measured 18.0 MiB, and one more D-length array adds 8 MiB
+    @pytest.mark.parametrize("build,bound_mib", [
+        # the draw holds the phases and the drawn block, 8 MiB each: the
+        # traced peak measured 17.3 MiB (18.0 when the instance copied them)
+        (lambda: synth_unitary(2 ** 20, 0.5, 1), 18),
+        # the phases alone, 8.0 MiB (18.0 with the copy and three D-length
+        # bool checks): one more 1 MiB bool array would pass the bound
+        (lambda: grover_unitary(2 ** 20, 3), 9),
+    ], ids=["synth", "grover"])
+    def test_large_dimension_in_linear_memory(self, build, bound_mib):
         tracemalloc.start()
         try:
-            synth_unitary(2 ** 20, 0.5, 1)
+            build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * 2 ** 20
+        assert peak <= bound_mib * 2 ** 20
+
+    @pytest.mark.parametrize("freeze", [False, True],
+                             ids=["writable", "read_only_view"])
+    def test_caller_array_not_shared(self, freeze):
+        # an array the caller can still write, itself or through its base,
+        # is copied: writing it later leaves the instance as built
+        phases = np.array([0.0, 1.0, 2.0, 3.0])
+        given = phases[:]
+        given.flags.writeable = not freeze
+        u = EigenUnitary(4, given, 0.5)
+        phases[1:] = 4.0
+        assert u.eigenphases.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert not u.eigenphases.flags.writeable
 
     def test_immutable(self):
         u = synth_unitary(4, 0.5, seed=1)
