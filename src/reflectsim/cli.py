@@ -356,13 +356,14 @@ def _json_items(items, inner: str) -> str:
     """The entries of a list, joined as json.dumps joins them at ``inner``.
     A run of finite floats is one join of ``float.__repr__``."""
     sep = ",\n" + inner
-    try:
-        text = sep.join(map(float.__repr__, items))
-    except TypeError:  # an entry is not a float
-        pass
-    else:
-        if "n" not in text:  # no nan or inf, which json spells otherwise
-            return text
+    if type(items[0]) is float:
+        try:
+            text = sep.join(map(float.__repr__, items))
+        except TypeError:  # a later entry is not a float
+            pass
+        else:
+            if "n" not in text:  # no nan or inf, which json spells otherwise
+                return text
     return sep.join([_json_text(v, inner) for v in items])
 
 
