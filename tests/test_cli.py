@@ -754,8 +754,9 @@ class TestJsonWriter:
 
     def test_long_table_written_in_bounded_memory(self):
         # a 2^20-entry table, the size of the kernel and prep tables at
-        # L = 2^19, whose text is 20 MiB: the whole-text writer traced
-        # 108 MiB over such a report; one chunk and its text are about 1 MiB
+        # L = 2^19, whose text is 21 MiB: the whole-text writer traced
+        # 108 MiB over such a report; this one traces 2.9 MiB, about one
+        # chunk's reprs and their join
         values = (np.arange(1 << 20) * (math.pi / 7) - 1e3).tolist()
         report = {"command": "kernel", "alpha_table": {"lmin": -(1 << 19),
                                                        "values": values}}

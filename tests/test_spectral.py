@@ -45,22 +45,17 @@ class TestSynthUnitary:
         assert got[0] == 0.0
         assert np.array_equal(got[1:].view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("build,bound_mib", [
+    def test_large_dimension_in_linear_memory(self):
         # the draw holds the phases and the drawn block, 8 MiB each: the
-        # traced peak measured 17.3 MiB (18.0 when the instance copied them)
-        (lambda: synth_unitary(2 ** 20, 0.5, 1), 18),
-        # the phases alone, 8.0 MiB (18.0 with the copy and three D-length
-        # bool checks): one more 1 MiB bool array would pass the bound
-        (lambda: grover_unitary(2 ** 20, 3), 9),
-    ], ids=["synth", "grover"])
-    def test_large_dimension_in_linear_memory(self, build, bound_mib):
+        # traced peak measured 17.3 MiB (18.0 when the instance copied the
+        # phases), and one more D-length array adds 8 MiB
         tracemalloc.start()
         try:
-            build()
+            synth_unitary(2 ** 20, 0.5, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound_mib * 2 ** 20
+        assert peak <= 18 * 2 ** 20
 
     @pytest.mark.parametrize("freeze", [False, True],
                              ids=["writable", "read_only_view"])
@@ -207,6 +202,17 @@ class TestPowers:
 
 
 class TestGrover:
+    def test_large_dimension_in_linear_memory(self):
+        # the phases alone, 8.0 MiB (18.0 with the instance's copy and its
+        # three D-length bool checks): one more 1 MiB bool array fails
+        tracemalloc.start()
+        try:
+            grover_unitary(2 ** 20, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2 ** 20
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             grover_unitary(12, 0)
