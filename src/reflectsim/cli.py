@@ -274,26 +274,34 @@ def suite_report(only) -> dict:
 # output
 
 
-def _to_csv(report: dict) -> str:
+def _csv_pieces(report: dict):
+    """The CSV text of a report in pieces: a ``kernel`` or ``prep`` table
+    ``CHUNK_ENTRIES`` rows a piece, after its ``# name=value`` lines, and
+    any other report in one piece."""
+    cmd = report.get("command")
+    if cmd in ("kernel", "prep"):
+        key = "alpha_table" if cmd == "kernel" else "beta_table"
+        head = "".join([f"# {name}={value!r}\n"
+                        for name, value in report.items()
+                        if name not in (key, "rows")
+                        and not isinstance(value, dict)]) + "l,value\n"
+        lmin, values = report[key]["lmin"], report[key]["values"]
+        for start in range(0, len(values), CHUNK_ENTRIES):
+            # what csv.writer writes for (int, float repr): neither is quoted
+            yield head + "".join([
+                f"{lmin + start + i},{float(v)!r}\n"
+                for i, v in enumerate(values[start:start + CHUNK_ENTRIES])])
+            head = ""
+        if head:
+            yield head
+        return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    cmd = report.get("command")
     if cmd == "compare":
         writer.writerow(accounting.CSV_COLUMNS)
         for row in report["rows"]:
             writer.writerow([repr(row[k]) if isinstance(row[k], float) else row[k]
                              for k in accounting.CSV_COLUMNS])
-    elif cmd in ("kernel", "prep"):
-        key = "alpha_table" if cmd == "kernel" else "beta_table"
-        for name, value in report.items():
-            if name in (key, "rows"):
-                continue
-            if not isinstance(value, dict):
-                buf.write(f"# {name}={value!r}\n")
-        writer.writerow(["l", "value"])
-        table = report[key]
-        for i, v in enumerate(table["values"]):
-            writer.writerow([table["lmin"] + i, repr(float(v))])
     elif cmd == "verify-suite":
         writer.writerow(["name", "passed"])
         for chk in report["checks"]:
@@ -304,12 +312,13 @@ def _to_csv(report: dict) -> str:
             if not isinstance(value, (dict, list)):
                 writer.writerow([name, repr(value) if isinstance(value, float)
                                  else value])
-    return buf.getvalue()
+    yield buf.getvalue()
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-# a list longer than this is written this many entries at a time, so the
-# text of a 2L-entry coefficient table is never held whole
+# a list longer than this is written this many entries at a time (a CSV
+# table this many rows at a time), so the text of a 2L-entry coefficient
+# table is never held whole
 CHUNK_ENTRIES = 1 << 14
 
 
@@ -396,7 +405,7 @@ def _json_text(value, indent: str) -> str:
 
 def _emit(report: dict, out: str | None, fmt: str) -> None:
     pieces = (_json_pieces(report, end="\n") if fmt == "json"
-              else [_to_csv(report)])
+              else _csv_pieces(report))
     if out:
         with open(out, "w") as fh:
             for piece in pieces:

@@ -179,8 +179,16 @@ def circle_values(coeffs: np.ndarray, n: int) -> np.ndarray:
     the coefficients folded modulo n: exact for any n, including n < 2L."""
     half = coeffs.shape[0] // 2
     folded = np.zeros(n, dtype=np.complex128)
-    np.add.at(folded, np.arange(-half, half) % n, coeffs)
-    return n * np.fft.ifft(folded)
+    if n >= 2 * half:
+        # l >= 0 at index l and l < 0 at n + l: each coefficient is added
+        # to its own zero, as np.add.at adds it, without the index arrays
+        folded[:half] += coeffs[half:]
+        folded[n - half:] += coeffs[:half]
+    else:
+        np.add.at(folded, np.arange(-half, half) % n, coeffs)
+    values = np.fft.ifft(folded, out=folded)
+    values *= n
+    return values
 
 
 def arc_values(coeffs: np.ndarray, start: float, stop: float,
@@ -201,19 +209,56 @@ def arc_values(coeffs: np.ndarray, start: float, stop: float,
     size = coeffs.shape[0]
     half = size // 2
     step = (stop - start) / (num - 1) if num > 1 else 0.0
+    fft_len = 1 << (size + num - 2).bit_length()
+    # circular kernel: entry (k - l - half) mod fft_len holds chirp(k - l),
+    # for the 2L + num - 1 <= fft_len values k - l = m; transformed first,
+    # in place, so that it is one array while x is made
+    m = np.arange(1 - half, half + num)
+    values = (-0.5j * step) * m
+    values *= m
+    np.exp(values, out=values)
+    chirp = np.zeros(fft_len, dtype=np.complex128)
+    chirp[:num] = values[size - 1:]
+    chirp[fft_len - size + 1:] = values[:size - 1]
+    del m, values
+    chirp = np.fft.fft(chirp, out=chirp)
     # start_hi has 24 significant bits, so l * start_hi is exact
     start_hi = float(np.float32(start))
     ls = np.arange(-half, half)
-    x = (coeffs * np.exp(1j * (ls * start_hi))
-         * np.exp(1j * (ls * (start - start_hi) + 0.5 * step * ls * ls)))
-    # circular kernel: entry (k - l - half) mod fft_len holds chirp(k - l)
-    fft_len = 1 << (size + num - 2).bit_length()
-    m = np.arange(1 - half, half + num)
-    chirp = np.zeros(fft_len, dtype=np.complex128)
-    chirp[(m - half) % fft_len] = np.exp(-0.5j * step * m * m)
-    y = np.fft.ifft(np.fft.fft(x, fft_len) * np.fft.fft(chirp))[:num]
+    # x = coeffs e^{i l start_hi} e^{i (l (start - start_hi) + step l^2 / 2)},
+    # one factor at a time, in the zero-padded buffer that is transformed
+    padded = np.zeros(fft_len, dtype=np.complex128)
+    x = padded[:size]
+    np.multiply(1j, ls * start_hi, out=x)
+    np.exp(x, out=x)
+    np.multiply(coeffs, x, out=x)
+    phase = ls * (start - start_hi)
+    quad = (0.5 * step) * ls
+    quad *= ls
+    phase += quad
+    del ls, quad
+    turn = 1j * phase
+    np.exp(turn, out=turn)
+    x *= turn
+    y = np.fft.fft(padded, out=padded)
+    y *= chirp
+    y = np.fft.ifft(y, out=y)[:num]
     k = np.arange(num)
     return y * np.exp(0.5j * step * k * k)
+
+
+def _grid_range(h: float, n: int, lo: float, hi: float) -> tuple[int, int]:
+    """(first, last): the grid points fl(h k), 0 <= k < n, that lie in
+    [lo, hi] are k = first .. last (none when first > last). fl(h k) grows
+    with k, so they are one run of indices, found in the same float
+    arithmetic from an estimate."""
+    first = max(0, math.ceil(lo / h) - 1)
+    while first < n and h * first < lo:
+        first += 1
+    last = min(n - 1, math.floor(hi / h) + 1)
+    while last >= first and h * last > hi:
+        last -= 1
+    return first, last
 
 
 def kernel_sup_on_gap(params: KernelParams, points: int = SUP_POINTS) -> float:
@@ -230,14 +275,17 @@ def kernel_sup_on_gap(params: KernelParams, points: int = SUP_POINTS) -> float:
     lo, hi = params.delta, 2 * math.pi - params.delta
     alphas = alpha_coeffs(params)
     h = 2 * math.pi / n
-    grid = h * np.arange(n)
-    vals = np.where((grid >= lo) & (grid <= hi),
-                    np.abs(circle_values(alphas, n)), 0.0)
-    best = grid[np.argmax(vals)]
+    first, last = _grid_range(h, n, lo, hi)
+    # the gap's values; the whole circle is freed with the slice
+    vals = np.abs(circle_values(alphas, n)[first:last + 1])
+    top = float(vals.max()) if vals.size else 0.0
+    # a gap without a positive grid value leaves grid point 0 as the best
+    best = h * (first + int(np.argmax(vals))) if top > 0 else 0.0
+    del vals  # before the chirp-z transform's arrays
     edges = np.abs(trig_poly(alphas, [lo, hi]))
     fine = np.abs(arc_values(alphas, max(lo, best - h), min(hi, best + h),
                              REFINE_POINTS))
-    return max(float(vals.max()), float(edges.max()), float(fine.max()))
+    return max(top, float(edges.max()), float(fine.max()))
 
 
 def poisson_check(lam: float, dz: float, K: int) -> tuple[float, complex]:

@@ -14,6 +14,7 @@ the library's only PEA simulation outside tests.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 import functools
 import itertools
@@ -23,7 +24,13 @@ import time
 import numpy as np
 
 from . import cli
-from .core_sim import apply_batch, column_blocks, op_matrix, unitarity_defect
+from .core_sim import (
+    EigenPowersOp,
+    apply_batch,
+    column_blocks,
+    op_matrix,
+    unitarity_defect,
+)
 from .gaussian_kernel import (
     KernelParams,
     alpha_coeffs,
@@ -259,17 +266,43 @@ def check_grover_benchmark() -> CheckResult:
     }, seconds)
 
 
-def _structural_op_zoo():
-    """Representative operators capped at 8 qubits for dense unitarity."""
-    from .core_sim import CNOT, HADAMARD, PAULI_X, PAULI_Z, SWAP, cphase, ry
+def _zoo_lcu():
+    """Kernel parameters, QFT spec, B and select of the structural check's
+    LCU reflector, on a D = 2 instance: 7 ancilla qubits and 1 system
+    qubit."""
     params = select_params(0.2, 1.5)
     spec = prep_qft_spec(params)
-    unitary = synth_unitary(2, 1.0, seed=3)
     b = build_B(params, spec)
-    sel = build_select(params, unitary)
+    return params, spec, b, build_select(params, synth_unitary(2, 1.0, seed=3))
+
+
+def _sectors(b, sel):
+    """(select_j, W_j, A_j) on the ancilla register, for each eigenvector
+    j of select's instance.
+
+    The circuits touch the system register only through select's
+    ``EigenPowersOp``, so each of select, W and A is
+    sum_j M(lambda_j) (x) |e_j><e_j|: its full matrix is exactly zero off
+    the blocks M[j::D, j::D], and block j is sector j's matrix, made by the
+    same floating-point operations.
+    """
     from .lcu_reflector import build_A, build_W
-    w = build_W(b, sel)
-    a = build_A(w, ancilla_reflection(b.n), b.n)
+    phases = sel.unitary.eigenphases
+    for j in range(len(phases)):
+        op = EigenPowersOp(sel.op.powers, sel.op.signs, phases[j:j + 1],
+                           sel.op.footprint)
+        w = build_W(b, dataclasses.replace(sel, op=op))
+        yield op, w, build_A(w, ancilla_reflection(b.n), b.n)
+
+
+def _structural_op_zoo():
+    """Representative operators capped at 8 qubits for dense unitarity;
+    the LCU reflector's select, W and A one eigenvector sector at a time."""
+    from .core_sim import CNOT, HADAMARD, PAULI_X, PAULI_Z, SWAP, cphase, ry
+    params, spec, b, sel = _zoo_lcu()
+    sectors = [(f"{name}_{j}", op)
+               for j, ops in enumerate(_sectors(b, sel))
+               for name, op in zip(("select", "w", "a"), ops)]
     amps = np.sqrt(np.arange(1.0, 17.0))
     amps /= np.linalg.norm(amps)
     return [
@@ -287,9 +320,7 @@ def _structural_op_zoo():
         ("rotation_tree", rotation_tree_prep(amps)),
         ("bhat", build_B_hat(params, spec)),
         ("b_full", b.op),
-        ("select", sel.op),
-        ("w", w),
-        ("a", a),
+        *sectors,
         ("ancilla_reflection", ancilla_reflection(6)),
     ]
 

@@ -30,6 +30,13 @@ from reflectsim.core_sim import (
     ry,
     unitarity_defect,
 )
+from reflectsim.lcu_reflector import (
+    ancilla_reflection,
+    build_A,
+    build_select,
+    build_W,
+)
+from reflectsim.spectral_models import synth_unitary
 from oracles import embed_moveaxis, kron_chain, random_state
 
 
@@ -403,9 +410,65 @@ class TestEveryKind:
         assert "_transform" in vars(kind)
 
 
+def _full_lcu(b, sel):
+    """select, W and A of an LCU reflector on the whole register."""
+    w = build_W(b, sel)
+    return sel.op, w, build_A(w, ancilla_reflection(b.n), b.n)
+
+
 def _zoo_a():
-    """The 8-qubit A of the verify suite's structural check."""
-    return dict(suite._structural_op_zoo())["a"]
+    """The 8-qubit A (7 ancilla qubits, 1 system qubit) whose eigenvector
+    sectors the verify suite's structural check builds."""
+    _, _, b, sel = suite._zoo_lcu()
+    return _full_lcu(b, sel)[2]
+
+
+def _zoo_b_select(dimension):
+    """The structural check's B, and its select on the zoo's D = 2 instance
+    or on a D = 4 one."""
+    params, _, b, sel = suite._zoo_lcu()
+    if dimension != 2:
+        sel = build_select(params, synth_unitary(dimension, 1.0, seed=5))
+    return b, sel
+
+
+class TestEigenSectors:
+    """The full-register select, W and A are block diagonal over U's
+    eigenvectors, with the suite's sector operators as their blocks."""
+
+    @pytest.mark.parametrize("dimension", [2, 4])
+    def test_blocks_are_the_sectors(self, dimension):
+        b, sel = _zoo_b_select(dimension)
+        sectors = list(suite._sectors(b, sel))
+        assert len(sectors) == dimension
+        for k, full in enumerate(_full_lcu(b, sel)):
+            mat = op_matrix(full)
+            off_block = np.ones(mat.shape, dtype=bool)
+            for j, ops in enumerate(sectors):
+                assert ops[k].num_qubits == full.num_qubits - (
+                    dimension.bit_length() - 1)
+                assert np.array_equal(mat[j::dimension, j::dimension],
+                                      op_matrix(ops[k]))
+                off_block[j::dimension, j::dimension] = False
+            assert not mat[off_block].any()
+            worst = max(unitarity_defect(ops[k]) for ops in sectors)
+            if dimension == 2:
+                # the structural check's bits
+                assert unitarity_defect(full) == worst
+            else:
+                # the full Gram sums D times as many products, the extra
+                # ones exact zeros, which BLAS groups otherwise
+                assert abs(unitarity_defect(full) - worst) <= 1e-15
+
+    def test_sectors_keep_select_footprint(self):
+        b, sel = _zoo_b_select(2)
+        for op, w, a in suite._sectors(b, sel):
+            assert op.footprint == sel.op.footprint
+            assert np.array_equal(op.powers, sel.op.powers)
+            assert np.array_equal(op.signs, sel.op.signs)
+        full = _full_lcu(b, sel)
+        assert a.footprint == full[2].footprint
+        assert w.footprint == full[1].footprint
 
 
 class TestDenseBlocks:

@@ -9,6 +9,7 @@ import pytest
 
 from reflectsim.gaussian_kernel import (
     KernelParams,
+    _grid_range,
     alpha_coeffs,
     arc_values,
     circle_values,
@@ -240,6 +241,73 @@ class TestTrigPoly:
         assert peak < 8 * 2 ** 20
 
 
+def _whole_array_circle(coeffs, n):
+    """circle_values as one np.add.at fold and one scaled inverse FFT."""
+    half = coeffs.shape[0] // 2
+    folded = np.zeros(n, dtype=np.complex128)
+    np.add.at(folded, np.arange(-half, half) % n, coeffs)
+    return n * np.fft.ifft(folded)
+
+
+def _whole_array_arc(coeffs, start, stop, num):
+    """arc_values with each array made whole, as one expression."""
+    size = coeffs.shape[0]
+    half = size // 2
+    step = (stop - start) / (num - 1) if num > 1 else 0.0
+    start_hi = float(np.float32(start))
+    ls = np.arange(-half, half)
+    x = (coeffs * np.exp(1j * (ls * start_hi))
+         * np.exp(1j * (ls * (start - start_hi) + 0.5 * step * ls * ls)))
+    fft_len = 1 << (size + num - 2).bit_length()
+    m = np.arange(1 - half, half + num)
+    chirp = np.zeros(fft_len, dtype=np.complex128)
+    chirp[(m - half) % fft_len] = np.exp(-0.5j * step * m * m)
+    y = np.fft.ifft(np.fft.fft(x, fft_len) * np.fft.fft(chirp))[:num]
+    k = np.arange(num)
+    return y * np.exp(0.5j * step * k * k)
+
+
+class TestInPlaceBits:
+    """The in-place FFT paths give the bits of the whole-array forms."""
+
+    @pytest.mark.parametrize("n", [3, 48, 64, 65, 128, 1000])
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    def test_circle_values(self, n, complex_coeffs):
+        # 2L = 64: n >= 64 folds by two slices, n < 64 by np.add.at
+        rng = np.random.default_rng(8)
+        coeffs = rng.normal(size=64)
+        if complex_coeffs:
+            coeffs = coeffs + 1j * rng.normal(size=64)
+        assert np.array_equal(circle_values(coeffs, n),
+                              _whole_array_circle(coeffs, n))
+
+    @pytest.mark.parametrize("start,stop,num", [
+        (0.1, 0.2, 200), (3.0, 3.0001, 200), (-1.0, 5.0, 7), (1.0, 1.0, 1),
+        (2.0, 2.5, 2), (6.2, 0.3, 33)])
+    @pytest.mark.parametrize("size", [2, 64, 1000])
+    def test_arc_values(self, start, stop, num, size):
+        rng = np.random.default_rng(9)
+        coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
+        assert np.array_equal(arc_values(coeffs, start, stop, num),
+                              _whole_array_arc(coeffs, start, stop, num))
+
+    @pytest.mark.parametrize("n", [4, 1000, 1024, 1 << 14])
+    def test_grid_range_is_the_float_mask(self, n):
+        h = 2 * math.pi / n
+        grid = h * np.arange(n)
+        # gap edges on grid points, one ulp either side, between points,
+        # and gaps with no grid point
+        edges = [grid[1], grid[n // 3], np.nextafter(grid[n // 3], 0),
+                 np.nextafter(grid[n // 3], 7), grid[2] + h / 3,
+                 math.pi, 1e-300, 0.0]
+        for lo in edges:
+            for hi in [2 * math.pi - lo, lo, np.nextafter(lo, 0),
+                       2 * math.pi]:
+                want = np.flatnonzero((grid >= lo) & (grid <= hi))
+                first, last = _grid_range(h, n, float(lo), float(hi))
+                assert list(range(first, last + 1)) == want.tolist()
+
+
 class TestCircleValues:
     @pytest.mark.parametrize("n", [5, 48, 64, 100, 256])
     def test_matches_direct_sum(self, n):
@@ -371,6 +439,23 @@ class TestKernelSupOnGap:
         p = select_params(1e-3, 1e-3)
         assert p.L == 65536
         assert self._traced_peak(p) < 40 * 2 ** 20
+
+    def test_working_set_at_L_2_19(self):
+        # kernel --eps 1e-3 --gap 1e-4: a float grid of the circle, two
+        # bool masks, index arrays for the fold and out-of-place FFTs
+        # traced 168 MiB, 21 times the 8 MiB table; the index range, the
+        # slice fold and the in-place transforms trace 96 MiB. The value is
+        # the one that the whole-array forms gave.
+        p = select_params(1e-3, 1e-4)
+        assert p.L == 1 << 19
+        tracemalloc.start()
+        try:
+            sup = kernel_sup_on_gap(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 104 * 2 ** 20
+        assert sup == float.fromhex("0x1.0e8b79ddcb27fp-24")
 
 
 class TestPoisson:
