@@ -14,8 +14,7 @@ the library's only PEA simulation outside tests.
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import functools
 import itertools
 import math
@@ -42,8 +41,10 @@ from .gaussian_kernel import (
 )
 from .lcu_reflector import (
     ancilla_reflection,
+    build_A,
     build_reflector,
     build_select,
+    build_W,
     eigen_profile,
     oaa_expansion_check,
 )
@@ -286,12 +287,11 @@ def _sectors(b, sel):
     the blocks M[j::D, j::D], and block j is sector j's matrix, made by the
     same floating-point operations.
     """
-    from .lcu_reflector import build_A, build_W
     phases = sel.unitary.eigenphases
     for j in range(len(phases)):
         op = EigenPowersOp(sel.op.powers, sel.op.signs, phases[j:j + 1],
                            sel.op.footprint)
-        w = build_W(b, dataclasses.replace(sel, op=op))
+        w = build_W(b, replace(sel, op=op))
         yield op, w, build_A(w, ancilla_reflection(b.n), b.n)
 
 
