@@ -1,7 +1,9 @@
 """Kernel parameter selection and Gaussian coefficient tests."""
 import dataclasses
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -306,6 +308,13 @@ class TestInPlaceBits:
                 want = np.flatnonzero((grid >= lo) & (grid <= hi))
                 first, last = _grid_range(h, n, float(lo), float(hi))
                 assert list(range(first, last + 1)) == want.tolist()
+
+    def test_declared_numpy_floor_has_fft_out(self):
+        # np.fft.fft and ifft take out= from numpy 2.0 on; an older floor
+        # would admit a numpy on which these paths raise TypeError
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        floor = re.findall(r'"numpy([^"]*)"', pyproject.read_text())
+        assert floor == [">=2.0"]
 
 
 class TestCircleValues:
