@@ -24,9 +24,9 @@ from .gaussian_kernel import (
     SUP_POINTS,
     alpha_coeffs,
     kernel_sup_on_gap,
-    kernel_value,
     psi_amplitudes,
     select_params,
+    trig_poly,
 )
 from .lcu_reflector import (
     DEFAULT_KERNEL_FRACTION,
@@ -122,8 +122,8 @@ def kernel_report(eps: float, gap: float, c: float = DEFAULT_C,
         raise ValueError(f"--points must be at least 1, got {points}")
     params = select_params(eps, gap, c)
     alphas = alpha_coeffs(params)
-    zero_defect = abs(kernel_value(0.0, params) - 1.0)
-    sup = kernel_sup_on_gap(params, points=points)
+    zero_defect = abs(trig_poly(alphas, 0.0) - 1.0)
+    sup = kernel_sup_on_gap(params, alphas, points=points)
     return {
         "command": "kernel",
         "params": dataclasses.asdict(params),
@@ -156,15 +156,6 @@ def prep_report(eps: float, gap: float, c: float = DEFAULT_C,
     }
 
 
-def _ledger(refl) -> dict:
-    """The reflector's ledger; LCU reflectors add the max-power query
-    count of their five select applications."""
-    ledger = refl.ledger.as_dict()
-    if hasattr(refl, "select"):
-        ledger["queries_max_power_convention"] = 5 * refl.select.queries_max_power
-    return ledger
-
-
 def reflect_report(method: str, dim: int, gap: float, eps: float, seed: int,
                    c: float = DEFAULT_C,
                    kernel_fraction: float = DEFAULT_KERNEL_FRACTION,
@@ -180,17 +171,16 @@ def reflect_report(method: str, dim: int, gap: float, eps: float, seed: int,
     else:
         refl = build_pea_reflector(unitary, eps, exact_qft=exact_qft)
     err, worst_phase = worst_case(refl)
+    head, ledger = refl.entries()
     return {
         "command": "reflect",
         "method": method,
         "dimension": dim, "gap": gap, "epsilon": eps, "seed": seed,
-        "params": dataclasses.asdict(refl.params),
-        **({"s": refl.s} if method == "lcu" else {}),
-        "n_ancilla": refl.n_ancilla,
+        **head,
         "max_error": err,
         "worst_eigenphase": worst_phase,
         "error_bound": 10 * eps,
-        "ledger": _ledger(refl),
+        "ledger": ledger,
         "passed": bool(err <= 10 * eps),
     }
 
@@ -250,7 +240,7 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
         "nu_envelope": envelope,
         "s_reflection_defect": s_defect,
         "exact_target_fidelity": exact_hit ** 2,
-        "ledger": _ledger(refl),
+        "ledger": refl.entries()[1],
         "passed": bool(nu <= envelope and s_defect <= 1e-10),
     }
 

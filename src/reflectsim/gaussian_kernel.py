@@ -261,19 +261,19 @@ def _grid_range(h: float, n: int, lo: float, hi: float) -> tuple[int, int]:
     return first, last
 
 
-def kernel_sup_on_gap(params: KernelParams, points: int = SUP_POINTS) -> float:
+def kernel_sup_on_gap(params: KernelParams, alphas: np.ndarray,
+                      points: int = SUP_POINTS) -> float:
     """sup of |kernel_value| over [delta, 2 pi - delta].
 
     One FFT samples the circle at 2 pi k / n, n the next power of two >=
     max(points, 4L) (twice the Nyquist rate), after ``require_memory``. The
     two gap edges are summed directly, and ``arc_values`` evaluates
     ``REFINE_POINTS`` points within one step of the best grid point in the
-    gap.
+    gap. ``alphas`` is the caller's ``alpha_coeffs(params)``.
     """
     n = 1 << (max(points, 4 * params.L) - 1).bit_length()
     require_memory(n.bit_length() - 1)
     lo, hi = params.delta, 2 * math.pi - params.delta
-    alphas = alpha_coeffs(params)
     h = 2 * math.pi / n
     first, last = _grid_range(h, n, lo, hi)
     # the gap's values; the whole circle is freed with the slice

@@ -12,7 +12,7 @@ w_j = <0|W(lambda_j)|0> alone: verification simulates nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import math
 
 import numpy as np
@@ -46,23 +46,12 @@ def mcx_two_qubit_cost(num_controls: int) -> int:
 
 @dataclass(frozen=True)
 class SelectU:
-    """Controlled dispatch of the LCU unitaries.
-
-    The footprint charges the raw cascade (the U^-L leg plus the binary
-    cascade, 3L - 1 queries); ``queries_max_power`` reports the max-power
-    counting convention of L queries per application used by the
-    complexity comparison.
-    """
+    """Controlled dispatch of the LCU unitaries on n ancilla qubits. Its
+    footprint charges the raw cascade, 3L - 1 queries; the reflector's
+    ``entries`` add the max-power convention of L per application."""
 
     n: int
-    L: int
-    unitary: EigenUnitary
     op: CircuitOp
-    queries_max_power: int
-
-    @property
-    def footprint(self) -> ResourceFootprint:
-        return self.op.footprint
 
 
 def build_select(params: KernelParams, unitary: EigenUnitary) -> SelectU:
@@ -75,15 +64,14 @@ def build_select(params: KernelParams, unitary: EigenUnitary) -> SelectU:
     conditioned on header |00>, U^-L and a controlled U^(2^i) leg per data
     bit, 3L - 1 queries in all.
     """
-    m, L = params.m, params.L
+    L = params.L
     powers = np.zeros((4, 2 * L), dtype=np.int64)
     powers[0] = np.arange(-L, L)
     signs = np.repeat([1.0, -1.0, 1.0, -1.0], 2 * L)
     cost = ResourceFootprint(queries_u=(3 * L - 1) * unitary.step_cost,
                              one_qubit_gates=1)
     op = EigenPowersOp(powers.reshape(-1), signs, unitary.eigenphases, cost)
-    return SelectU(n=m + 2, L=L, unitary=unitary, op=op,
-                   queries_max_power=L * unitary.step_cost)
+    return SelectU(n=params.m + 2, op=op)
 
 
 def ancilla_reflection(n: int) -> CircuitOp:
@@ -118,7 +106,7 @@ def build_W(b: BOperator, sel: SelectU) -> CircuitOp:
 
 @dataclass(frozen=True)
 class ReflectorA:
-    """The assembled LCU reflector and its bookkeeping."""
+    """The assembled LCU reflector on ``unitary`` and its bookkeeping."""
 
     w: CircuitOp
     r: CircuitOp
@@ -127,6 +115,7 @@ class ReflectorA:
     b: BOperator
     select: SelectU
     qft_spec: QftSpec
+    unitary: EigenUnitary
 
     @property
     def ledger(self) -> ResourceFootprint:
@@ -141,13 +130,24 @@ class ReflectorA:
         return self.b.n
 
     @property
-    def unitary(self) -> EigenUnitary:
-        """The instance the reflector was built on."""
-        return self.select.unitary
-
-    @property
     def system_qubits(self) -> int:
         return self.unitary.system_qubits
+
+    @property
+    def layers(self) -> tuple:
+        """(name, op, targets) of each layer on the whole register."""
+        anc = tuple(range(self.n_ancilla))
+        every = tuple(range(self.a.num_qubits))
+        return (("B", self.b.op, anc), ("select", self.select.op, every),
+                ("W", self.w, every), ("R", self.r, anc), ("A", self.a, every))
+
+    def entries(self) -> tuple[dict, dict]:
+        """The route's report entries (head, ledger); the ledger adds the
+        max-power count of A's five select uses, L queries each."""
+        return ({"params": asdict(self.params), "s": self.s,
+                 "n_ancilla": self.n_ancilla},
+                {**self.ledger.as_dict(), "queries_max_power_convention":
+                 5 * self.params.L * self.unitary.step_cost})
 
     def w_amplitudes(self, lambdas: np.ndarray) -> np.ndarray:
         """w(lambda) = <0|W(lambda)|0> at each eigenphase, from B's table.
@@ -232,7 +232,7 @@ def build_reflector(unitary: EigenUnitary, eps: float, *,
     r = ancilla_reflection(b.n)
     a = build_A(w, r, b.n)
     return ReflectorA(w=w, r=r, a=a, params=params, b=b, select=sel,
-                      qft_spec=spec)
+                      qft_spec=spec, unitary=unitary)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ inverse QFT), at every n'.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import math
 import sys
 
@@ -175,17 +175,26 @@ class PeaReflector:
     def system_qubits(self) -> int:
         return self.unitary.system_qubits
 
-    def block_leakage(self, lambdas: np.ndarray) -> np.ndarray:
-        """x = |<0|block|0>|^2 at each eigenphase, at any QFT truncation."""
-        return fejer(lambdas, self.params.n_prime)
+    @property
+    def layers(self) -> tuple:
+        """(name, op, targets) of each layer on the whole register."""
+        every = tuple(range(self.a.num_qubits))
+        (block, targets), (r, anc) = self.w.steps[0], self.a.steps[1]
+        return (("block", block, targets), ("W", self.w, every),
+                ("R", r, anc), ("A", self.a, every))
+
+    def entries(self) -> tuple[dict, dict]:
+        """The route's report entries (head, ledger)."""
+        return ({"params": asdict(self.params), "n_ancilla": self.n_ancilla},
+                self.ledger.as_dict())
 
     def a_column(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A(lambda)|0> as (<0|A|0>, norm of the rest) at each eigenphase.
 
         Every register runs the same block, phi = block|0>, so W|0> is
         phi^(x q) and A|0> = W' R W|0> = 2 phi_0^q W'|0> - |0>: its all-zero
-        amplitude is 2 x^q - 1, x = |phi_0|^2, and it is a unit vector."""
-        xq = self.block_leakage(lambdas) ** self.params.q
+        amplitude is 2 x^q - 1, x = |phi_0|^2 (``fejer``): a unit vector."""
+        xq = fejer(lambdas, self.params.n_prime) ** self.params.q
         return 2 * xq - 1, 2 * np.sqrt(xq * (1 - xq))
 
 

@@ -48,7 +48,7 @@ from .lcu_reflector import (
     eigen_profile,
     oaa_expansion_check,
 )
-from .pea_reflector import build_pea_reflector, choose_pea_params
+from .pea_reflector import build_pea_reflector, choose_pea_params, fejer
 from .spectral_models import grover_unitary, synth_unitary
 from .state_prep import (
     OAA_ANGLE,
@@ -204,17 +204,18 @@ def check_pea_baseline() -> CheckResult:
     """Per-block leakage below 1/16 on every gapped eigenvector, end-to-end
     worst-case error max_j e_j <= 10 eps, and exact-QFT invariance of
     |0>|psi_0> at 1e-10, read off one simulated exact-QFT block column,
-    whose leakage |phi_0|^2 must also match ``block_leakage`` at 1e-14."""
+    whose leakage |phi_0|^2 must also match ``fejer`` at 1e-14."""
     t0 = time.perf_counter()
     eps = 1e-2
     err = _worst_error("pea", eps)
     exact = build_pea_reflector(_instance(), eps, exact_qft=True)
     params = exact.params
-    column = eigen_profile(exact.w.steps[0][0], params.n_prime)
+    block = {name: op for name, op, _ in exact.layers}["block"]
+    column = eigen_profile(block, params.n_prime)
     leakage = np.abs(column[0]) ** 2
     worst_p = float(leakage[1:].max())
     closed_form = float(np.abs(
-        leakage - exact.block_leakage(exact.unitary.eigenphases)).max())
+        leakage - fejer(exact.unitary.eigenphases, params.n_prime)).max())
     fix_err = float(np.linalg.norm(column[:, 0] - np.eye(len(column))[0]))
     seconds = time.perf_counter() - t0
     ok = (worst_p <= 1 / 16 and err <= 10 * eps and fix_err <= 1e-10
@@ -287,7 +288,7 @@ def _sectors(b, sel):
     the blocks M[j::D, j::D], and block j is sector j's matrix, made by the
     same floating-point operations.
     """
-    phases = sel.unitary.eigenphases
+    phases = sel.op.eigenphases
     for j in range(len(phases)):
         op = EigenPowersOp(sel.op.powers, sel.op.signs, phases[j:j + 1],
                            sel.op.footprint)

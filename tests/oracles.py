@@ -427,7 +427,7 @@ def dense_layers(refl: PeaReflector) -> PeaReflector:
     The matrices are the products of the production layers, so this is the
     same operator; simulating the whole register then takes one product
     per layer instead of one pass per gate or per QFT layer."""
-    block = refl.w.steps[0][0]
+    (_, block, _), *_ = refl.layers
     (wall, anc), ladder, (iqft, _) = block.steps
     dense = SequenceOp(block.num_qubits, [
         (DenseOp(op_matrix(wall), wall.footprint), anc), ladder,

@@ -71,6 +71,10 @@ class TestCompareScaling:
             compare_scaling(eps_grid=(), delta_grid=(0.5,))
 
 
+# (eps, gap) cells of the per-layer checks
+LAYER_CELLS = ((1e-2, 0.5), (1e-3, 0.1), (0.1, 0.02))
+
+
 class TestNoDrift:
     """Closed-form models must equal the footprints the builders declare."""
 
@@ -81,7 +85,8 @@ class TestNoDrift:
         model = lcu_gate_model(refl.params, refl.qft_spec)
         assert refl.ledger.two_qubit_gates == model["a_two_qubit"]
         assert refl.ledger.queries_u == model["cu_raw"]
-        assert 5 * refl.select.queries_max_power == model["cu_max_power"]
+        _, ledger = refl.entries()
+        assert ledger["queries_max_power_convention"] == model["cu_max_power"]
         assert refl.n_ancilla == model["n_ancilla"]
 
     def test_pea_model_matches_built_reflector(self):
@@ -91,6 +96,47 @@ class TestNoDrift:
         assert refl.ledger.two_qubit_gates == model["a_two_qubit"]
         assert refl.ledger.queries_u == model["cu"]
         assert refl.n_ancilla == model["n_ancilla"]
+
+    @staticmethod
+    def _layers(refl, names):
+        """Each layer's footprint by name, after checking the names, their
+        order, and that each layer sits on the whole register."""
+        assert [name for name, _, _ in refl.layers] == names
+        total = refl.n_ancilla + refl.system_qubits
+        for _, op, targets in refl.layers:
+            assert len(targets) == op.num_qubits
+            assert set(targets) <= set(range(total))
+        return {name: op.footprint for name, op, _ in refl.layers}
+
+    @pytest.mark.parametrize("eps,gap", LAYER_CELLS)
+    def test_lcu_layers_match_model(self, eps, gap):
+        refl = build_reflector(synth_unitary(8, gap, seed=7), eps)
+        model = lcu_gate_model(refl.params, refl.qft_spec)
+        fp = self._layers(refl, ["B", "select", "W", "R", "A"])
+        assert fp["B"].two_qubit_gates == model["b_two_qubit"]
+        assert fp["W"].two_qubit_gates == model["w_two_qubit"]
+        assert fp["A"].two_qubit_gates == model["a_two_qubit"]
+        # W = B' select B and A = W R W' R W R W' R W compose to the ledger
+        assert fp["W"] == fp["B"].merge(fp["select"], fp["B"])
+        assert fp["A"] == fp["W"].merge(*[fp["W"]] * 4, *[fp["R"]] * 4)
+        _, ledger = refl.entries()
+        max_power = model["cu_max_power"]
+        assert ledger == {**fp["A"].as_dict(),
+                          "queries_max_power_convention": max_power}
+
+    @pytest.mark.parametrize("eps,gap", LAYER_CELLS)
+    def test_pea_layers_match_model(self, eps, gap):
+        refl = build_pea_reflector(synth_unitary(8, gap, seed=7), eps)
+        model = pea_gate_model(refl.params, refl.qft_spec)
+        fp = self._layers(refl, ["block", "W", "R", "A"])
+        assert fp["W"].two_qubit_gates == model["w_two_qubit"]
+        assert fp["A"].two_qubit_gates == model["a_two_qubit"]
+        # W is q blocks and A = W' R W
+        q = refl.params.q
+        assert fp["W"] == fp["block"].merge(*[fp["block"]] * (q - 1))
+        assert fp["A"] == fp["W"].merge(fp["R"], fp["W"])
+        _, ledger = refl.entries()
+        assert ledger == fp["A"].as_dict()
 
     def test_compare_pea_columns_match_budget(self):
         table = compare_scaling()

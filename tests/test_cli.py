@@ -598,6 +598,19 @@ class TestLibrarySource:
             if isinstance(node, ast.ImportFrom) and node.level == 0:
                 assert node.module.split(".")[0] in allowed, line
 
+    @pytest.mark.parametrize("name", ["cli.py", "suite.py"])
+    def test_no_route_branches(self, name):
+        """Once a reflector is built, the front ends read what both routes
+        share (``entries``, ``layers``, ``a_column``): they ask no
+        ``hasattr`` and reach into no route's operator tree or counts."""
+        path = Path(__file__).resolve().parents[1] / "src/reflectsim" / name
+        banned = {"steps", "queries_max_power", "block_leakage"}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "hasattr", node.lineno
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in banned, node.lineno
+
 
 class TestContract:
     def test_usage_error_unknown_flag(self):

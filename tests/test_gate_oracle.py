@@ -7,11 +7,14 @@ select, W, R and both OAA rounds, and one PEA block. A reflector depends on
 its instance only through the gap and the eigenphases, so one D = 8
 instance puts both gap edges, a point near pi and four seeded draws under
 the production reflector of each cell; ``eigen_profile`` simulates the
-2^(n + 3) amplitudes of all eight eigenvectors at once.
+2^(n + 3) amplitudes of all eight eigenvectors at once. The whole PEA
+operator A = W' R W is simulated on a D = 2 instance, the target and one
+gap edge, at the cells where its q n' + 1 qubits number at most 22.
 
 Tolerances are about twice the worst agreement measured over the nine cells:
 1.9e-15 in <0|A|0>, 6.1e-15 in the norm of the rest of A|0>, 6.0e-15 in
-the miss and 1.3e-15 in a block's leakage.
+the miss and 1.3e-15 in a block's leakage; for the PEA A over its three
+cells, 3.2e-15 in <0|A|0> and 7.5e-17 in the norm of the rest.
 """
 import itertools
 import math
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 from reflectsim.lcu_reflector import build_reflector, eigen_profile, miss
-from reflectsim.pea_reflector import build_pea_reflector
+from reflectsim.pea_reflector import build_pea_reflector, fejer
 from reflectsim.spectral_models import EigenUnitary
 from reflectsim.suite import DELTA_GRID, EPS_GRID
 
@@ -28,6 +31,8 @@ A0_TOL = 4e-15
 REST_TOL = 1.2e-14
 MISS_TOL = 1.2e-14
 LEAKAGE_TOL = 3e-15
+PEA_A0_TOL = 6.4e-15
+PEA_REST_TOL = 1.5e-16
 # the acceptance cells (eps, gap)
 CELLS = tuple(itertools.product(EPS_GRID, DELTA_GRID))
 
@@ -60,8 +65,20 @@ def test_lcu_circuit_matches_closed_form(eps, gap):
 def test_pea_block_matches_fejer(eps, gap):
     unitary = _instance(gap)
     refl = build_pea_reflector(unitary, eps)
-    block, _ = refl.w.steps[0]
+    (_, block, _), *_ = refl.layers
     profile = eigen_profile(block, refl.params.n_prime)
     leakage = np.abs(profile[0]) ** 2
-    want = refl.block_leakage(unitary.eigenphases)
+    want = fejer(unitary.eigenphases, refl.params.n_prime)
     assert np.abs(leakage - want).max() <= LEAKAGE_TOL
+
+
+# 16, 21 and 22 qubits
+@pytest.mark.parametrize("eps,gap", [(0.1, 0.5), (0.01, 0.5), (0.1, 0.1)])
+def test_pea_circuit_matches_closed_form(eps, gap):
+    unitary = EigenUnitary(2, [0.0, gap], gap)
+    refl = build_pea_reflector(unitary, eps)
+    profile = eigen_profile(refl.a, refl.n_ancilla)
+    a0, rest = refl.a_column(unitary.eigenphases)
+    rest_norm = np.linalg.norm(profile[1:], axis=0)
+    assert np.abs(profile[0] - a0).max() <= PEA_A0_TOL
+    assert np.abs(rest_norm - rest).max() <= PEA_REST_TOL

@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from reflectsim.cli import kernel_report
 from reflectsim.gaussian_kernel import (
     KernelParams,
     _grid_range,
@@ -140,7 +141,7 @@ class TestKernelValue:
     def test_lemma_bounds(self, eps, delta):
         p = select_params(eps, delta)
         assert abs(kernel_value(0.0, p) - 1.0) <= eps
-        assert kernel_sup_on_gap(p, points=1000) <= eps
+        assert kernel_sup_on_gap(p, alpha_coeffs(p), points=1000) <= eps
 
     def test_conjugate_symmetry(self):
         p = select_params(1e-2, 0.5)
@@ -397,7 +398,7 @@ class TestKernelSupOnGap:
     @pytest.mark.parametrize("eps,delta", GRID)
     def test_agrees_with_dense_grid(self, eps, delta):
         p = select_params(eps, delta)
-        sup = kernel_sup_on_gap(p)
+        sup = kernel_sup_on_gap(p, alpha_coeffs(p))
         want = kernel_sup_dense_grid(p)
         if sup > 1e-12:
             # a sup at a gap edge can be as small as 1.9e-11 (eps = 1e-3,
@@ -422,7 +423,7 @@ class TestKernelSupOnGap:
     @pytest.mark.parametrize("eps,delta", GRID)
     def test_not_below_random_samples(self, eps, delta):
         p = select_params(eps, delta)
-        sup = kernel_sup_on_gap(p)
+        sup = kernel_sup_on_gap(p, alpha_coeffs(p))
         lams = np.random.default_rng(17).uniform(delta, 2 * math.pi - delta,
                                                  4096)
         sampled = float(np.abs(kernel_value(lams, p)).max())
@@ -432,7 +433,7 @@ class TestKernelSupOnGap:
     def _traced_peak(params):
         tracemalloc.start()
         try:
-            kernel_sup_on_gap(params)
+            kernel_sup_on_gap(params, alpha_coeffs(params))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -453,18 +454,32 @@ class TestKernelSupOnGap:
         # kernel --eps 1e-3 --gap 1e-4: a float grid of the circle, two
         # bool masks, index arrays for the fold and out-of-place FFTs
         # traced 168 MiB, 21 times the 8 MiB table; the index range, the
-        # slice fold and the in-place transforms trace 96 MiB. The value is
-        # the one that the whole-array forms gave.
+        # slice fold and the in-place transforms trace 96 MiB, the table
+        # included. The value is the one that the whole-array forms gave.
         p = select_params(1e-3, 1e-4)
         assert p.L == 1 << 19
         tracemalloc.start()
         try:
-            sup = kernel_sup_on_gap(p)
+            sup = kernel_sup_on_gap(p, alpha_coeffs(p))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 104 * 2 ** 20
         assert sup == float.fromhex("0x1.0e8b79ddcb27fp-24")
+
+    def test_kernel_report_holds_one_table(self):
+        # one 8 MiB table at L = 2^19 serves the report, the zero defect
+        # and the sup: 96.3 MiB traced, where a table each traced 104.3
+        tracemalloc.start()
+        try:
+            report = kernel_report(1e-3, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["params"]["L"] == 1 << 19
+        assert peak <= 100 * 2 ** 20
+        assert report["kernel_gap_sup"] == float.fromhex(
+            "0x1.0e8b79ddcb27fp-24")
 
 
 class TestPoisson:

@@ -27,6 +27,7 @@ from reflectsim.core_sim import (
 )
 from reflectsim.gaussian_kernel import alpha_coeffs, select_params
 from reflectsim.lcu_reflector import (
+    ReflectorA,
     ancilla_reflection,
     build_A,
     build_reflector,
@@ -107,9 +108,14 @@ class TestSelect:
         assert np.abs(out - state).max() < 1e-12
 
     def test_query_ledger(self, small):
-        params, _, _, sel, *_ = small
-        assert sel.footprint.queries_u == 3 * params.L - 1
-        assert sel.queries_max_power == params.L
+        params, unitary, b, sel, w, r, a = small
+        assert sel.op.footprint.queries_u == 3 * params.L - 1
+        # the max-power convention, L per select use, is the reflector's
+        refl = ReflectorA(w=w, r=r, a=a, params=params, b=b, select=sel,
+                          qft_spec=QftSpec.for_budget(params.m, 0.05),
+                          unitary=unitary)
+        _, ledger = refl.entries()
+        assert ledger["queries_max_power_convention"] == 5 * params.L
 
     def test_six_ancilla_eight_power_instance(self):
         # the documented dispatch table at its literal size: n = 6, L = 8
@@ -200,7 +206,7 @@ class TestW:
 class TestA:
     def test_footprint_counts(self, small):
         params, unitary, b, sel, w, r, a = small
-        assert a.footprint.queries_u == 5 * sel.footprint.queries_u
+        assert a.footprint.queries_u == 5 * sel.op.footprint.queries_u
         assert a.footprint.two_qubit_gates == \
             5 * w.footprint.two_qubit_gates + 4 * r.footprint.two_qubit_gates
 
@@ -367,7 +373,8 @@ class TestReflectorLedger:
     def test_query_accounting(self, medium):
         unitary, refl = medium
         assert refl.ledger.queries_u == 5 * (3 * refl.params.L - 1)
-        assert refl.select.queries_max_power == refl.params.L
+        _, ledger = refl.entries()
+        assert ledger["queries_max_power_convention"] == 5 * refl.params.L
         assert refl.n_ancilla == refl.params.m + 2
 
     def test_kernel_fraction_validation(self):
@@ -398,5 +405,7 @@ class TestHamiltonianFrontEnd:
                               step_cost=4)
         params = select_params(0.2, 1.5)
         sel = build_select(params, costly)
-        assert sel.footprint.queries_u == 4 * (3 * params.L - 1)
-        assert sel.queries_max_power == 4 * params.L
+        assert sel.op.footprint.queries_u == 4 * (3 * params.L - 1)
+        refl = build_reflector(costly, 0.2)
+        _, ledger = refl.entries()
+        assert ledger["queries_max_power_convention"] == 4 * 5 * refl.params.L

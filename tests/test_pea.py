@@ -139,7 +139,8 @@ class TestPeaBlock:
 
     def test_generic_phase_leakage_below_bound(self):
         u = synth_unitary(8, 0.5, seed=7)
-        leak = build_pea_reflector(u, 1e-2).block_leakage(u.eigenphases)
+        n_prime = build_pea_reflector(u, 1e-2).params.n_prime
+        leak = fejer(u.eigenphases, n_prime)
         assert leak.shape == (8,)
         assert leak[1:].max() <= 1 / 16
 
@@ -178,7 +179,7 @@ class TestWPea:
         # the default budget at eps 1e-2 builds the same n' = 5 block
         block_refl = build_pea_reflector(u, 1e-2)
         assert block_refl.qft_spec == spec
-        single = block_refl.block_leakage(u.eigenphases)[j]
+        single = fejer(u.eigenphases, block_refl.params.n_prime)[j]
         # ancilla-zero weight multiplies across registers on an eigenvector
         assert weight == pytest.approx(single ** q, abs=1e-10)
 
@@ -229,7 +230,7 @@ class TestAPea:
     def test_gapped_expectation_value(self, setup):
         u, eps, refl = setup
         j = 4
-        p_single = refl.block_leakage(u.eigenphases)[j]
+        p_single = fejer(u.eigenphases, refl.params.n_prime)[j]
         state = lift(unit_vector(8, j), refl.n_ancilla)
         out = apply_batch(refl.a, state, refl.a.num_qubits)
         val = complex(np.vdot(state, out))
@@ -264,7 +265,7 @@ def _reflector_with_spec(u, params, spec):
 def _simulated_leakage(refl) -> np.ndarray:
     """|<0|block|0>|^2 on every eigenvector, read off the simulated column
     of the reflector's first block."""
-    block, _ = refl.w.steps[0]
+    (_, block, _), *_ = refl.layers
     return np.abs(eigen_profile(block, refl.params.n_prime)[0]) ** 2
 
 
@@ -285,8 +286,7 @@ class TestBlockLeakage:
         for b in range(1, n_prime + 1):
             refl = _reflector_with_spec(u, params, QftSpec(n_prime, b))
             assert np.array_equal(_simulated_leakage(refl), want), b
-        assert np.abs(exact.block_leakage(u.eigenphases)
-                      - want).max() <= 1e-14
+        assert np.abs(fejer(u.eigenphases, n_prime) - want).max() <= 1e-14
 
     def test_independent_of_budget_truncation_past_dense_width(self):
         # n' = 11: the inverse QFT is simulated layer by layer, not as a
@@ -298,7 +298,7 @@ class TestBlockLeakage:
         want = _simulated_leakage(exact)
         assert np.array_equal(_simulated_leakage(refl), want)
         # the layered column returns 1 - 1.6e-15 on the target
-        assert np.abs(refl.block_leakage(u.eigenphases)
+        assert np.abs(fejer(u.eigenphases, refl.params.n_prime)
                       - want).max() <= 1e-14
 
 
@@ -385,7 +385,7 @@ class TestAdjointSharesBlocks:
         refl = build_pea_reflector(synth_unitary(2, 1.0, 4), 0.2)
         w, w_inv = refl.w, refl.a.steps[2][0]
         assert refl.params.q == len(w.steps) == len(w_inv.steps) == 2
-        block = w.steps[0][0]
+        (_, block, _), *_ = refl.layers
         assert all(op is block for op, _ in w.steps)
         inverse = w_inv.steps[0][0]
         assert all(op is inverse for op, _ in w_inv.steps)

@@ -139,7 +139,7 @@ class TestPowers:
         cols[L * d:(L + 1) * d] = np.eye(d)
         out = apply_batch(sel.op, cols, sel.op.num_qubits)
         assert np.array_equal(out, cols)
-        assert sel.footprint.queries_u == 3 * L - 1
+        assert sel.op.footprint.queries_u == 3 * L - 1
 
     def test_eigen_relation(self):
         u = synth_unitary(4, 0.5, seed=2)
@@ -179,7 +179,7 @@ class TestPowers:
         # select: U^-L plus the legs 2^(m-1), ..., 1
         for eps, gap in ((0.2, 1.5), (0.2, 2.5), (1e-2, 0.5)):
             params = select_params(eps, gap)
-            assert build_select(params, u).footprint.queries_u == \
+            assert build_select(params, u).op.footprint.queries_u == \
                 params.L + (2 * params.L - 1)
         # PEA ladder: legs 2^(n'-1), ..., 1
         assert _ladder(u, 3).footprint.queries_u == 7
@@ -189,7 +189,7 @@ class TestPowers:
         u = synth_unitary(4, 0.5, seed=2)
         costly = EigenUnitary(u.dimension, u.eigenphases, u.gap, step_cost=3)
         params = select_params(0.2, 1.5)
-        assert build_select(params, costly).footprint.queries_u == \
+        assert build_select(params, costly).op.footprint.queries_u == \
             3 * (3 * params.L - 1)
         assert _ladder(costly, 3).footprint.queries_u == 21
 
