@@ -30,7 +30,7 @@ from .gaussian_kernel import (
 )
 from .spectral_models import (
     EigenUnitary,
-    GroverInstance,
+    grover_plane,
     grover_unitary,
     hamiltonian_unitary,
     synth_unitary,

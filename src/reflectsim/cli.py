@@ -34,7 +34,7 @@ from .lcu_reflector import (
     worst_case,
 )
 from .pea_reflector import build_pea_reflector
-from .spectral_models import grover_marked, grover_unitary, synth_unitary
+from .spectral_models import grover_marked, grover_plane, synth_unitary
 from .state_prep import QftSpec, build_B, prep_qft_spec
 
 USAGE_ERROR = 1
@@ -205,14 +205,15 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     1/sqrt(2) and -1/sqrt(2), and their marked entries are (a + b)/sqrt(2)
     and (b - a)/sqrt(2), a = 1/sqrt(D), b = sqrt(1 - 1/D) (see
     ``grover_unitary``). So A|0, s> reads ``a_column`` at two eigenphases
-    only, 0 and 2 pi - 2 theta. It is a unit vector, so nu is its weight
-    off |0, marked>: the ancilla-zero part's unmarked entries lie along one
-    unit vector, with amplitude -((b - a) a0(0) + (a + b) a0(1)) / 2, and
-    each eigenvector adds half its weight off the ancilla zero. That is a
-    sum of non-negative terms; 1 - |hit|^2 loses about log10 D digits."""
+    only, 0 and 2 pi - 2 theta, and as the ledger depends on the gap alone
+    the reflector is built on that plane, ``grover_plane``. A|0, s> is a
+    unit vector, so nu is its weight off |0, marked>: the ancilla-zero
+    part's unmarked entries lie along one unit vector, with amplitude
+    -((b - a) a0(0) + (a + b) a0(1)) / 2, and each eigenvector adds half
+    its weight off the ancilla zero. That is a sum of non-negative terms;
+    1 - |hit|^2 loses about log10 D digits."""
     marked = grover_marked(dim, seed)
-    inst = grover_unitary(dim, marked)
-    u = inst.unitary
+    plane = grover_plane(dim)
     a = 1 / math.sqrt(dim)
     b = math.sqrt(1 - 1 / dim)
     # psi0 = (a + b, a (b - a)/b, ...)/sqrt(2), marked entry first, and
@@ -220,8 +221,8 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     overlap = a * ((a + b) / math.sqrt(2)
                    + (dim - 1) * (a * (b - a) / b / math.sqrt(2)))
     s_defect = abs(2 * overlap ** 2 - 1)
-    refl = build_reflector(u, eps)
-    a0, rest = refl.a_column(u.eigenphases[:2])
+    refl = build_reflector(plane, eps)
+    a0, rest = refl.a_column(plane.eigenphases)
     # (b - a) a0(0) + (a + b) a0(1), grouped so that the nearly cancelling
     # a0(0) + a0(1) is formed from the inputs, before any rounded product
     unmarked = b * (a0[0] + a0[1]) + a * (a0[1] - a0[0])
@@ -235,7 +236,7 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
     return {
         "command": "grover",
         "dimension": dim, "epsilon": eps, "seed": seed, "marked": marked,
-        "gap": inst.gap,
+        "gap": plane.gap,
         "nu": nu,
         "nu_envelope": envelope,
         "s_reflection_defect": s_defect,

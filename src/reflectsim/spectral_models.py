@@ -86,19 +86,6 @@ class EigenUnitary:
         return n
 
 
-@dataclass(frozen=True)
-class GroverInstance:
-    """The search-derived unitary and the marked index that defines it."""
-
-    dimension: int
-    marked: int
-    unitary: EigenUnitary
-
-    @property
-    def gap(self) -> float:
-        return self.unitary.gap
-
-
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -226,7 +213,21 @@ def grover_marked(dimension: int, seed: int) -> int:
     return (x & _M32) * dimension >> 32
 
 
-def grover_unitary(dimension: int, marked: int) -> GroverInstance:
+def grover_plane(dimension: int) -> EigenUnitary:
+    """``grover_unitary`` on the plane of its first two eigenvectors, which
+    holds |s> and the marked state: phases 0 and 2 pi - 2 theta, gap
+    2 theta. From D = 2^55 on 1 - 2/D rounds to 1 and theta to 0."""
+    _require_grover_dimension(dimension)
+    if dimension >= 1 << 55:
+        raise ValueError(f"dimension 2^{dimension.bit_length() - 1} is too "
+                         "large: 1 - 2/D rounds to 1 in double precision")
+    theta = math.acos(1 - 2 / dimension)
+    return EigenUnitary(dimension=2,
+                        eigenphases=(0.0, 2 * math.pi - 2 * theta),
+                        gap=2 * theta)
+
+
+def grover_unitary(dimension: int, marked: int) -> EigenUnitary:
     """The search-derived unitary with a unique eigenvalue-1 eigenvector.
 
     U = -exp(-i theta) V^dagger R_s R_t V with theta = arccos(1 - 2/D),
@@ -247,21 +248,19 @@ def grover_unitary(dimension: int, marked: int) -> GroverInstance:
 
     The eigenphases are 0, 2 pi - 2 theta and pi - theta (D - 2 times),
     and the gap is 2 theta: pi - theta >= 2 theta for D >= 4. They do not
-    depend on the marked index.
+    depend on the marked index; the first two and the gap are
+    ``grover_plane``'s, which is all that the ``grover`` report reads.
     """
-    _require_grover_dimension(dimension)
+    plane = grover_plane(dimension)
     if not 0 <= marked < dimension:
         raise ValueError("marked index out of range")
     # the eigenphases are the one D-length array
     require_memory((dimension - 1).bit_length())
-    d = dimension
-    theta = math.acos(1 - 2 / d)
-    phases = np.full(d, math.pi - theta)
-    phases[0] = 0.0
-    phases[1] = 2 * math.pi - 2 * theta
+    phases = np.full(dimension, math.pi - plane.gap / 2)
+    phases[:2] = plane.eigenphases
     phases.setflags(write=False)  # handed over, not copied
-    unitary = EigenUnitary(dimension=d, eigenphases=phases, gap=2 * theta)
-    return GroverInstance(dimension=d, marked=marked, unitary=unitary)
+    return EigenUnitary(dimension=dimension, eigenphases=phases,
+                        gap=plane.gap)
 
 
 def _target_first(angles: np.ndarray, i0: int) -> tuple[np.ndarray, float]:

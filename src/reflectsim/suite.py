@@ -49,7 +49,7 @@ from .lcu_reflector import (
     oaa_expansion_check,
 )
 from .pea_reflector import build_pea_reflector, choose_pea_params, fejer
-from .spectral_models import grover_unitary, synth_unitary
+from .spectral_models import grover_plane, synth_unitary
 from .state_prep import (
     OAA_ANGLE,
     QftSpec,
@@ -255,7 +255,7 @@ def check_grover_benchmark() -> CheckResult:
     <s|R|s> = 0, and gap scaling ~ D^(-1/2)."""
     t0 = time.perf_counter()
     report = cli.grover_benchmark(64, 0.02, _SEED)
-    gaps = {d: grover_unitary(d, marked=1).gap for d in (16, 64, 256)}
+    gaps = {d: grover_plane(d).gap for d in (16, 64, 256)}
     scaled = [gaps[d] * math.sqrt(d) for d in (16, 64, 256)]
     scaling_ok = max(scaled) <= 2 * min(scaled)
     seconds = time.perf_counter() - t0
@@ -401,8 +401,8 @@ def run_all(names=None) -> list[CheckResult]:
     valid = [name for name, _ in ALL_CHECKS]
     unknown = sorted(set(names or ()) - set(valid))
     if unknown:
-        raise ValueError(f"unknown check(s) {', '.join(unknown)}; "
-                         f"valid checks: {', '.join(valid)}")
+        raise ValueError("unknown check(s) " + ", ".join(map(repr, unknown))
+                         + f"; valid checks: {', '.join(valid)}")
     selected = [(name, fn) for name, fn in ALL_CHECKS
                 if not names or name in names]
     readers = [name for name, _ in selected if name in _SHARE_CELLS]

@@ -344,14 +344,16 @@ def grover_matrix(dimension: int, marked: int) -> np.ndarray:
     return -np.exp(-1j * theta) * v.conj().T @ (r_s * r_t) @ v
 
 
-def grover_hit_via_basis(instance, refl) -> complex:
+def grover_hit_via_basis(refl, marked: int) -> complex:
     """<0, marked|A|0, s> through the D x D eigenbasis, the form ``grover``
-    read before the two-eigenvector one: <0|A|0> at every eigenphase times
-    |s> in the eigenbasis, then the marked row of the basis."""
-    basis = grover_basis(instance.dimension, instance.marked)
-    s, _ = grover_states(instance.dimension, instance.marked)
-    a0, _ = refl.a_column(instance.unitary.eigenphases)
-    return complex(basis[instance.marked] @ (a0 * (s.conj() @ basis).conj()))
+    read before the two-eigenvector one: <0|A|0> at every eigenphase of the
+    reflector's ``grover_unitary`` instance times |s> in the eigenbasis,
+    then the marked row of the basis."""
+    dim = refl.unitary.dimension
+    basis = grover_basis(dim, marked)
+    s, _ = grover_states(dim, marked)
+    a0, _ = refl.a_column(refl.unitary.eigenphases)
+    return complex(basis[marked] @ (a0 * (s.conj() @ basis).conj()))
 
 
 def lift(system: np.ndarray, n_ancilla: int, ancilla_index: int = 0) -> np.ndarray:

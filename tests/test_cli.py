@@ -23,7 +23,11 @@ from reflectsim import cli
 from reflectsim.cli import _build_parser, reflect_report, run
 from reflectsim.core_sim import working_set_bytes
 from reflectsim.lcu_reflector import build_reflector
-from reflectsim.spectral_models import grover_unitary
+from reflectsim.spectral_models import (
+    grover_marked,
+    grover_plane,
+    grover_unitary,
+)
 from reflectsim.suite import CheckResult
 from oracles import grover_basis, grover_hit_via_basis
 from test_golden_reports import CASES as GOLDEN_CASES
@@ -49,11 +53,12 @@ def _traced(argv):
     return _traced_call(lambda: run(argv))
 
 
-def _skip_unless_oversized():
+def _skip_unless_oversized(total_qubits: int = 30):
     # gap 1e-7 gives m = 30 data qubits, so B|0> alone is 2^30 amplitudes
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if working_set_bytes(30) <= physical:
-        pytest.skip("this machine could hold the 2^30-amplitude state")
+    if working_set_bytes(total_qubits) <= physical:
+        pytest.skip(f"this machine could hold the 2^{total_qubits}-amplitude "
+                    "state")
 
 
 def _assert_refused(capsys, argv):
@@ -118,13 +123,13 @@ class TestKernelCommand:
 
 class TestOversizedInstance:
     """Refused before the random draw, not a numpy allocation error:
-    ``reflect`` and ``grover`` at D = 2^30 ask for eigenphase-length
-    working arrays of 2^30 entries."""
+    ``reflect`` at D = 2^30 asks for eigenphase-length working arrays of
+    2^30 entries. (``grover`` reads two eigenphases; see
+    ``TestGroverCommand``.)"""
 
     @pytest.mark.parametrize("argv", [
         ["reflect", "lcu", "--dim", str(1 << 30), "--gap", "0.5",
          "--eps", "1e-2"],
-        ["grover", "--dim", str(1 << 30), "--eps", "0.02"],
     ])
     def test_refused(self, capsys, argv):
         _skip_unless_oversized()
@@ -399,13 +404,70 @@ class TestGroverCommand:
         assert json.loads(out)["passed"] is True
 
     def test_large_dimension_in_linear_memory(self, capsys):
-        # the eigenphases at D = 2^20, 8 MiB, which the instance takes
-        # without a copy: the traced peak measured 12.3 MiB, and one more
-        # D-length complex vector would add 16 MiB
+        # the report reads the plane of two eigenvectors: the traced peak
+        # at D = 2^20 measured 4.5 MiB, and the 8 MiB array of all D
+        # eigenphases would take the whole bound
         code, peak = _traced(["grover", "--dim", "1048576", "--eps", "0.02"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
-        assert peak <= 24 * 2 ** 20
+        assert peak <= 8 * 2 ** 20
+
+    def test_no_dimension_length_array(self, capsys):
+        # D = 2^26: one D-length float array alone is 512 MiB; the kernel
+        # (L = 2^17) sets the traced peak, measured at 34.1 MiB
+        code, peak = _traced(["grover", "--dim", str(1 << 26),
+                              "--eps", "0.02"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert peak <= 64 * 2 ** 20
+
+    def test_runs_where_the_spectrum_would_not_fit(self, capsys):
+        # the 2^30 eigenphases would need about 117 GiB of working set
+        code, out = _capture(capsys, ["grover", "--dim", str(1 << 30),
+                                      "--eps", "0.02"])
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    def test_kernel_preflight_refuses(self, capsys):
+        # at D = 2^44 and eps = 0.02 the kernel is L = 2^26, a table of
+        # 2^27 entries
+        _skip_unless_oversized(27)
+        err = _assert_refused(capsys, ["grover", "--dim", str(1 << 44),
+                                       "--eps", "0.02"])
+        assert "an array of 2^27 entries needs about" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("power", [55, 1100])
+    def test_dimension_past_double_precision_refused(self, capsys, power):
+        # 1 - 2/D rounds to 1 from 2^55 on, and sqrt(2^1100) overflows a
+        # float: both are refused before D meets a float
+        code = run(["grover", "--dim", str(1 << power), "--eps", "0.02"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: dimension 2^{power} is too large: "
+                                "1 - 2/D rounds to 1 in double precision\n")
+
+    @pytest.mark.parametrize("dim", [1 << k for k in range(2, 13)])
+    def test_plane_report_is_whole_spectrum_report(self, monkeypatch, dim):
+        """The reflector built on ``grover_plane`` gives the entries and
+        the ``a_column`` of one built on ``grover_unitary``, bit for bit, so
+        every key of the report is the one the whole spectrum gives."""
+        for eps in (0.2, 0.05, 0.02):
+            on_plane = build_reflector(grover_plane(dim), eps)
+            for seed in (1, 2, 3):
+                whole = grover_unitary(dim, grover_marked(dim, seed))
+                refl = build_reflector(whole, eps)
+                assert on_plane.entries() == refl.entries()
+                got = on_plane.a_column(on_plane.unitary.eigenphases)
+                want = refl.a_column(whole.eigenphases[:2])
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+                report = json.dumps(cli.grover_benchmark(dim, eps, seed))
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "build_reflector",
+                              lambda unitary, eps: refl)
+                    assert json.dumps(cli.grover_benchmark(dim, eps, seed)) \
+                        == report
 
     @pytest.mark.parametrize("dim", ["0", "-4", "6"])
     def test_dimension_refused_before_draw(self, capsys, dim):
@@ -433,7 +495,7 @@ class TestGroverCommand:
         1 - |hit|^2 loses about log10 D digits, 1e-13 at D = 1024."""
         for seed in range(1, 4):
             marked = int(np.random.default_rng(seed).integers(dim))
-            u = grover_unitary(dim, marked).unitary
+            u = grover_unitary(dim, marked)
             a0, rest = build_reflector(u, 0.02).a_column(u.eigenphases[:2])
             nu = cli.grover_benchmark(dim, 0.02, seed)["nu"]
             with localcontext() as ctx:
@@ -457,12 +519,11 @@ class TestGroverCommand:
         basis as (marked entry, other entries), the pair the report uses."""
         for seed in range(1, 11):
             marked = int(np.random.default_rng(seed).integers(dim))
-            instance = grover_unitary(dim, marked)
-            u = instance.unitary
+            u = grover_unitary(dim, marked)
             refl = build_reflector(u, 0.02)
             report = cli.grover_benchmark(dim, 0.02, seed)
             nu = report["nu"]
-            via_basis = 1 - abs(grover_hit_via_basis(instance, refl)) ** 2
+            via_basis = 1 - abs(grover_hit_via_basis(refl, marked)) ** 2
             assert nu == pytest.approx(via_basis, rel=1e-11, abs=0)
             psi0 = grover_basis(dim, marked)[:, 0].real
             a = 1 / math.sqrt(dim)
@@ -701,6 +762,15 @@ class TestContract:
         assert captured.out == ""
         assert "nosuch" in captured.err
         assert all(name in captured.err for name, _ in suite_mod.ALL_CHECKS)
+
+    def test_suite_empty_check_name(self, capsys):
+        # a trailing comma leaves an empty name, shown as ''
+        code = run(["verify-suite", "--only", "kernel_bounds,"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: unknown check(s) ''; valid checks: kernel_bounds, ")
 
     def test_every_json_roundtrips(self, capsys):
         for argv in (["kernel", "--eps", "1e-1", "--gap", "0.8"],

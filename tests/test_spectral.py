@@ -15,6 +15,7 @@ from reflectsim.pea_reflector import pea_block
 from reflectsim.spectral_models import (
     EigenUnitary,
     grover_marked,
+    grover_plane,
     grover_unitary,
     hamiltonian_unitary,
     synth_unitary,
@@ -217,6 +218,12 @@ class TestGrover:
         with pytest.raises(ValueError):
             grover_unitary(12, 0)
 
+    def test_plane_up_to_the_precision_limit(self):
+        # 1 - 2^-53 is the last double below 1; 1 - 2^-54 rounds to 1
+        assert grover_plane(2 ** 54).gap > 0
+        with pytest.raises(ValueError, match=r"2\^55 is too large"):
+            grover_plane(2 ** 55)
+
     @pytest.mark.parametrize("d", [4, 256, 2 ** 20, 2 ** 29, 2 ** 32, 2 ** 40])
     def test_marked_is_numpy_draw(self, d):
         # numpy draws 32 bits up to 2^32 and 64 above
@@ -230,7 +237,7 @@ class TestGrover:
             inst = grover_unitary(d, marked)
             basis = grover_basis(d, marked)
             u = oracles.grover_matrix(d, marked)
-            residual = u @ basis - basis * np.exp(1j * inst.unitary.eigenphases)
+            residual = u @ basis - basis * np.exp(1j * inst.eigenphases)
             assert np.abs(residual).max() <= 1e-13, marked
             gram = basis.conj().T @ basis - np.eye(d)
             assert np.abs(gram).max() <= 1e-13, marked
@@ -252,17 +259,22 @@ class TestGrover:
         t = scipy.linalg.schur(oracles.grover_matrix(d, d - 3),
                                output="complex")[0]
         # angles in (-pi, pi]: no eigenvalue sits near -1
-        closed = np.angle(np.exp(1j * inst.unitary.eigenphases))
+        closed = np.angle(np.exp(1j * inst.eigenphases))
         assert np.sort(np.angle(np.diag(t))) == pytest.approx(
             np.sort(closed), rel=0, abs=1e-13)
 
     @pytest.mark.parametrize("d", [4, 16, 64, 256, 1024])
     def test_eigenphases_are_exact(self, d):
         theta = math.acos(1 - 2 / d)
-        phases = grover_unitary(d, d // 2).unitary.eigenphases
+        whole = grover_unitary(d, d // 2)
+        phases = whole.eigenphases
         assert phases[0] == 0.0
         assert phases[1] == 2 * math.pi - 2 * theta
         assert np.all(phases[2:] == math.pi - theta)
+        # the plane that the report reads: the first two, bit for bit
+        plane = grover_plane(d)
+        assert plane.dimension == 2 and plane.gap == whole.gap
+        assert plane.eigenphases.tobytes() == phases[:2].tobytes()
 
     @pytest.mark.parametrize("d", [16, 64])
     def test_gap_does_not_depend_on_marked(self, d):
@@ -306,7 +318,7 @@ class TestGrover:
 
     def test_unique_unit_eigenvalue(self):
         inst = grover_unitary(16, 0)
-        phases = inst.unitary.eigenphases
+        phases = inst.eigenphases
         assert (np.abs(phases) < 1e-12).sum() == 1
 
 
@@ -355,7 +367,7 @@ class TestEigenUnitaryType:
     def test_fixes_psi0_across_builders(self):
         h = np.diag([0.1, 0.6, 0.9])
         for u, basis in ((synth_unitary(8, 0.5, 7), haar_basis(8, 7)),
-                         (grover_unitary(16, 3).unitary, grover_basis(16, 3)),
+                         (grover_unitary(16, 3), grover_basis(16, 3)),
                          (hamiltonian_unitary(h, 0.1),
                           oracles.hamiltonian_basis(h, 0.1))):
             psi = basis[:, 0]
