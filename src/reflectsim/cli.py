@@ -249,7 +249,7 @@ def grover_benchmark(dim: int, eps: float, seed: int) -> dict:
 def suite_report(only) -> dict:
     # imported here: the suite's checks read this module's report builders
     from . import suite
-    names = set(only.split(",")) if only else None
+    names = None if only is None else set(only.split(","))
     results = suite.run_all(names=names)
     return {
         "command": "verify-suite",

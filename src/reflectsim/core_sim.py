@@ -4,13 +4,13 @@ Operator kinds with their declared footprints, one entry point that applies
 an operator to column arrays (``apply_batch``), and the memory preflight.
 The seven kinds are dense, eigen-powers, the layered (banded) QFT
 ``QftOp``, permutation, zero reflection, controlled and sequence. Every
-diagonal is an ``EigenPowersOp``, a table of signed powers of U's
-eigenphases: select, the PEA ladders, ``PAULI_Z`` and ``cphase``. Inside a
-register every diagonal takes one broadcast kernel, X is the one view
-kernel, and every other leaf kind runs on a contiguous copy of its axes.
-The fixed elementary gates (``HADAMARD``, ``PAULI_X``, ``PAULI_Z``,
-``CNOT``, ``SWAP``) are shared constants with read-only tables, built at
-import.
+controlled power of U is an ``EigenPowersOp``, the ladder U^(start + a)
+on ancilla value a, which stores no table: select's body, the PEA ladders
+and ``cphase``'s. Inside a register every ladder takes one broadcast
+kernel, a zero reflection one negation, X is the one view kernel, and
+every other leaf kind runs on a contiguous copy of its axes. The fixed
+gates (``HADAMARD``, ``PAULI_X``, ``PAULI_Z``, a zero reflection,
+``CNOT``, ``SWAP``) are shared constants with read-only tables.
 
 Conventions used by every module in this package:
 
@@ -121,42 +121,40 @@ class DenseOp(CircuitOp):
 
 
 class EigenPowersOp(CircuitOp):
-    """Signed powers of U controlled on an ancilla register, in U's
-    eigenbasis: sign_a U^(k_a) on ancilla value a, which is
-    sign_a exp(i k_a lambda_j) on eigenvector j.
+    """A ladder of powers of U controlled on an ancilla register, in U's
+    eigenbasis: U^(start + a) on ancilla value a, which is
+    exp(i (start + a) lambda_j) on eigenvector j, or its inverse.
 
-    Stores the integer powers, the +-1 signs and the eigenphases, and makes
-    the phases only when applied, so no 2^(n + s) diagonal is held. Every
-    diagonal of the circuits is one: Z is powers (0, 0) with signs (+1, -1)
-    over no system qubit, and a controlled phase is power 1 on |11>.
+    Holds the ancilla width, the first power, the eigenphases and the
+    ``inverse`` flag, as ``QftOp`` holds its own, and makes the phases
+    only when applied, so no table of powers and no 2^(n + s) diagonal is
+    held. The inverse negates the integer powers before the exponential,
+    so its phases are bit for bit those of the powers -(start + a).
     """
 
-    def __init__(self, powers: np.ndarray, signs: np.ndarray,
-                 eigenphases: np.ndarray,
-                 footprint: ResourceFootprint = ZERO_COST):
-        k = np.asarray(powers, dtype=np.int64)
-        sg = np.asarray(signs, dtype=float)
+    def __init__(self, num_ancilla: int, start: int, eigenphases: np.ndarray,
+                 footprint: ResourceFootprint = ZERO_COST,
+                 inverse: bool = False):
         lam = np.asarray(eigenphases, dtype=float)
-        n_anc = int(k.shape[0]).bit_length() - 1
         n_sys = int(lam.shape[0]).bit_length() - 1
-        if k.ndim != 1 or (1 << n_anc) != k.shape[0] or sg.shape != k.shape:
-            raise ValueError("powers and signs need one entry per ancilla value")
+        if num_ancilla < 0:
+            raise ValueError("num_ancilla must be >= 0")
         if lam.ndim != 1 or (1 << n_sys) != lam.shape[0]:
             raise ValueError("system dimension is not a power of two")
-        if not np.all(np.abs(sg) == 1):
-            raise ValueError("signs must be +1 or -1")
-        self.powers = k
-        self.signs = sg
+        self.num_ancilla = num_ancilla
+        self.start = start
         self.eigenphases = lam
-        self.num_qubits = n_anc + n_sys
+        self.num_qubits = num_ancilla + n_sys
         self.footprint = footprint
+        self.inverse = inverse
 
     def diagonal(self) -> np.ndarray:
-        """The 2^(n + s) diagonal, sign_a exp(i k_a lambda_j) at index
+        """The 2^(n + s) diagonal, exp(+-i (start + a) lambda_j) at index
         (a, j), made on each call."""
-        phases = np.exp(1j * np.outer(self.powers, self.eigenphases))
-        phases *= self.signs[:, None]
-        return phases.reshape(-1)
+        powers = np.arange(self.start, self.start + (1 << self.num_ancilla))
+        if self.inverse:
+            powers = -powers
+        return np.exp(1j * np.outer(powers, self.eigenphases)).reshape(-1)
 
     def _transform(self, block):
         return self.diagonal()[:, None] * block
@@ -322,9 +320,10 @@ def _embed_tensor(op: CircuitOp, tensor: np.ndarray, num_qubits: int,
     """Tensor-form embedding: input and output have shape (2,)*n + (batch,).
 
     The output may be a strided view of the input (X), so callers copy
-    before handing it out. Diagonals, X and controlled ops work on the
-    tensor's own axes; other kinds move their axes to the front and run on
-    one contiguous copy."""
+    before handing it out. Ladders, X, zero reflections (negating all but
+    the targets' all-zero slice) and controlled ops work on the tensor's
+    own axes; other kinds move their axes to the front and run on one
+    contiguous copy."""
     k = op.num_qubits
     if isinstance(op, EigenPowersOp):
         # op axis i is register axis targets[i]; order the axes by target
@@ -337,6 +336,12 @@ def _embed_tensor(op: CircuitOp, tensor: np.ndarray, num_qubits: int,
         return diag.reshape(shape) * tensor
     if isinstance(op, PermutationOp) and op.perm.tolist() == [1, 0]:
         return np.flip(tensor, axis=targets[0])
+    if isinstance(op, ZeroReflectionOp):
+        zero = tuple(0 if i in targets else slice(None)
+                     for i in range(num_qubits + 1))
+        out = -tensor
+        out[zero] = tensor[zero]
+        return out
     if isinstance(op, ControlledOp):
         # fix each control axis at its pattern bit; the slice drops those
         # axes, so renumber the sub-op's targets
@@ -433,16 +438,14 @@ def adjoint(op: CircuitOp) -> CircuitOp:
     """Inverse operator; same declared footprint.
 
     The inverse of a checked operator is exact (a conjugate transpose,
-    negated powers, conjugated QFT phases, an inverse
+    a negated ladder, conjugated QFT phases, an inverse
     permutation, reversed steps on the same targets), so it is built
     without re-running the constructors' checks. A sequence inverts each
     distinct member once and reuses that inverse wherever the member
     repeats."""
     if isinstance(op, DenseOp):
         return _like(op, matrix=op.matrix.conj().T)
-    if isinstance(op, EigenPowersOp):
-        return _like(op, powers=-op.powers)
-    if isinstance(op, QftOp):
+    if isinstance(op, (EigenPowersOp, QftOp)):
         return _like(op, inverse=not op.inverse)
     if isinstance(op, PermutationOp):
         inv = np.empty_like(op.perm)
@@ -476,8 +479,8 @@ def _like(op: CircuitOp, **changes) -> CircuitOp:
 # memory preflight
 
 
-# apply_batch keeps the input, a moved copy and each step's output alive: a
-# dense reflect pea --dim 8 verification peaked at 7.3x its 128 MiB state
+# apply_batch keeps the input, a moved copy and each step's output alive:
+# build_B traced 705 MiB (5.5x) for its 128 MiB B-hat state at L = 2^22
 WORKING_COPIES = 7.3
 
 
@@ -524,9 +527,7 @@ def _frozen(op: CircuitOp, *tables: str) -> CircuitOp:
 HADAMARD = _frozen(DenseOp(np.array([[1, 1], [1, -1]], dtype=np.complex128)
                            / math.sqrt(2), _ONE_Q), "matrix")
 PAULI_X = _frozen(PermutationOp(np.array([1, 0]), _ONE_Q), "perm")
-PAULI_Z = _frozen(EigenPowersOp(np.zeros(2), np.array([1.0, -1.0]),
-                                np.zeros(1), _ONE_Q),
-                  "powers", "signs", "eigenphases")
+PAULI_Z = ZeroReflectionOp(1, _ONE_Q)
 CNOT = ControlledOp(PAULI_X, 1, pattern=1, footprint=_TWO_Q)
 SWAP = _frozen(PermutationOp(np.array([0, 2, 1, 3]), _TWO_Q), "perm")
 
@@ -537,5 +538,5 @@ def ry(theta: float) -> CircuitOp:
 
 
 def cphase(angle: float) -> CircuitOp:
-    """Symmetric controlled phase: e^{i angle} on |11>."""
-    return EigenPowersOp(np.array([0, 0, 0, 1]), np.ones(4), [angle], _TWO_Q)
+    """Symmetric controlled phase e^{i angle} on |11>: a controlled ladder."""
+    return ControlledOp(EigenPowersOp(1, 0, [angle]), 1, 1, _TWO_Q)

@@ -1,12 +1,12 @@
 """select(U-bar), W, the ancilla reflection R and the two-round OAA operator A.
 
 The ancilla register is n = m + 2 qubits: a two-qubit header followed by m
-data qubits. select applies U^(l - L) when the header is |00> (l the data
-value), and the header-conditioned signs via Z on the second header qubit.
-A = W R W' R W R W' R W amplifies the ancilla-|0> block of W into the
-approximate reflection. Every operator acts on the system register in U's
-eigenbasis (see ``spectral_models``), where select is one
-``EigenPowersOp``. On eigenvector j the ancilla |0> stays in
+data qubits. select is the cascade its footprint charges: Z on the second
+header qubit, then, when the header is |00>, the ladder U^(l - L) (l the
+data value). A = W R W' R W R W' R W amplifies the ancilla-|0> block of W
+into the approximate reflection. Every operator acts on the system
+register in U's eigenbasis (see ``spectral_models``), where the ladder is
+one ``EigenPowersOp``. On eigenvector j the ancilla |0> stays in
 span{|0>, W(lambda_j)|0>}, so A(lambda_j)|0> follows from the scalar
 w_j = <0|W(lambda_j)|0> alone: verification simulates nothing.
 """
@@ -18,7 +18,9 @@ import math
 import numpy as np
 
 from .core_sim import (
+    PAULI_Z,
     CircuitOp,
+    ControlledOp,
     EigenPowersOp,
     ResourceFootprint,
     SequenceOp,
@@ -54,23 +56,20 @@ class SelectU:
     op: CircuitOp
 
 
-def build_select(params: KernelParams, unitary: EigenUnitary) -> SelectU:
-    """select(U-bar) on (m + 2) ancilla plus system qubits, as one
-    ``EigenPowersOp`` in U's eigenbasis.
-
-    Header |00> with data l gives exp(i lambda_j (l - L)) on eigenvector j;
-    headers |01>, |10>, |11> give the signs -1/+1/-1 of Z on the second
-    header qubit. The footprint is that of the gate cascade: the Z, then,
-    conditioned on header |00>, U^-L and a controlled U^(2^i) leg per data
-    bit, 3L - 1 queries in all.
+def build_select(params: KernelParams, eigenphases: np.ndarray,
+                 step_cost: int) -> SelectU:
+    """select(U-bar) on (m + 2) ancilla plus system qubits, in U's
+    eigenbasis, built as the gate cascade its footprint charges: the Z on
+    the second header qubit (signs -1/+1/-1 on headers |01>, |10>, |11>),
+    then, conditioned on header |00>, U^-L and a controlled U^(2^i) leg
+    per data bit, 3L - 1 queries of ``step_cost`` each. That is one
+    ``EigenPowersOp`` ladder from -L: exp(i lambda_j (l - L)) on data l
+    and eigenvector j.
     """
     L = params.L
-    powers = np.zeros((4, 2 * L), dtype=np.int64)
-    powers[0] = np.arange(-L, L)
-    signs = np.repeat([1.0, -1.0, 1.0, -1.0], 2 * L)
-    cost = ResourceFootprint(queries_u=(3 * L - 1) * unitary.step_cost,
-                             one_qubit_gates=1)
-    op = EigenPowersOp(powers.reshape(-1), signs, unitary.eigenphases, cost)
+    cost = ResourceFootprint(queries_u=(3 * L - 1) * step_cost)
+    body = ControlledOp(EigenPowersOp(params.m, -L, eigenphases, cost), 2, 0)
+    op = SequenceOp(body.num_qubits, [(PAULI_Z, (1,)), (body, None)])
     return SelectU(n=params.m + 2, op=op)
 
 
@@ -152,10 +151,10 @@ class ReflectorA:
     def w_amplitudes(self, lambdas: np.ndarray) -> np.ndarray:
         """w(lambda) = <0|W(lambda)|0> at each eigenphase, from B's table.
 
-        <0|W|0> = sum_a |b_a|^2 sign_a U^(k_a) with b = B|0>: the body
-        weights |beta_l| / s on U^l and the header weights, whose signs
-        give -beta_L + beta_{L+1} - beta_{L+2}. Here s = 1/sin(pi/10) is
-        the header column's normalisation, not the sum ``self.s``.
+        <0|W|0> = sum_a |b_a|^2 select_a with b = B|0>: the body weights
+        |beta_l| / s on U^l and the header weights, whose Z signs give
+        -beta_L + beta_{L+1} - beta_{L+2}. Here s = 1/sin(pi/10) is the
+        header column's normalisation, not the sum ``self.s``.
         """
         betas, L = self.b.beta_magnitudes, self.params.L
         body = trig_poly(betas[:2 * L], lambdas)
@@ -227,7 +226,7 @@ def build_reflector(unitary: EigenUnitary, eps: float, *,
     unitary.system_qubits
     params, spec = lcu_budget(eps, unitary.gap, c, kernel_fraction, exact_qft)
     b = build_B(params, spec)
-    sel = build_select(params, unitary)
+    sel = build_select(params, unitary.eigenphases, unitary.step_cost)
     w = build_W(b, sel)
     r = ancilla_reflection(b.n)
     a = build_A(w, r, b.n)
@@ -243,11 +242,11 @@ def eigen_profile(op: CircuitOp, n_ancilla: int) -> np.ndarray:
     """op(lambda_j)|0> for every eigenvector j, from one simulated column.
 
     Precondition: op touches the system register only through
-    whole-register ``EigenPowersOp``s, as every tree the builders make
-    does. Then op = sum_j op(lambda_j) (x) |e_j><e_j|, and
-    op |0>(sum_j |e_j>) holds all D ancilla blocks at once. Returns that
-    column, after ``require_memory``, as a (2^n_ancilla, D) array whose
-    column j is op(lambda_j)|0>.
+    ``EigenPowersOp``s on every system qubit, controlled or not, as every
+    tree the builders make does. Then op = sum_j op(lambda_j) (x)
+    |e_j><e_j|, and op |0>(sum_j |e_j>) holds all D ancilla blocks at
+    once. Returns that column, after ``require_memory``, as a
+    (2^n_ancilla, D) array whose column j is op(lambda_j)|0>.
     """
     d = 1 << (op.num_qubits - n_ancilla)
     require_memory(op.num_qubits)

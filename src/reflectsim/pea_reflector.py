@@ -25,7 +25,6 @@ from .core_sim import (
     ResourceFootprint,
     SequenceOp,
     adjoint,
-    require_memory,
 )
 from .lcu_reflector import ancilla_reflection
 from .spectral_models import EigenUnitary
@@ -66,8 +65,10 @@ def choose_pea_params(epsilon: float, delta: float) -> PeaParams:
         raise ValueError("epsilon must lie in (0, 1/5]")
     if not 0 < delta <= math.pi:
         raise ValueError("delta must lie in (0, pi]")
-    # 2^n' must be a finite float: 4 / sin(delta/2) at most 2^(max_exp - 1)
-    if math.sin(delta / 2) < 2.0 ** (3 - sys.float_info.max_exp):
+    # 2^n' lambda must be a finite float for every lambda < 2 pi < 2^3, as
+    # ``fejer`` forms it: 4 / sin(delta/2) at most 2^(max_exp - 3), so
+    # n' <= 1021
+    if math.sin(delta / 2) < 2.0 ** (5 - sys.float_info.max_exp):
         raise ValueError(f"gap {delta!r} is too small: the phase-estimation "
                          "register 2^n' cannot be represented")
     n_prime = math.ceil(math.log2(4 / math.sin(delta / 2)))
@@ -91,22 +92,22 @@ def pea_block(unitary: EigenUnitary, n_prime: int,
     """One phase-estimation register: Hadamards, the controlled U^(2^j)
     ladder, then the inverse QFT.
 
-    In U's eigenbasis the ladder is one ``EigenPowersOp``, exp(i a lambda_j)
-    on ancilla value a and eigenvector j, charging the 2^n' - 1 queries of
-    its legs. The Hadamard wall is a sequence of the shared ``HADAMARD``
-    and the inverse QFT one layered ``QftOp``, at every n', so building
-    computes no matrix: verification reads only the eigenphases.
+    In U's eigenbasis the ladder is one ``EigenPowersOp`` from U^0,
+    exp(i a lambda_j) on ancilla value a and eigenvector j, charging the
+    2^n' - 1 queries of its legs; it holds no 2^n'-entry table. The
+    Hadamard wall is a sequence of the shared ``HADAMARD`` and the inverse
+    QFT one layered ``QftOp``, so at every n' that ``choose_pea_params``
+    admits, building computes no matrix and allocates nothing of size
+    2^n': verification reads only the eigenphases.
     """
     if qft_spec.m != n_prime:
         raise ValueError("QFT width must equal n_prime")
     total = n_prime + unitary.system_qubits
-    # the ladder holds 2^n' powers
-    require_memory(n_prime)
     anc = tuple(range(n_prime))
     h_wall = SequenceOp(n_prime, [(HADAMARD, (q,)) for q in range(n_prime)])
     iqft = adjoint(qft(qft_spec))
     ladder = EigenPowersOp(
-        np.arange(1 << n_prime), np.ones(1 << n_prime), unitary.eigenphases,
+        n_prime, 0, unitary.eigenphases,
         ResourceFootprint(queries_u=((1 << n_prime) - 1) * unitary.step_cost))
     return SequenceOp(total, [(h_wall, anc), (ladder, tuple(range(total))),
                               (iqft, anc)])

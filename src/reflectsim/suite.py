@@ -14,7 +14,7 @@ the library's only PEA simulation outside tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import functools
 import itertools
 import math
@@ -24,7 +24,6 @@ import numpy as np
 
 from . import cli
 from .core_sim import (
-    EigenPowersOp,
     apply_batch,
     column_blocks,
     op_matrix,
@@ -269,40 +268,39 @@ def check_grover_benchmark() -> CheckResult:
 
 
 def _zoo_lcu():
-    """Kernel parameters, QFT spec, B and select of the structural check's
-    LCU reflector, on a D = 2 instance: 7 ancilla qubits and 1 system
+    """Kernel parameters, QFT spec and B of the structural check's LCU
+    reflector, and its D = 2 instance: 7 ancilla qubits and 1 system
     qubit."""
     params = select_params(0.2, 1.5)
     spec = prep_qft_spec(params)
-    b = build_B(params, spec)
-    return params, spec, b, build_select(params, synth_unitary(2, 1.0, seed=3))
+    return params, spec, build_B(params, spec), synth_unitary(2, 1.0, seed=3)
 
 
-def _sectors(b, sel):
+def _sectors(params, b, unitary):
     """(select_j, W_j, A_j) on the ancilla register, for each eigenvector
-    j of select's instance.
+    j of ``unitary``.
 
     The circuits touch the system register only through select's
-    ``EigenPowersOp``, so each of select, W and A is
+    ``EigenPowersOp`` ladder, so each of select, W and A is
     sum_j M(lambda_j) (x) |e_j><e_j|: its full matrix is exactly zero off
-    the blocks M[j::D, j::D], and block j is sector j's matrix, made by the
-    same floating-point operations.
+    the blocks M[j::D, j::D], and block j is sector j's matrix, built by
+    ``build_select`` on lambda_j alone and made by the same floating-point
+    operations.
     """
-    phases = sel.op.eigenphases
+    phases = unitary.eigenphases
     for j in range(len(phases)):
-        op = EigenPowersOp(sel.op.powers, sel.op.signs, phases[j:j + 1],
-                           sel.op.footprint)
-        w = build_W(b, replace(sel, op=op))
-        yield op, w, build_A(w, ancilla_reflection(b.n), b.n)
+        sel = build_select(params, phases[j:j + 1], unitary.step_cost)
+        w = build_W(b, sel)
+        yield sel.op, w, build_A(w, ancilla_reflection(b.n), b.n)
 
 
 def _structural_op_zoo():
     """Representative operators capped at 8 qubits for dense unitarity;
     the LCU reflector's select, W and A one eigenvector sector at a time."""
     from .core_sim import CNOT, HADAMARD, PAULI_X, PAULI_Z, SWAP, cphase, ry
-    params, spec, b, sel = _zoo_lcu()
+    params, spec, b, unitary = _zoo_lcu()
     sectors = [(f"{name}_{j}", op)
-               for j, ops in enumerate(_sectors(b, sel))
+               for j, ops in enumerate(_sectors(params, b, unitary))
                for name, op in zip(("select", "w", "a"), ops)]
     amps = np.sqrt(np.arange(1.0, 17.0))
     amps /= np.linalg.norm(amps)

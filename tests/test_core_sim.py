@@ -124,8 +124,7 @@ class TestApply:
         # X's in a row give back the input's own layout.
         ops = (DenseOp(op_matrix(SWAP)), cphase(0.4), CNOT,
                PermutationOp(np.array([3, 0, 1, 2])), ZeroReflectionOp(2),
-               EigenPowersOp(np.array([1, -2]), np.array([1, -1]),
-                             np.array([0.0, 0.3])),
+               EigenPowersOp(1, -2, np.array([0.0, 0.3])),
                QftOp(2, 2, ResourceFootprint()),
                SequenceOp(2, [(HADAMARD, (1,)), (SWAP, (0, 1))]),
                PAULI_X, SWAP,
@@ -145,8 +144,9 @@ class TestApply:
 
 
 def _phase_diagonal(phases) -> EigenPowersOp:
-    """diag(exp(i phases)): power 1 on a zero-qubit ancilla."""
-    return EigenPowersOp(np.ones(1), np.ones(1), phases)
+    """diag(exp(i phases)): the ladder from power 1 on a zero-qubit
+    ancilla."""
+    return EigenPowersOp(0, 1, phases)
 
 
 def _phases(num_qubits: int, seed: int) -> EigenPowersOp:
@@ -165,6 +165,8 @@ def _kernel_cases():
              for k in (1, 2, 3)]
     cases += [pytest.param(PAULI_X, id="x"),
               pytest.param(SWAP, id="swap")]
+    cases += [pytest.param(ZeroReflectionOp(k), id=f"zero{k}")
+              for k in (1, 2, 3)]
     for controls in (1, 2):
         for pattern in range(1 << controls):
             for name, sub in (("x", PAULI_X), ("ry", ry(0.7)),
@@ -175,17 +177,17 @@ def _kernel_cases():
     body = SequenceOp(2, [(HADAMARD, (1,)), (cphase(0.9), (1, 0)),
                           (SWAP, (0, 1)), (PAULI_X, (0,))])
     cases.append(pytest.param(ControlledOp(body, 1, 0), id="c1p0-sequence"))
-    # shaped like select and a PEA ladder: signed powers on one ancilla
-    # qubit over two system qubits, at (1, 2, 3) neither leading nor whole
+    # shaped like select's and a PEA ladder: powers on one ancilla qubit
+    # over two system qubits, at (1, 2, 3) neither leading nor whole
     cases.append(pytest.param(
-        EigenPowersOp(np.array([3, -2]), np.array([1, -1]),
-                      np.array([0.0, 0.4, 2.1, 5.0])), id="select"))
+        EigenPowersOp(1, -2, np.array([0.0, 0.4, 2.1, 5.0])), id="select"))
     return cases
 
 
 class TestKernelsMatchMoveaxis:
-    """Diagonals, X and controlled ops skip the moveaxis embedding; their
-    output must equal it bit for bit. SWAP takes the generic path."""
+    """Ladders, X, zero reflections and controlled ops skip the moveaxis
+    embedding; their output must equal it bit for bit. SWAP takes the
+    generic path."""
 
     @pytest.mark.parametrize("op", _kernel_cases())
     def test_bit_identical(self, op):
@@ -206,20 +208,21 @@ class TestOperatorKinds:
             DenseOp(np.array([[1, 0], [0, 2.0]]))
 
     def test_eigen_powers_match_their_diagonal(self):
-        powers, signs = np.array([3, -2, 0, 5]), np.array([1, -1, -1, 1])
+        powers = np.array([-3, -2, -1, 0])
         phases = np.array([0.0, 0.4, 2.1, 5.0])
-        op = EigenPowersOp(powers, signs, phases)
-        assert op.num_qubits == 4
-        want = (signs[:, None] * np.exp(1j * np.outer(powers, phases))).ravel()
-        assert np.abs(op_matrix(op) - np.diag(want)).max() < 1e-15
+        for inverse, sign in ((False, 1), (True, -1)):
+            op = EigenPowersOp(2, -3, phases, inverse=inverse)
+            assert op.num_qubits == 4
+            want = np.exp(1j * np.outer(sign * powers, phases)).ravel()
+            assert np.array_equal(op_matrix(op), np.diag(want))
 
     def test_eigen_powers_reject_bad_tables(self):
         with pytest.raises(ValueError):
-            EigenPowersOp(np.arange(3), np.ones(3), np.zeros(2))
+            EigenPowersOp(-1, 0, np.zeros(2))
         with pytest.raises(ValueError):
-            EigenPowersOp(np.arange(2), np.ones(2), np.zeros(3))
+            EigenPowersOp(1, 0, np.zeros(3))
         with pytest.raises(ValueError):
-            EigenPowersOp(np.arange(2), np.array([1.0, 0.5]), np.zeros(2))
+            EigenPowersOp(1, 0, np.zeros((2, 2)))
 
     def test_permutation_rejects_nonbijection(self):
         with pytest.raises(ValueError):
@@ -253,11 +256,9 @@ class TestOperatorKinds:
         assert seq.footprint.one_qubit_gates == 1
 
     def test_sequence_footprint_is_the_merge_of_its_members(self):
-        labelled = EigenPowersOp(np.zeros(1), np.ones(1), np.zeros(2),
-                                 ResourceFootprint(
+        labelled = EigenPowersOp(0, 0, np.zeros(2), ResourceFootprint(
             queries_u=3, ancilla_qubits=2, modeled=frozenset({"b", "a"})))
-        other = EigenPowersOp(np.zeros(1), np.ones(1), np.zeros(4),
-                              ResourceFootprint(
+        other = EigenPowersOp(0, 0, np.zeros(4), ResourceFootprint(
             queries_u=1, two_qubit_gates=4, ancilla_qubits=1,
             modeled=frozenset({"c"})))
         steps = [(labelled, (1,)), (other, (0, 1)), (HADAMARD, (0,)),
@@ -272,8 +273,7 @@ class TestOperatorKinds:
 
 class TestSharedGates:
     @pytest.mark.parametrize("gate,table", [
-        (HADAMARD, "matrix"), (PAULI_X, "perm"), (PAULI_Z, "powers"),
-        (SWAP, "perm"), (PAULI_Z, "signs"), (PAULI_Z, "eigenphases")])
+        (HADAMARD, "matrix"), (PAULI_X, "perm"), (SWAP, "perm")])
     def test_tables_read_only(self, gate, table):
         values = getattr(gate, table)
         assert not values.flags.writeable
@@ -292,17 +292,15 @@ _ADJOINT_CASES = [
     lambda: _phase_diagonal([0.0, 0.3]), lambda: ry(1.2), lambda: cphase(0.9),
     lambda: SequenceOp(2, [(HADAMARD, (0,)), (CNOT, (0, 1))]),
     lambda: ControlledOp(ry(0.4), 1, 1),
-    lambda: EigenPowersOp(np.array([1, -3]), np.array([-1, 1]),
-                          np.array([0.0, 1.3])),
+    lambda: EigenPowersOp(1, -3, np.array([0.0, 1.3])),
     lambda: DenseOp(_random_unitary(3, 11),
                     ResourceFootprint(queries_u=2, ancilla_qubits=1)),
-    lambda: EigenPowersOp(np.ones(1), np.ones(1), np.arange(8.0),
+    lambda: EigenPowersOp(0, 1, np.arange(8.0),
                           ResourceFootprint(modeled=frozenset({"d"}))),
     lambda: PermutationOp(np.random.default_rng(4).permutation(8)),
     lambda: ZeroReflectionOp(3, ResourceFootprint(two_qubit_gates=5)),
-    lambda: EigenPowersOp(np.array([0, 3, -2, 5]), np.array([1, -1, -1, 1]),
-                          np.array([0.0, 0.4, 2.5, 4.0]),
-                          ResourceFootprint(queries_u=5)),
+    lambda: EigenPowersOp(2, -2, np.array([0.0, 0.4, 2.5, 4.0]),
+                          ResourceFootprint(queries_u=5), inverse=True),
     lambda: ControlledOp(ControlledOp(DenseOp(_random_unitary(1, 2)), 1, 0),
                          2, 2, ResourceFootprint(two_qubit_gates=9)),
     lambda: ControlledOp(
@@ -327,11 +325,13 @@ class TestAdjoint:
         assert np.array_equal(op_matrix(adjoint(inv)), op_matrix(op))
 
     def test_eigen_powers_adjoint_negates_powers(self):
-        op = EigenPowersOp(np.array([2, -1]), np.array([1, -1]),
-                           np.array([0.0, 0.7]))
+        op = EigenPowersOp(1, -1, np.array([0.0, 0.7]))
         inv = adjoint(op)
-        assert np.array_equal(inv.powers, [-2, 1])
-        assert np.array_equal(inv.signs, op.signs)
+        assert inv.inverse and not adjoint(inv).inverse
+        assert (inv.num_ancilla, inv.start) == (op.num_ancilla, op.start)
+        # the phases of the powers (1, 0), not the conjugates of (-1, 0)
+        want = np.exp(1j * np.outer([1, 0], op.eigenphases)).ravel()
+        assert np.array_equal(inv.diagonal(), want)
 
     def test_sequence_inverts_each_distinct_member_once(self):
         shared = SequenceOp(2, [(HADAMARD, (0,)), (CNOT, (0, 1))])
@@ -410,8 +410,9 @@ class TestEveryKind:
         assert "_transform" in vars(kind)
 
 
-def _full_lcu(b, sel):
+def _full_lcu(params, b, unitary):
     """select, W and A of an LCU reflector on the whole register."""
+    sel = build_select(params, unitary.eigenphases, unitary.step_cost)
     w = build_W(b, sel)
     return sel.op, w, build_A(w, ancilla_reflection(b.n), b.n)
 
@@ -419,17 +420,17 @@ def _full_lcu(b, sel):
 def _zoo_a():
     """The 8-qubit A (7 ancilla qubits, 1 system qubit) whose eigenvector
     sectors the verify suite's structural check builds."""
-    _, _, b, sel = suite._zoo_lcu()
-    return _full_lcu(b, sel)[2]
+    params, _, b, unitary = suite._zoo_lcu()
+    return _full_lcu(params, b, unitary)[2]
 
 
-def _zoo_b_select(dimension):
-    """The structural check's B, and its select on the zoo's D = 2 instance
-    or on a D = 4 one."""
-    params, _, b, sel = suite._zoo_lcu()
+def _zoo_parts(dimension):
+    """The structural check's kernel parameters and B, and the zoo's D = 2
+    instance or a D = 4 one."""
+    params, _, b, unitary = suite._zoo_lcu()
     if dimension != 2:
-        sel = build_select(params, synth_unitary(dimension, 1.0, seed=5))
-    return b, sel
+        unitary = synth_unitary(dimension, 1.0, seed=5)
+    return params, b, unitary
 
 
 class TestEigenSectors:
@@ -438,10 +439,10 @@ class TestEigenSectors:
 
     @pytest.mark.parametrize("dimension", [2, 4])
     def test_blocks_are_the_sectors(self, dimension):
-        b, sel = _zoo_b_select(dimension)
-        sectors = list(suite._sectors(b, sel))
+        parts = _zoo_parts(dimension)
+        sectors = list(suite._sectors(*parts))
         assert len(sectors) == dimension
-        for k, full in enumerate(_full_lcu(b, sel)):
+        for k, full in enumerate(_full_lcu(*parts)):
             mat = op_matrix(full)
             off_block = np.ones(mat.shape, dtype=bool)
             for j, ops in enumerate(sectors):
@@ -461,11 +462,15 @@ class TestEigenSectors:
                 assert abs(unitarity_defect(full) - worst) <= 1e-15
 
     def test_sectors_keep_select_footprint(self):
-        b, sel = _zoo_b_select(2)
-        full = _full_lcu(b, sel)
-        for ops in suite._sectors(b, sel):
-            assert np.array_equal(ops[0].powers, sel.op.powers)
-            assert np.array_equal(ops[0].signs, sel.op.signs)
+        parts = _zoo_parts(2)
+        full = _full_lcu(*parts)
+        ladder = full[0].steps[1][0].sub
+        for j, ops in enumerate(suite._sectors(*parts)):
+            # the same ladder, on eigenphase j alone
+            sub = ops[0].steps[1][0].sub
+            assert (sub.num_ancilla, sub.start) == (ladder.num_ancilla,
+                                                    ladder.start)
+            assert np.array_equal(sub.eigenphases, ladder.eigenphases[j:j + 1])
             assert [op.footprint for op in ops] == [op.footprint for op in full]
 
 

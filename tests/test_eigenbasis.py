@@ -47,7 +47,7 @@ def lcu_parts(request):
     params = select_params(0.2, 1.5)
     unitary = synth_unitary(request.param, 1.5, seed=request.param)
     b = build_B(params, QftSpec.for_budget(params.m, 0.05))
-    sel = build_select(params, unitary)
+    sel = build_select(params, unitary.eigenphases, unitary.step_cost)
     return params, unitary, b, sel, haar_basis(request.param, request.param)
 
 

@@ -1,5 +1,6 @@
 """select dispatch, OAA operator assembly, and reflection verification."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def small():
     spec = QftSpec.for_budget(params.m, 0.05)
     unitary = synth_unitary(2, 1.5, seed=3)
     b = build_B(params, spec)
-    sel = build_select(params, unitary)
+    sel = build_select(params, unitary.eigenphases, unitary.step_cost)
     w = build_W(b, sel)
     r = ancilla_reflection(b.n)
     a = build_A(w, r, b.n)
@@ -122,7 +123,7 @@ class TestSelect:
         params = select_params(0.2, 2.5)
         assert params.L == 8 and params.m == 4
         unitary = synth_unitary(2, 2.5, seed=1)
-        sel = build_select(params, unitary)
+        sel = build_select(params, unitary.eigenphases, unitary.step_cost)
         assert sel.n == 6
         xi = np.array([0.28 + 0.4j, 0.87], dtype=complex)
         xi /= np.linalg.norm(xi)
@@ -332,6 +333,19 @@ class TestGapEdge:
 
 
 class TestMemoryPreflight:
+    def test_reflector_holds_no_select_table(self):
+        # L = 2^19: 8L-entry tables of powers and signs for select, with
+        # the negated copy A's adjoint would make, would be 96 MiB; the
+        # reflector holds about 24 MiB, B's table and state among it
+        tracemalloc.start()
+        try:
+            refl = build_reflector(synth_unitary(64, 1e-4, seed=7), 1e-3)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert refl.params.L == 2 ** 19
+        assert held <= 32 * 2 ** 20
+
     def test_estimate_scales_with_state(self):
         one = working_set_bytes(20)
         assert one == pytest.approx(7.3 * 16 * 2 ** 20)
@@ -404,7 +418,7 @@ class TestHamiltonianFrontEnd:
         costly = EigenUnitary(base.dimension, base.eigenphases, base.gap,
                               step_cost=4)
         params = select_params(0.2, 1.5)
-        sel = build_select(params, costly)
+        sel = build_select(params, costly.eigenphases, costly.step_cost)
         assert sel.op.footprint.queries_u == 4 * (3 * params.L - 1)
         refl = build_reflector(costly, 0.2)
         _, ledger = refl.entries()

@@ -70,6 +70,20 @@ class TestChoosePeaParams:
         with pytest.raises(ValueError):
             choose_pea_params(0.1, 0.0)
 
+    def test_register_capped_where_fejer_is_finite(self):
+        # sin(delta/2) = 2^-1019 gives n' = 1021, the widest register whose
+        # 2^n' lambda stays finite for every lambda < 2 pi; the next gap
+        # down would give n' = 1022, where it overflows
+        delta = 2.0 ** -1018
+        p = choose_pea_params(0.1, delta)
+        assert p.n_prime == 1021
+        lambdas = np.array([0.0, delta, math.pi, 2 * math.pi - delta])
+        with np.errstate(over="raise"):
+            x = fejer(lambdas, p.n_prime)
+        assert np.isfinite(x).all() and x[0] == 1.0
+        with pytest.raises(ValueError, match="too small"):
+            choose_pea_params(0.1, math.nextafter(delta, 0))
+
 
 def _least_q(eps: float) -> int:
     """The least q >= 1 with 2 (1/4)^q <= eps, in exact rational

@@ -134,7 +134,7 @@ class TestPowers:
         # data l = L selects U^0: exactly the identity, and select still
         # charges only its 3L - 1 cascade queries
         params = select_params(0.2, 1.5)
-        sel = build_select(params, u)
+        sel = build_select(params, u.eigenphases, u.step_cost)
         L, d = params.L, u.dimension
         cols = np.zeros((sel.op.dim, d), dtype=complex)
         cols[L * d:(L + 1) * d] = np.eye(d)
@@ -180,8 +180,8 @@ class TestPowers:
         # select: U^-L plus the legs 2^(m-1), ..., 1
         for eps, gap in ((0.2, 1.5), (0.2, 2.5), (1e-2, 0.5)):
             params = select_params(eps, gap)
-            assert build_select(params, u).op.footprint.queries_u == \
-                params.L + (2 * params.L - 1)
+            sel = build_select(params, u.eigenphases, u.step_cost)
+            assert sel.op.footprint.queries_u == params.L + (2 * params.L - 1)
         # PEA ladder: legs 2^(n'-1), ..., 1
         assert _ladder(u, 3).footprint.queries_u == 7
         assert _ladder(u, 5).footprint.queries_u == 31
@@ -190,14 +190,14 @@ class TestPowers:
         u = synth_unitary(4, 0.5, seed=2)
         costly = EigenUnitary(u.dimension, u.eigenphases, u.gap, step_cost=3)
         params = select_params(0.2, 1.5)
-        assert build_select(params, costly).op.footprint.queries_u == \
-            3 * (3 * params.L - 1)
+        sel = build_select(params, costly.eigenphases, costly.step_cost)
+        assert sel.op.footprint.queries_u == 3 * (3 * params.L - 1)
         assert _ladder(costly, 3).footprint.queries_u == 21
 
     def test_dimension_mismatch(self):
         u = synth_unitary(4, 0.5, seed=2)
         state = np.eye(8)[:, :1]  # |0> on three qubits
-        u_eig = EigenPowersOp(np.ones(1), np.ones(1), u.eigenphases)
+        u_eig = EigenPowersOp(0, 1, u.eigenphases)
         with pytest.raises(ValueError):
             apply_batch(u_eig, state, u.system_qubits)
 
